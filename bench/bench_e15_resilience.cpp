@@ -12,8 +12,8 @@
 //
 // The run is bit-deterministic: `--seed N` (default 42) fixes every random
 // draw, and the report contains no wall-clock time, so two runs with the
-// same seed emit byte-identical output. The chaos-smoke CI job runs this
-// twice with `--smoke --seed 42`, diffs the outputs, and fails on a nonzero
+// same seed emit byte-identical output. The `determinism.e15` ctest runs this
+// twice with `--smoke --seed 42`, compares the outputs, and fails on a nonzero
 // exit code (= total unrecovered faults).
 
 #include <algorithm>

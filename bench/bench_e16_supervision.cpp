@@ -22,8 +22,8 @@
 // disabled: crashed units then stay down (nobody resets them), so the
 // campaign ends with every crash unrecovered — the supervised runs must end
 // with zero. The run is bit-deterministic: `--seed N` (default 42) fixes
-// every draw and the report contains no wall-clock time, so the chaos-smoke
-// CI job runs `--smoke --seed 42` twice and diffs byte-identical outputs.
+// every draw and the report contains no wall-clock time, so the
+// `determinism.e16` ctest runs `--smoke --seed 42` twice and compares them.
 // Exit code = unrecovered faults across the supervised runs.
 
 #include <algorithm>

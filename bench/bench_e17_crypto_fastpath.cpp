@@ -17,7 +17,7 @@
 //
 // `--seed N` (default 42) fixes every random draw. `--smoke` shrinks the
 // sweep AND suppresses every timing-derived number, so two smoke runs with
-// the same seed emit byte-identical output (chaos-smoke CI diffs them).
+// the same seed emit byte-identical output (`ctest -R determinism` compares them).
 //
 // Since PR 9 the per-signature fast path measured here is also the batch
 // pipeline's fallback: `ecdsa_verify_batch` (E22) resolves unhinted or

@@ -27,7 +27,7 @@
 //
 // Exit code = number of invariant violations (torn/bricked boots, failed
 // resumes, missed auto-revert), capped at 255. Output is bit-deterministic
-// per seed: the chaos-smoke CI job diffs two `--smoke --seed 42` runs.
+// per seed: the `determinism.e18` ctest compares two `--smoke --seed 42` runs.
 
 #include <cstdio>
 #include <cstring>
@@ -393,7 +393,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(wr.auto_reverts),
               wr.final_version, wr.violations);
 
-  // Deterministic JSON report (chaos-smoke CI diffs two seeded runs).
+  // Deterministic JSON report (`ctest -R determinism` compares two seeded runs).
   std::string json = "{\"experiment\":\"e18_update_atomicity\",\"seed\":" +
                      std::to_string(seed) + ",\"sweep\":[";
   char buf[256];

@@ -42,7 +42,7 @@
 //   * any OFF arm that fails to look worse than its ON twin (no stranded
 //     vehicles in retry_align, no queue-delay blow-up in the others) —
 //     a control arm that cannot demonstrate the failure mode is a bug too.
-// Output is bit-deterministic per seed: chaos-smoke CI diffs two
+// Output is bit-deterministic per seed: `determinism.e21` compares two
 // `--smoke --seed 42` runs byte-for-byte.
 
 #include <algorithm>
@@ -304,6 +304,7 @@ StormRow run_storm(Shape shape, bool admission, std::uint64_t seed,
 
   camp.start();
   sched.run_until(horizon);
+  *poll = {};  // the poller captures itself; break the cycle so it is freed
   server.observe(sched.now());  // idle windows walk the ladder back down
 
   row.shape = shape;
@@ -483,7 +484,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fe.resumptions),
               fe.resumption_rate, fe.violations);
 
-  // Deterministic JSON report (chaos-smoke CI diffs two seeded runs; no
+  // Deterministic JSON report (`determinism.e21` compares two seeded runs; no
   // wall-clock timing in here).
   std::string json = "{\"experiment\":\"e21_campaign_storm\",\"seed\":" +
                      std::to_string(seed) +

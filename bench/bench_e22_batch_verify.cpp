@@ -25,7 +25,7 @@
 //
 // Exit code = differential mismatches + thread-invariance diffs. `--smoke`
 // shrinks the corpus and suppresses wall-clock numbers so two smoke runs
-// with the same seed emit byte-identical output (chaos-smoke CI diffs them).
+// with the same seed emit byte-identical output (`ctest -R determinism` compares them).
 //
 // Flags: --seed N  --smoke  --threads T  --digest
 

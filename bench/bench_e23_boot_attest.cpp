@@ -32,7 +32,7 @@
 //      suppressed under --smoke.
 //
 // Exit code = invariant violations, capped at 255. Output is
-// bit-deterministic per seed: the chaos-smoke CI job diffs two
+// bit-deterministic per seed: the `determinism.e23` ctest compares two
 // `--smoke --seed 42` runs byte for byte.
 //
 // Flags: --seed N  --smoke
@@ -495,7 +495,7 @@ int main(int argc, char** argv) {
                 secs > 0 ? static_cast<double>(verified) / secs : 0.0);
   }
 
-  // Deterministic JSON report (chaos-smoke CI diffs two seeded runs).
+  // Deterministic JSON report (`ctest -R determinism` compares two seeded runs).
   std::string json = "{\"experiment\":\"e23_boot_attest\",\"seed\":" +
                      std::to_string(seed) + ",\"sweep\":[";
   char buf[320];

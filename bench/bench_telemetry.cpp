@@ -1,43 +1,26 @@
 // Micro-benchmark — per-event cost of the telemetry core.
 //
-// The legacy TraceSink::record copies three std::strings (component, kind,
-// detail) per event. The TraceBus fast path takes two interned 32-bit
-// TraceIds plus the detail string, so the steady-state cost is one string
-// move and a vector push. This bench verifies the refactor's contract:
-// the interned path must not be slower than the old string-copying one,
-// and a disabled scope behind ASECK_TRACE must be near-free because the
-// detail string is never built.
+// The TraceBus fast path takes two interned 32-bit TraceIds plus the detail
+// string, so the steady-state cost is one string move and a vector push. A
+// disabled scope behind ASECK_TRACE must be near-free because the detail
+// string is never built.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 
 namespace {
 
 using aseck::sim::MetricsRegistry;
 using aseck::sim::TraceBus;
 using aseck::sim::TraceScope;
-using aseck::sim::TraceSink;
 using aseck::util::SimTime;
 
-// Drain storage every 64Ki events so unbounded sinks don't grow without
-// limit across benchmark iterations. Both baseline and new path pay the
-// same (amortised ~0) cost, so the comparison stays fair.
+// Drain storage every 64Ki events so the unbounded bus doesn't grow without
+// limit across benchmark iterations (amortised ~0 cost).
 constexpr std::uint64_t kDrainMask = (1u << 16) - 1;
-
-void BM_LegacySinkRecord(benchmark::State& state) {
-  TraceSink sink;
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    sink.record(SimTime::from_us(i), "can0", "tx", "id=291 dlc=8");
-    if ((++i & kDrainMask) == 0) sink.clear();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_LegacySinkRecord);
 
 void BM_BusRecordInterned(benchmark::State& state) {
   TraceBus bus;

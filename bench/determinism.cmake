@@ -1,0 +1,27 @@
+# Determinism gate for one bench: runs it once with ARGS_A and once with
+# ARGS_B (space-separated argument strings), fails if either run exits
+# non-zero, then byte-compares the two stdout captures.
+#
+#   cmake -DBENCH=<exe> "-DARGS_A=<args>" "-DARGS_B=<args>" -DOUT=<prefix>
+#         -P determinism.cmake
+#
+# Registered as ctest `determinism.<name>` by aseck_determinism_test() in
+# bench/CMakeLists.txt; the captures stay at <prefix>.A.txt / <prefix>.B.txt
+# for inspection.
+
+foreach(run A B)
+  separate_arguments(args UNIX_COMMAND "${ARGS_${run}}")
+  execute_process(COMMAND "${BENCH}" ${args}
+                  OUTPUT_FILE "${OUT}.${run}.txt"
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${BENCH} ${ARGS_${run}} exited with ${rc}")
+  endif()
+endforeach()
+
+execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                        "${OUT}.A.txt" "${OUT}.B.txt"
+                RESULT_VARIABLE differ)
+if(NOT differ EQUAL 0)
+  message(FATAL_ERROR "output differs between runs: diff ${OUT}.A.txt ${OUT}.B.txt")
+endif()

@@ -337,13 +337,15 @@ CorpusReplayer::CorpusReplayer(sim::Scheduler& sched, ivn::CanBus& bus,
     : ivn::CanNode(std::move(name)), sched_(sched), bus_(bus),
       trace_(this->name()) {
   bus_.attach(this);
-  k_schedule_ = trace_.kind("corpus_schedule");
-  k_tx_ = trace_.kind("corpus_tx");
-  k_reject_ = trace_.kind("corpus_reject");
+  wire_telemetry();
 }
 
 void CorpusReplayer::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
+  trace_.bind(t);
+  wire_telemetry();
+}
+
+void CorpusReplayer::wire_telemetry() {
   k_schedule_ = trace_.kind("corpus_schedule");
   k_tx_ = trace_.kind("corpus_tx");
   k_reject_ = trace_.kind("corpus_reject");

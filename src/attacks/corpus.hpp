@@ -113,6 +113,8 @@ class CorpusReplayer : public ivn::CanNode {
   void bind_telemetry(const sim::Telemetry& t);
 
  private:
+  void wire_telemetry();
+
   sim::Scheduler& sched_;
   ivn::CanBus& bus_;
   std::uint64_t frames_sent_ = 0;
@@ -124,7 +126,7 @@ class CorpusReplayer : public ivn::CanNode {
 /// Order-sensitive FNV-1a digest over a TraceBus's retained timeline
 /// (time, component name, kind name, detail). Two replays of the same corpus
 /// under the same seed must produce equal digests — the determinism oracle
-/// corpus_test.cpp and the chaos-smoke CI job assert.
+/// corpus_test.cpp and the `determinism.e20` ctest assert.
 std::uint64_t timeline_digest(const sim::TraceBus& bus);
 
 }  // namespace aseck::attacks

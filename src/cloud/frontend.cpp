@@ -1,7 +1,5 @@
 #include "cloud/frontend.hpp"
 
-#include "sim/trace.hpp"
-
 namespace aseck::cloud {
 
 SessionFrontend::SessionFrontend(ServerCredential cred,
@@ -13,8 +11,7 @@ SessionFrontend::SessionFrontend(ServerCredential cred,
       authority_(std::move(authority)),
       rng_(rng),
       tickets_(cfg.ticket_cache_entries),
-      trace_("cloud.front"),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_("cloud.front", "cloud.front.") {
   wire_telemetry();
 }
 
@@ -29,23 +26,16 @@ SessionFrontend SessionFrontend::create(const std::string& name,
 }
 
 void SessionFrontend::wire_telemetry() {
-  const auto rewire = [this](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(std::string("cloud.front.") + key);
-    if (c && c != &nc) nc.inc(c->value());  // carry accumulated value across
-    c = &nc;
-  };
-  rewire(c_handshakes_, "handshakes");
-  rewire(c_resumed_, "resumed");
-  rewire(c_failures_, "failures");
+  c_handshakes_ = &trace_.counter("handshakes");
+  c_resumed_ = &trace_.counter("resumed");
+  c_failures_ = &trace_.counter("failures");
   k_handshake_ = trace_.kind("handshake");
   k_resume_ = trace_.kind("resume");
   k_fail_ = trace_.kind("handshake_fail");
 }
 
 void SessionFrontend::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

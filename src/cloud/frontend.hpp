@@ -83,7 +83,6 @@ class SessionFrontend {
   std::uint64_t next_ticket_ = 1;
 
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_handshakes_ = nullptr;
   sim::Counter* c_resumed_ = nullptr;
   sim::Counter* c_failures_ = nullptr;

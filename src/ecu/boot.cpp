@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "sim/trace.hpp"
-
 namespace aseck::ecu {
 
 const char* boot_stage_name(BootStage s) {
@@ -182,16 +180,15 @@ BootChain::BootChain(She& she, Flash& flash, crypto::CryptoService& service,
       kv_(provisioning),
       cfg_(std::move(cfg)),
       trace_("boot") {
-  k_stage_ = trace_.kind("stage");
-  k_fallback_ = trace_.kind("fallback");
-  k_recovery_ = trace_.kind("recovery");
-  k_measured_ = trace_.kind("measured");
-  k_attest_ = trace_.kind("attest");
-  k_hang_ = trace_.kind("hang");
+  wire_telemetry();
 }
 
 void BootChain::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
+  trace_.bind(t);
+  wire_telemetry();
+}
+
+void BootChain::wire_telemetry() {
   k_stage_ = trace_.kind("stage");
   k_fallback_ = trace_.kind("fallback");
   k_recovery_ = trace_.kind("recovery");

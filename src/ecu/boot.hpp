@@ -195,6 +195,7 @@ class BootChain {
   bool stage_attempts(BootStage stage, int* attempts,
                       const std::function<bool()>& attempt);
   const util::Bytes* kv_value(const std::string& key) const;
+  void wire_telemetry();
 
   She& she_;
   Flash& flash_;

@@ -53,27 +53,20 @@ SecurityGateway::SecurityGateway(Scheduler& sched, std::string name,
     : sched_(sched),
       name_(std::move(name)),
       processing_delay_(processing_delay),
-      trace_(name_),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_(name_, "gateway." + name_ + ".") {
   wire_telemetry();
 }
 
 void SecurityGateway::wire_telemetry() {
-  const std::string p = "gateway." + name_ + ".";
-  const auto rewire = [this, &p](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(p + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_forwarded_, "forwarded");
-  rewire(c_dropped_no_route_, "dropped_no_route");
-  rewire(c_dropped_firewall_, "dropped_firewall");
-  rewire(c_dropped_rate_, "dropped_rate");
-  rewire(c_dropped_quarantine_, "dropped_quarantine");
-  rewire(c_dropped_link_down_, "dropped_link_down");
-  rewire(c_dropped_degraded_, "dropped_degraded");
-  rewire(c_frames_seen_, "frames_seen");
-  rewire(c_shadow_forwarded_, "shadow_forwarded");
+  c_forwarded_ = &trace_.counter("forwarded");
+  c_dropped_no_route_ = &trace_.counter("dropped_no_route");
+  c_dropped_firewall_ = &trace_.counter("dropped_firewall");
+  c_dropped_rate_ = &trace_.counter("dropped_rate");
+  c_dropped_quarantine_ = &trace_.counter("dropped_quarantine");
+  c_dropped_link_down_ = &trace_.counter("dropped_link_down");
+  c_dropped_degraded_ = &trace_.counter("dropped_degraded");
+  c_frames_seen_ = &trace_.counter("frames_seen");
+  c_shadow_forwarded_ = &trace_.counter("shadow_forwarded");
   k_forward_ = trace_.kind("forward");
   k_drop_ = trace_.kind("drop");
   k_quarantine_ = trace_.kind("quarantine");
@@ -84,14 +77,13 @@ void SecurityGateway::wire_telemetry() {
   k_link_up_ = trace_.kind("link_up");
   k_link_down_ = trace_.kind("link_down");
   for (auto& [dom, d] : domains_) {
-    metrics_->gauge(p + "mode." + dom).set(static_cast<double>(d.mode));
+    trace_.metrics().gauge("gateway." + name_ + ".mode." + dom)
+        .set(static_cast<double>(d.mode));
   }
 }
 
 void SecurityGateway::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 
@@ -198,7 +190,7 @@ void SecurityGateway::set_mode(const std::string& name, Domain& d,
                          : m == GatewayMode::kDegraded ? k_mode_degraded_
                                                        : k_mode_limp_;
   ASECK_TRACE(trace_, sched_.now(), k, name);
-  metrics_->gauge("gateway." + name_ + ".mode." + name)
+  trace_.metrics().gauge("gateway." + name_ + ".mode." + name)
       .set(static_cast<double>(m));
 }
 
@@ -268,7 +260,7 @@ void SecurityGateway::import_state(const SyncState& s) {
     d.calm_windows = ds.calm_windows;
     if (d.mode != ds.mode) {
       d.mode = ds.mode;
-      metrics_->gauge("gateway." + name_ + ".mode." + dom)
+      trace_.metrics().gauge("gateway." + name_ + ".mode." + dom)
           .set(static_cast<double>(ds.mode));
     }
   }

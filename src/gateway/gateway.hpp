@@ -19,7 +19,6 @@
 
 #include "ivn/can.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 
 namespace aseck::gateway {
 
@@ -234,7 +233,6 @@ class SecurityGateway {
   std::vector<FirewallRule> rules_;
   std::map<std::string, std::map<std::uint32_t, Flow>> flows_;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_forwarded_ = nullptr;
   sim::Counter* c_dropped_no_route_ = nullptr;
   sim::Counter* c_dropped_firewall_ = nullptr;

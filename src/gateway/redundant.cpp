@@ -12,22 +12,15 @@ RedundantGateway::RedundantGateway(Scheduler& sched, std::string name,
                                            processing_delay)),
       active_(a_.get()),
       standby_(b_.get()),
-      trace_("rgw." + name_),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_("rgw." + name_, "rgw." + name_ + ".") {
   standby_->set_forwarding(false);
   wire_telemetry();
 }
 
 void RedundantGateway::wire_telemetry() {
-  const std::string p = "rgw." + name_ + ".";
-  const auto rewire = [this, &p](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(p + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_syncs_, "state_syncs");
-  rewire(c_failovers_, "failovers");
-  h_detect_ms_ = &metrics_->histogram(p + "detect_ms", 0.0, 1000.0, 50);
+  c_syncs_ = &trace_.counter("state_syncs");
+  c_failovers_ = &trace_.counter("failovers");
+  h_detect_ms_ = &trace_.histogram("detect_ms", 0.0, 1000.0, 50);
   k_sync_ = trace_.kind("state_sync");
   k_failover_ = trace_.kind("failover");
   k_active_down_ = trace_.kind("active_down");
@@ -38,9 +31,7 @@ void RedundantGateway::wire_telemetry() {
 void RedundantGateway::bind_telemetry(const sim::Telemetry& t) {
   a_->bind_telemetry(t);
   b_->bind_telemetry(t);
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

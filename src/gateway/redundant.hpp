@@ -101,7 +101,6 @@ class RedundantGateway {
   SimTime last_detect_latency_ = SimTime::zero();
   std::unique_ptr<sim::PeriodicTask> sync_task_;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_syncs_ = nullptr;
   sim::Counter* c_failovers_ = nullptr;
   sim::LatencyHistogram* h_detect_ms_ = nullptr;

@@ -109,29 +109,22 @@ double SpecRuleDetector::observe(const CanFrame& frame, SimTime) {
 }
 
 IdsEnsemble::IdsEnsemble()
-    : trace_("ids"), metrics_(std::make_shared<sim::MetricsRegistry>()) {
+    : trace_("ids", "ids.") {
   wire_telemetry();
 }
 
 void IdsEnsemble::wire_telemetry() {
-  const auto rewire = [this](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(std::string("ids.") + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_observed_, "observed");
-  rewire(c_alerts_, "alerts");
-  rewire(c_tp_, "tp");
-  rewire(c_fp_, "fp");
-  rewire(c_fn_, "fn");
-  rewire(c_tn_, "tn");
+  c_observed_ = &trace_.counter("observed");
+  c_alerts_ = &trace_.counter("alerts");
+  c_tp_ = &trace_.counter("tp");
+  c_fp_ = &trace_.counter("fp");
+  c_fn_ = &trace_.counter("fn");
+  c_tn_ = &trace_.counter("tn");
   k_alert_ = trace_.kind("alert");
 }
 
 void IdsEnsemble::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

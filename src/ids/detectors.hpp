@@ -175,7 +175,6 @@ class IdsEnsemble {
   std::vector<std::unique_ptr<Detector>> detectors_;
   IdsScore score_;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_observed_ = nullptr;
   sim::Counter* c_alerts_ = nullptr;
   sim::Counter* c_tp_ = nullptr;

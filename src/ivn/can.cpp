@@ -204,26 +204,19 @@ CanBus::CanBus(Scheduler& sched, std::string name, std::uint64_t bitrate_bps,
       name_(std::move(name)),
       bitrate_(bitrate_bps),
       data_bitrate_(data_bitrate_bps ? data_bitrate_bps : bitrate_bps),
-      trace_(name_),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_(name_, "can." + name_ + ".") {
   if (bitrate_ == 0) throw std::invalid_argument("CanBus: zero bitrate");
   wire_telemetry();
 }
 
 void CanBus::wire_telemetry() {
-  const std::string p = "can." + name_ + ".";
-  const auto rewire = [this, &p](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(p + key);
-    if (c && c != &nc) nc.inc(c->value());  // carry accumulated value across
-    c = &nc;
-  };
-  rewire(c_frames_ok_, "frames_ok");
-  rewire(c_frames_error_, "frames_error");
-  rewire(c_bits_on_wire_, "bits_on_wire");
-  rewire(c_busy_ns_, "busy_ns");
-  rewire(c_frames_dropped_fault_, "frames_dropped_fault");
-  rewire(c_frames_duplicated_, "frames_duplicated");
-  rewire(c_frames_malformed_, "frames_malformed");
+  c_frames_ok_ = &trace_.counter("frames_ok");
+  c_frames_error_ = &trace_.counter("frames_error");
+  c_bits_on_wire_ = &trace_.counter("bits_on_wire");
+  c_busy_ns_ = &trace_.counter("busy_ns");
+  c_frames_dropped_fault_ = &trace_.counter("frames_dropped_fault");
+  c_frames_duplicated_ = &trace_.counter("frames_duplicated");
+  c_frames_malformed_ = &trace_.counter("frames_malformed");
   k_tx_ = trace_.kind("tx");
   k_tx_start_ = trace_.kind("tx_start");
   k_tx_error_ = trace_.kind("tx_error");
@@ -236,9 +229,7 @@ void CanBus::wire_telemetry() {
 }
 
 void CanBus::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

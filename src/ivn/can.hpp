@@ -23,7 +23,6 @@
 #include "sim/faultplan.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/bytes.hpp"
 
 namespace aseck::ivn {
@@ -180,7 +179,6 @@ class CanBus {
   std::vector<CanNode*> nodes_;
   bool busy_ = false;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_frames_ok_ = nullptr;
   sim::Counter* c_frames_error_ = nullptr;
   sim::Counter* c_bits_on_wire_ = nullptr;

@@ -48,27 +48,20 @@ EthernetSwitch::EthernetSwitch(Scheduler& sched, std::string name,
       name_(std::move(name)),
       link_bps_(link_bps),
       processing_delay_(processing_delay),
-      trace_(name_),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_(name_, "ethernet." + name_ + ".") {
   if (link_bps_ == 0) throw std::invalid_argument("EthernetSwitch: zero rate");
   wire_telemetry();
 }
 
 void EthernetSwitch::wire_telemetry() {
-  const std::string p = "ethernet." + name_ + ".";
-  const auto rewire = [this, &p](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(p + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_forwarded_, "forwarded");
-  rewire(c_dropped_policer_, "dropped_policer");
-  rewire(c_dropped_vlan_, "dropped_vlan");
-  rewire(c_dropped_port_down_, "dropped_port_down");
-  rewire(c_flooded_, "flooded");
-  rewire(c_dropped_fault_, "dropped_fault");
-  rewire(c_corrupted_fault_, "corrupted_fault");
-  rewire(c_duplicated_fault_, "duplicated_fault");
+  c_forwarded_ = &trace_.counter("forwarded");
+  c_dropped_policer_ = &trace_.counter("dropped_policer");
+  c_dropped_vlan_ = &trace_.counter("dropped_vlan");
+  c_dropped_port_down_ = &trace_.counter("dropped_port_down");
+  c_flooded_ = &trace_.counter("flooded");
+  c_dropped_fault_ = &trace_.counter("dropped_fault");
+  c_corrupted_fault_ = &trace_.counter("corrupted_fault");
+  c_duplicated_fault_ = &trace_.counter("duplicated_fault");
   k_port_up_ = trace_.kind("port_up");
   k_port_down_ = trace_.kind("port_down");
   k_drop_vlan_ = trace_.kind("drop_vlan");
@@ -79,9 +72,7 @@ void EthernetSwitch::wire_telemetry() {
 }
 
 void EthernetSwitch::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

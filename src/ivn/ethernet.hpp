@@ -16,7 +16,6 @@
 #include "sim/faultplan.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/bytes.hpp"
 
 namespace aseck::ivn {
@@ -134,7 +133,6 @@ class EthernetSwitch {
   std::vector<Port> ports_;
   std::map<std::uint64_t, std::size_t> fdb_;  // mac (as u64) -> port
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_forwarded_ = nullptr;
   sim::Counter* c_dropped_policer_ = nullptr;
   sim::Counter* c_dropped_vlan_ = nullptr;

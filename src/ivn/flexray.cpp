@@ -9,8 +9,7 @@ FlexRayBus::FlexRayBus(Scheduler& sched, std::string name, FlexRayConfig cfg)
     : sched_(sched),
       name_(std::move(name)),
       cfg_(cfg),
-      trace_(name_),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_(name_, "flexray." + name_ + ".") {
   if (cfg_.static_slots == 0) {
     throw std::invalid_argument("FlexRayBus: need at least one static slot");
   }
@@ -18,26 +17,18 @@ FlexRayBus::FlexRayBus(Scheduler& sched, std::string name, FlexRayConfig cfg)
 }
 
 void FlexRayBus::wire_telemetry() {
-  const std::string p = "flexray." + name_ + ".";
-  const auto rewire = [this, &p](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(p + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_static_frames_, "static_frames");
-  rewire(c_null_frames_, "null_frames");
-  rewire(c_dynamic_frames_, "dynamic_frames");
-  rewire(c_dynamic_dropped_, "dynamic_dropped");
-  rewire(c_dropped_fault_, "dropped_fault");
+  c_static_frames_ = &trace_.counter("static_frames");
+  c_null_frames_ = &trace_.counter("null_frames");
+  c_dynamic_frames_ = &trace_.counter("dynamic_frames");
+  c_dynamic_dropped_ = &trace_.counter("dynamic_dropped");
+  c_dropped_fault_ = &trace_.counter("dropped_fault");
   k_static_ = trace_.kind("static");
   k_dynamic_ = trace_.kind("dynamic");
   k_fault_drop_ = trace_.kind("fault_drop");
 }
 
 void FlexRayBus::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

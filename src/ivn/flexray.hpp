@@ -14,7 +14,6 @@
 #include "sim/faultplan.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/bytes.hpp"
 
 namespace aseck::ivn {
@@ -118,7 +117,6 @@ class FlexRayBus {
   bool running_ = false;
   std::uint8_t cycle_ = 0;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_static_frames_ = nullptr;
   sim::Counter* c_null_frames_ = nullptr;
   sim::Counter* c_dynamic_frames_ = nullptr;

@@ -26,23 +26,16 @@ LinMaster::LinMaster(Scheduler& sched, std::string name, std::uint64_t bitrate_b
     : sched_(sched),
       name_(std::move(name)),
       bitrate_(bitrate_bps),
-      trace_(name_),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_(name_, "lin." + name_ + ".") {
   if (bitrate_ == 0) throw std::invalid_argument("LinMaster: zero bitrate");
   wire_telemetry();
 }
 
 void LinMaster::wire_telemetry() {
-  const std::string p = "lin." + name_ + ".";
-  const auto rewire = [this, &p](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(p + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_frames_ok_, "frames_ok");
-  rewire(c_no_response_, "no_response");
-  rewire(c_checksum_errors_, "checksum_errors");
-  rewire(c_dropped_fault_, "dropped_fault");
+  c_frames_ok_ = &trace_.counter("frames_ok");
+  c_no_response_ = &trace_.counter("no_response");
+  c_checksum_errors_ = &trace_.counter("checksum_errors");
+  c_dropped_fault_ = &trace_.counter("dropped_fault");
   k_frame_ = trace_.kind("frame");
   k_no_response_ = trace_.kind("no_response");
   k_checksum_error_ = trace_.kind("checksum_error");
@@ -50,9 +43,7 @@ void LinMaster::wire_telemetry() {
 }
 
 void LinMaster::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

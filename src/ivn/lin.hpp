@@ -14,7 +14,6 @@
 #include "sim/faultplan.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/bytes.hpp"
 
 namespace aseck::ivn {
@@ -104,7 +103,6 @@ class LinMaster {
   bool running_ = false;
   Corruptor corruptor_;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_frames_ok_ = nullptr;
   sim::Counter* c_no_response_ = nullptr;
   sim::Counter* c_checksum_errors_ = nullptr;

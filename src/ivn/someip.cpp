@@ -75,31 +75,22 @@ SomeIpServer::SomeIpServer(EthernetSwitch& sw, std::string name, MacAddress mac,
     : EthernetEndpoint(std::move(name), mac),
       switch_(sw),
       acl_(acl),
-      trace_(this->name()),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_(this->name(), "someip." + this->name() + ".") {
   port_ = sw.connect(this);
   wire_telemetry();
 }
 
 void SomeIpServer::wire_telemetry() {
-  const std::string p = "someip." + name() + ".";
-  const auto rewire = [this, &p](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(p + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_served_, "served");
-  rewire(c_denied_acl_, "denied_acl");
-  rewire(c_denied_mac_, "denied_mac");
+  c_served_ = &trace_.counter("served");
+  c_denied_acl_ = &trace_.counter("denied_acl");
+  c_denied_mac_ = &trace_.counter("denied_mac");
   k_serve_ = trace_.kind("serve");
   k_deny_acl_ = trace_.kind("deny_acl");
   k_deny_mac_ = trace_.kind("deny_mac");
 }
 
 void SomeIpServer::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

@@ -103,7 +103,6 @@ class SomeIpServer : public EthernetEndpoint {
   std::size_t port_;
   std::map<std::pair<ServiceId, MethodId>, Endpoint> methods_;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_served_ = nullptr;
   sim::Counter* c_denied_acl_ = nullptr;
   sim::Counter* c_denied_mac_ = nullptr;

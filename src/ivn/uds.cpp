@@ -23,29 +23,21 @@ SeedKeyFn cmac_algorithm(util::Bytes key16) {
 UdsServer::UdsServer(Config cfg, std::uint64_t seed)
     : cfg_(std::move(cfg)),
       rng_(seed),
-      trace_("uds"),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_("uds", "uds.") {
   wire_telemetry();
 }
 
 void UdsServer::wire_telemetry() {
-  const auto rewire = [this](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(std::string("uds.") + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_unlock_ok_, "unlock_ok");
-  rewire(c_invalid_key_, "invalid_key");
-  rewire(c_lockouts_, "lockouts");
+  c_unlock_ok_ = &trace_.counter("unlock_ok");
+  c_invalid_key_ = &trace_.counter("invalid_key");
+  c_lockouts_ = &trace_.counter("lockouts");
   k_unlock_ = trace_.kind("unlock");
   k_invalid_key_ = trace_.kind("invalid_key");
   k_lockout_ = trace_.kind("lockout");
 }
 
 void UdsServer::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

@@ -18,7 +18,6 @@
 
 #include "crypto/cmac.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -128,7 +127,6 @@ class UdsServer {
   };
   std::map<std::uint16_t, DidEntry> dids_;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_unlock_ok_ = nullptr;
   sim::Counter* c_invalid_key_ = nullptr;
   sim::Counter* c_lockouts_ = nullptr;

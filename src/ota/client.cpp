@@ -37,31 +37,25 @@ FullVerificationClient::FullVerificationClient(std::string name,
                                                Signed<RootMeta> director_root,
                                                Signed<RootMeta> image_root)
     : name_(std::move(name)),
-      trace_("ota." + name_),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_("ota." + name_, "ota." + name_ + ".") {
   director_.trusted_root = std::move(director_root);
   image_.trusted_root = std::move(image_root);
   wire_telemetry();
 }
 
 void FullVerificationClient::wire_telemetry() {
-  const std::string p = "ota." + name_ + ".";
-  const auto rewire = [this, &p](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(p + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_verify_ok_, "verify_ok");
-  rewire(c_verify_fail_, "verify_fail");
-  rewire(c_fetch_attempts_, "fetch_attempts");
-  rewire(c_fetch_retries_, "fetch_retries");
-  rewire(c_bytes_fetched_, "bytes_fetched");
-  rewire(c_backoffs_, "backoffs");
-  rewire(c_backoff_ns_, "backoff_ns_total");
-  rewire(c_resume_bytes_saved_, "resume_bytes_saved");
-  rewire(c_server_deferrals_, "server_deferrals");
-  rewire(c_wire_bytes_, "wire_bytes");
-  h_backoff_ms_ = &metrics_->histogram(p + "backoff_ms", 0.0, 60'000.0, 60);
+  c_verify_ok_ = &trace_.counter("verify_ok");
+  c_verify_fail_ = &trace_.counter("verify_fail");
+  c_fetch_attempts_ = &trace_.counter("fetch_attempts");
+  c_fetch_retries_ = &trace_.counter("fetch_retries");
+  c_bytes_fetched_ = &trace_.counter("bytes_fetched");
+  c_backoffs_ = &trace_.counter("backoffs");
+  c_backoff_ns_ = &trace_.counter("backoff_ns_total");
+  c_resume_bytes_saved_ = &trace_.counter("resume_bytes_saved");
+  c_server_deferrals_ = &trace_.counter("server_deferrals");
+  c_wire_bytes_ = &trace_.counter("wire_bytes");
+  h_backoff_ms_ = &trace_.histogram("backoff_ms", 0.0, 60'000.0, 60);
+  verify_engine_.bind_metrics(trace_.metrics());
   k_verify_ok_ = trace_.kind("verify_ok");
   k_verify_fail_ = trace_.kind("verify_fail");
   k_fetch_attempt_ = trace_.kind("fetch_attempt");
@@ -75,11 +69,8 @@ void FullVerificationClient::wire_telemetry() {
 }
 
 void FullVerificationClient::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
-  verify_engine_.bind_metrics(*metrics_);
 }
 
 OtaError FullVerificationClient::verify_repo(const MetadataBundle& bundle,

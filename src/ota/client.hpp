@@ -15,7 +15,6 @@
 #include "ota/server.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/rng.hpp"
 
 namespace aseck::ota {
@@ -196,7 +195,6 @@ class FullVerificationClient {
   RepoState image_;
   crypto::VerifyEngine verify_engine_;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_verify_ok_ = nullptr;
   sim::Counter* c_verify_fail_ = nullptr;
   sim::Counter* c_fetch_attempts_ = nullptr;

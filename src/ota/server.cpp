@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/trace.hpp"
-
 namespace aseck::ota {
 
 const char* serve_class_name(ServeClass c) {
@@ -45,33 +43,26 @@ RepositoryServer::RepositoryServer(const Repository& director,
       image_repo_(image_repo),
       cfg_(cfg),
       cache_(cfg.chunk_cache_entries),
-      trace_("ota.repo"),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_("ota.repo", "ota.repo.") {
   tokens_campaign_ = cfg_.bucket_burst;
   tokens_background_ = cfg_.bucket_burst;
   wire_telemetry();
 }
 
 void RepositoryServer::wire_telemetry() {
-  const auto rewire = [this](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(std::string("ota.repo.") + key);
-    if (c && c != &nc) nc.inc(c->value());  // carry accumulated value across
-    c = &nc;
-  };
-  rewire(c_requests_, "requests");
-  rewire(c_served_, "served");
-  rewire(c_shed_, "shed");
-  rewire(c_shed_background_, "shed_background");
-  rewire(c_coalesced_, "coalesced");
-  rewire(c_refresh_, "snapshot_refreshes");
-  rewire(c_cache_hits_, "cache_hits");
-  rewire(c_cache_misses_, "cache_misses");
-  rewire(c_delta_chunks_, "delta_chunks");
-  rewire(c_bytes_sent_, "bytes_sent");
-  rewire(c_delta_bytes_saved_, "delta_bytes_saved");
-  rewire(c_transitions_, "degraded_transitions");
-  h_queue_delay_ms_ =
-      &metrics_->histogram("ota.repo.queue_delay_ms", 0, 1'000, 64);
+  c_requests_ = &trace_.counter("requests");
+  c_served_ = &trace_.counter("served");
+  c_shed_ = &trace_.counter("shed");
+  c_shed_background_ = &trace_.counter("shed_background");
+  c_coalesced_ = &trace_.counter("coalesced");
+  c_refresh_ = &trace_.counter("snapshot_refreshes");
+  c_cache_hits_ = &trace_.counter("cache_hits");
+  c_cache_misses_ = &trace_.counter("cache_misses");
+  c_delta_chunks_ = &trace_.counter("delta_chunks");
+  c_bytes_sent_ = &trace_.counter("bytes_sent");
+  c_delta_bytes_saved_ = &trace_.counter("delta_bytes_saved");
+  c_transitions_ = &trace_.counter("degraded_transitions");
+  h_queue_delay_ms_ = &trace_.histogram("queue_delay_ms", 0, 1'000, 64);
   k_shed_ = trace_.kind("shed");
   k_tier_up_ = trace_.kind("tier_up");
   k_tier_down_ = trace_.kind("tier_down");
@@ -80,9 +71,7 @@ void RepositoryServer::wire_telemetry() {
 }
 
 void RepositoryServer::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

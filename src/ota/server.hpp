@@ -203,7 +203,7 @@ class RepositoryServer {
 
   sim::TraceScope& trace() { return trace_; }
   /// Rebinds trace events and ota.repo.* counters onto a shared telemetry
-  /// plane (counters carry their values across the rewire, and survive
+  /// plane (counters carry their values across the rebind, and survive
   /// MetricsRegistry::merge_from in sharded runs).
   void bind_telemetry(const sim::Telemetry& t);
 
@@ -261,7 +261,6 @@ class RepositoryServer {
 
   // telemetry
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_requests_ = nullptr;
   sim::Counter* c_served_ = nullptr;
   sim::Counter* c_shed_ = nullptr;

@@ -27,28 +27,21 @@ const char* escalation_level_name(EscalationLevel l) {
 HealthSupervisor::HealthSupervisor(Scheduler& sched, std::string name)
     : sched_(sched),
       name_(std::move(name)),
-      trace_("supervisor." + name_),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_("supervisor." + name_, "supervisor." + name_ + ".") {
   wire_telemetry();
 }
 
 HealthSupervisor::~HealthSupervisor() { stop(); }
 
 void HealthSupervisor::wire_telemetry() {
-  const std::string p = "supervisor." + name_ + ".";
-  const auto rewire = [this, &p](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(p + key);
-    if (c && c != &nc) nc.inc(c->value());
-    c = &nc;
-  };
-  rewire(c_cycles_, "cycles");
-  rewire(c_heartbeats_, "heartbeats");
-  rewire(c_failed_, "failed_cycles");
-  rewire(c_expired_, "expirations");
-  rewire(c_reset_attempts_, "reset_attempts");
-  rewire(c_reset_ok_, "resets_ok");
-  rewire(c_escalations_, "escalations");
-  h_detect_ms_ = &metrics_->histogram(p + "detect_ms", 0.0, 1000.0, 50);
+  c_cycles_ = &trace_.counter("cycles");
+  c_heartbeats_ = &trace_.counter("heartbeats");
+  c_failed_ = &trace_.counter("failed_cycles");
+  c_expired_ = &trace_.counter("expirations");
+  c_reset_attempts_ = &trace_.counter("reset_attempts");
+  c_reset_ok_ = &trace_.counter("resets_ok");
+  c_escalations_ = &trace_.counter("escalations");
+  h_detect_ms_ = &trace_.histogram("detect_ms", 0.0, 1000.0, 50);
   k_ok_ = trace_.kind("entity_ok");
   k_failed_ = trace_.kind("entity_failed");
   k_expired_ = trace_.kind("entity_expired");
@@ -62,9 +55,7 @@ void HealthSupervisor::wire_telemetry() {
 }
 
 void HealthSupervisor::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 
@@ -81,7 +72,7 @@ void HealthSupervisor::supervise_alive(const std::string& entity,
   e.alive_cfg = cfg;
   e.esc = std::move(esc);
   entities_[entity] = std::move(e);
-  metrics_->gauge("supervisor." + name_ + ".status." + entity)
+  trace_.metrics().gauge("supervisor." + name_ + ".status." + entity)
       .set(static_cast<double>(EntityStatus::kOk));
 }
 
@@ -199,7 +190,7 @@ void HealthSupervisor::set_status(const std::string& name, Entity& e,
                                   EntityStatus s) {
   if (e.status == s) return;
   e.status = s;
-  metrics_->gauge("supervisor." + name_ + ".status." + name)
+  trace_.metrics().gauge("supervisor." + name_ + ".status." + name)
       .set(static_cast<double>(s));
   const sim::TraceId k = s == EntityStatus::kOk       ? k_ok_
                          : s == EntityStatus::kFailed ? k_failed_

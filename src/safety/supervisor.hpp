@@ -42,7 +42,6 @@
 
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 
 namespace aseck::safety {
 
@@ -195,7 +194,6 @@ class HealthSupervisor {
   DegradeHandler degrade_;
   StatusHandler status_handler_;
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_cycles_ = nullptr;
   sim::Counter* c_heartbeats_ = nullptr;
   sim::Counter* c_failed_ = nullptr;

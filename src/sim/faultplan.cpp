@@ -45,21 +45,15 @@ FaultPlan::FaultPlan(Scheduler& sched, std::uint64_t seed)
     : sched_(sched),
       seed_(seed),
       rng_(seed),
-      trace_("faultplan"),
-      metrics_(std::make_shared<sim::MetricsRegistry>()) {
+      trace_("faultplan", "faultplan.") {
   wire_telemetry();
 }
 
 void FaultPlan::wire_telemetry() {
-  const auto rewire = [this](sim::Counter*& c, const char* key) {
-    sim::Counter& nc = metrics_->counter(std::string("faultplan.") + key);
-    if (c && c != &nc) nc.inc(c->value());  // carry accumulated value across
-    c = &nc;
-  };
-  rewire(c_injected_, "injected");
-  rewire(c_cleared_, "cleared");
-  rewire(c_recovered_, "recovered");
-  h_recovery_ms_ = &metrics_->histogram("faultplan.recovery_ms", 0, 10'000, 64);
+  c_injected_ = &trace_.counter("injected");
+  c_cleared_ = &trace_.counter("cleared");
+  c_recovered_ = &trace_.counter("recovered");
+  h_recovery_ms_ = &trace_.histogram("recovery_ms", 0, 10'000, 64);
   k_inject_ = trace_.kind("inject");
   k_clear_ = trace_.kind("clear");
   k_recovered_ = trace_.kind("recovered");
@@ -67,9 +61,7 @@ void FaultPlan::wire_telemetry() {
 }
 
 void FaultPlan::bind_telemetry(const Telemetry& t) {
-  trace_.bind(t.bus);
-  const auto old = metrics_;  // keep old counters alive across the rewire
-  metrics_ = t.metrics;
+  trace_.bind(t);
   wire_telemetry();
 }
 

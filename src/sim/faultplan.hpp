@@ -18,7 +18,7 @@
 // timeline next to the substrate's own events (bus_off, mode_degraded,
 // fetch_resume, ...). `to_json()` exports the fault ledger
 // deterministically: same seed, same script => bit-identical output, which
-// is what `bench_e15_resilience` and the chaos-smoke CI job assert.
+// is what `bench_e15_resilience` and the `determinism.e15` ctest assert.
 //
 // Layering: this file lives in sim/ and knows nothing about CAN, the
 // gateway, or OTA. Substrates opt in by accepting a `FaultPort*`
@@ -35,7 +35,6 @@
 
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -222,7 +221,7 @@ class FaultPlan {
   /// Faults whose begin event has fired (scheduled-only windows excluded).
   std::size_t injected() const;
   std::size_t recovered() const;
-  /// Injected faults never marked recovered — the chaos-smoke CI gate.
+  /// Injected faults never marked recovered — the gate `bench_e15_resilience` exits with.
   std::size_t unrecovered() const { return injected() - recovered(); }
 
   /// Deterministic export of the fault ledger: same seed + same script =>
@@ -256,7 +255,6 @@ class FaultPlan {
   std::map<HandlerKey, std::vector<Handler>> handlers_;
   std::vector<FaultRecord> records_;  // id == index + 1
   sim::TraceScope trace_;
-  std::shared_ptr<sim::MetricsRegistry> metrics_;
   sim::Counter* c_injected_ = nullptr;
   sim::Counter* c_cleared_ = nullptr;
   sim::Counter* c_recovered_ = nullptr;

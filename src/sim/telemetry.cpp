@@ -1,11 +1,11 @@
 #include "sim/telemetry.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace aseck::sim {
 
@@ -154,7 +154,7 @@ std::string TraceBus::timeline(std::string_view component,
 }
 
 // ---------------------------------------------------------------------------
-// LatencyHistogram / ScopedTimer
+// LatencyHistogram
 
 LatencyHistogram::LatencyHistogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0) {
@@ -178,12 +178,12 @@ void LatencyHistogram::record(double x) {
   }
   ++count_;
   sum_ += x;
+  // Clamp in floating point before the cast: converting an infinite or
+  // >= 2^64 index to an integer is UB.
   const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  double idx = (x - lo_) / w;
-  if (idx < 0) idx = 0;
-  std::size_t b = static_cast<std::size_t>(idx);
-  if (b >= counts_.size()) b = counts_.size() - 1;
-  ++counts_[b];
+  const double idx = std::clamp((x - lo_) / w, 0.0,
+                                static_cast<double>(counts_.size() - 1));
+  ++counts_[static_cast<std::size_t>(idx)];
 }
 
 double LatencyHistogram::bucket_low(std::size_t i) const {
@@ -226,21 +226,6 @@ double LatencyHistogram::percentile(double p) const {
     cum = next;
   }
   return max_;
-}
-
-namespace {
-std::uint64_t wall_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
-
-ScopedTimer::ScopedTimer(LatencyHistogram& h) : h_(h), t0_ns_(wall_ns()) {}
-
-ScopedTimer::~ScopedTimer() {
-  h_.record(static_cast<double>(wall_ns() - t0_ns_) / 1e3);  // microseconds
 }
 
 // ---------------------------------------------------------------------------
@@ -368,14 +353,44 @@ std::string MetricsRegistry::to_json() const {
 // ---------------------------------------------------------------------------
 // TraceScope
 
-void TraceScope::bind(std::shared_ptr<TraceBus> bus) {
-  bus_ = std::move(bus);
-  component_ = component_name_.empty() ? 0 : bus_->intern(component_name_);
+TraceScope::TraceScope(std::string component, std::string metric_prefix)
+    : component_name_(std::move(component)),
+      prefix_(std::move(metric_prefix)),
+      component_(t_.bus->intern(component_name_)) {}
+
+void TraceScope::bind(const Telemetry& t) {
+  const Telemetry old = std::exchange(t_, t);  // keeps the old registry alive
+  component_ = t_.bus->intern(component_name_);
+  if (old.metrics == t_.metrics) return;
+  for (const std::string& name : counters_) {
+    t_.metrics->counter(name).inc(old.metrics->counter_value(name));
+  }
+  for (const std::string& name : histograms_) {
+    const LatencyHistogram& h = *old.metrics->find_histogram(name);
+    t_.metrics->histogram(name, h.low(), h.high(), h.buckets()).merge_from(h);
+  }
 }
 
-void TraceScope::set_component(std::string component) {
-  component_name_ = std::move(component);
-  component_ = component_name_.empty() ? 0 : bus_->intern(component_name_);
+namespace {
+// Remembers `name` once; binding happens at set-up, so a linear scan is fine.
+void remember(std::vector<std::string>& names, const std::string& name) {
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    names.push_back(name);
+  }
+}
+}  // namespace
+
+Counter& TraceScope::counter(std::string_view key) {
+  const std::string name = prefix_ + std::string(key);
+  remember(counters_, name);
+  return t_.metrics->counter(name);
+}
+
+LatencyHistogram& TraceScope::histogram(std::string_view key, double lo,
+                                        double hi, std::size_t buckets) {
+  const std::string name = prefix_ + std::string(key);
+  remember(histograms_, name);
+  return t_.metrics->histogram(name, lo, hi, buckets);
 }
 
 }  // namespace aseck::sim

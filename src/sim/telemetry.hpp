@@ -5,9 +5,8 @@
 //
 // Rationale (paper §7): the 4+1 assurance architecture's IDS/forensics layer
 // needs to correlate security events *across* substrates — a spoofed CAN
-// frame, the gateway drop, and the IDS alert are one causal chain. The
-// legacy design gave each component a private `sim::TraceSink` with
-// per-record std::string copies, so no cross-layer timeline existed.
+// frame, the gateway drop, and the IDS alert are one causal chain, so every
+// component records onto one shared stream.
 //
 // Design points:
 //  * Component and kind names are interned to integer TraceIds once; the
@@ -16,10 +15,10 @@
 //  * Optional bounded ring-buffer mode (`set_capacity`) keeps long campaigns
 //    at fixed memory; the newest events win, `evicted()` counts the loss.
 //  * Subscribers tap the stream live (the IDS/forensics hook).
-//  * `TraceScope` is the per-component handle: it defaults to a private bus
-//    (so standalone components behave like the old per-component sink) and
-//    can be rebound to a shared bus — `core::VehiclePlatform` owns the
-//    shared instance and rebinds everything it constructs.
+//  * `TraceScope` is the per-component handle: it starts on a private
+//    bus + registry and `bind` moves the component, with its accumulated
+//    instrument values, onto a shared plane — `core::VehiclePlatform` owns
+//    the shared instance and binds everything it constructs.
 //  * MetricsRegistry holds named counters, gauges, and fixed-bucket latency
 //    histograms with stable addresses, plus JSON export for the bench suite.
 
@@ -158,9 +157,10 @@ class Gauge {
   double v_ = 0;
 };
 
-/// Fixed-bucket latency histogram over [lo, hi); out-of-range samples clamp
-/// to the edge buckets. Tracks exact count/sum/min/max alongside buckets.
-/// NaN samples are never binned (the cast would be UB); see nan_count().
+/// Fixed-bucket latency histogram over [lo, hi); out-of-range samples
+/// (infinities included) clamp to the edge buckets. Tracks exact
+/// count/sum/min/max alongside buckets. NaN samples are never binned; see
+/// nan_count().
 class LatencyHistogram {
  public:
   LatencyHistogram(double lo, double hi, std::size_t buckets);
@@ -196,19 +196,6 @@ class LatencyHistogram {
   std::size_t count_ = 0;
   std::size_t nan_ = 0;
   double sum_ = 0, min_ = 0, max_ = 0;
-};
-
-/// RAII wall-clock timer recording elapsed microseconds into a histogram.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyHistogram& h);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  LatencyHistogram& h_;
-  std::uint64_t t0_ns_;
 };
 
 /// Named metrics with stable addresses. Instruments are created on first
@@ -276,62 +263,72 @@ struct Telemetry {
   std::shared_ptr<MetricsRegistry> metrics = std::make_shared<MetricsRegistry>();
 };
 
-/// Per-component view of a TraceBus: a pre-interned component id plus the
-/// legacy TraceSink query surface (count/find_first), so existing call sites
-/// keep compiling. Defaults to a private bus; `bind` switches to a shared one.
+/// Per-component telemetry handle: the component's name on a TraceBus and
+/// its metric prefix on a MetricsRegistry. Starts on a private plane; `bind`
+/// moves the component onto a shared one. The handle stores names and
+/// registry pointers only, so the owning component stays movable.
+///
+/// Wiring pattern: a component resolves its instruments through `counter` /
+/// `histogram` (which remember the names) and its kinds through `kind`, and
+/// caches the results. Its `bind_telemetry` is `bind(t)` followed by the
+/// same resolution again.
 class TraceScope {
  public:
-  TraceScope() : bus_(std::make_shared<TraceBus>()) {}
-  explicit TraceScope(std::string component) : TraceScope() {
-    set_component(std::move(component));
-  }
+  explicit TraceScope(std::string component, std::string metric_prefix = {});
 
-  /// Rebinds to `bus` (re-interning the component name there). Events
-  /// already recorded on the previous bus are not migrated.
-  void bind(std::shared_ptr<TraceBus> bus);
+  /// Moves the component onto `t`: re-interns its name on `t.bus` and moves
+  /// every instrument resolved so far onto `t.metrics`, carrying its value
+  /// (counters add, histograms merge; nothing moves when the registry is
+  /// unchanged). Events already recorded stay on the previous bus. Cached
+  /// kinds and instrument references must be re-resolved afterwards.
+  void bind(const Telemetry& t);
 
-  const std::shared_ptr<TraceBus>& bus() const { return bus_; }
-  TraceId component_id() const { return component_; }
-
-  void set_component(std::string component);
+  const std::shared_ptr<TraceBus>& bus() const { return t_.bus; }
+  /// Current registry (for gauges and ad-hoc instruments, which `bind` does
+  /// not carry).
+  MetricsRegistry& metrics() const { return *t_.metrics; }
   const std::string& component() const { return component_name_; }
+
+  /// `prefix + key` on the current registry; `bind` carries it.
+  Counter& counter(std::string_view key);
+  LatencyHistogram& histogram(std::string_view key, double lo, double hi,
+                              std::size_t buckets);
 
   /// Local gate AND the bus gate; `ASECK_TRACE` callers check this before
   /// building detail strings.
-  bool enabled() const { return enabled_ && bus_->enabled(); }
+  bool enabled() const { return enabled_ && t_.bus->enabled(); }
   void set_enabled(bool on) { enabled_ = on; }
 
   /// Pre-interns a kind for the TraceId fast path. Re-call after bind().
-  TraceId kind(std::string_view k) { return bus_->intern(k); }
+  TraceId kind(std::string_view k) { return t_.bus->intern(k); }
 
   /// Hot path: two ints + detail, no name copies.
   void record(util::SimTime at, TraceId kind_id, std::string detail = {}) {
     if (!enabled()) return;
-    bus_->record(at, component_, kind_id, std::move(detail));
+    t_.bus->record(at, component_, kind_id, std::move(detail));
   }
   /// Cold path: interns the kind on the fly.
   void record(util::SimTime at, std::string_view kind, std::string detail = {}) {
     if (!enabled()) return;
-    bus_->record(at, component_, bus_->intern(kind), std::move(detail));
+    t_.bus->record(at, component_, t_.bus->intern(kind), std::move(detail));
   }
-
-  // Legacy TraceSink-compatible query surface (delegates to the bus; with a
-  // private bus this is exactly the old per-component behavior).
-  std::size_t count(std::string_view component, std::string_view kind = {}) const {
-    return bus_->count(component, kind);
-  }
-  const TraceEvent* find_first(std::string_view component,
-                               std::string_view kind = {}) const {
-    return bus_->find_first(component, kind);
-  }
-  std::size_t size() const { return bus_->size(); }
-  void clear() { bus_->clear(); }
 
  private:
-  std::shared_ptr<TraceBus> bus_;
+  Telemetry t_;
   std::string component_name_;
+  std::string prefix_;
   TraceId component_ = 0;
   bool enabled_ = true;
+  std::vector<std::string> counters_;    // full names resolved via counter()
+  std::vector<std::string> histograms_;  // full names resolved via histogram()
 };
 
 }  // namespace aseck::sim
+
+/// Records on any sink-like object (TraceScope, TraceBus) without evaluating
+/// the record arguments — in particular detail-string concatenations — when
+/// the sink is disabled. Use at hot call sites.
+#define ASECK_TRACE(sink, ...)                        \
+  do {                                                \
+    if ((sink).enabled()) (sink).record(__VA_ARGS__); \
+  } while (0)

@@ -22,22 +22,23 @@
 // shard layouts and thread counts. Channel loss draws from the *receiving*
 // shard's RNG stream in scan order — deterministic for any thread count.
 //
-// Crypto comes in two modes. With `real_crypto` off (the default), crypto
-// cost is pure accounting: E17's measured per-verify latency
-// (`verify_cost_us`) prices the reception counts after the fact. With
-// `real_crypto` on, every reception runs genuine ECDSA-P256 through the
-// shard's batch verify pipeline (E22): each vehicle signs one beacon per
-// pseudonym rotation over (id, rotations, temp_id) with a key derived
-// deterministically from (id, rotations); receivers verify each (sender,
-// rotation) beacon once — an `admitted` LRU dedups repeat receptions, and
-// misses accumulate into the shard's `VerifyEngine` RLC batch. Keys,
-// signatures, and flush points are all pure functions of the workload, so
-// the digest stays bit-identical across thread counts.
+// Crypto comes in two modes. With `real_crypto` off (the struct default,
+// the modeled arm), crypto cost is pure accounting: E17's measured
+// per-verify latency (`verify_cost_us`) prices the reception counts after
+// the fact. `bench_e19_city_scale` (unless run with `--modeled`) and the
+// repo benchmark set `real_crypto`: every reception runs genuine ECDSA-P256
+// through the shard's batch verify pipeline (E22): each vehicle signs one
+// beacon per pseudonym rotation over (id, rotations, temp_id) with a key
+// derived deterministically from (id, rotations); receivers verify each
+// (sender, rotation) beacon once — an `admitted` LRU dedups repeat
+// receptions, and misses accumulate into the shard's `VerifyEngine` RLC
+// batch. Keys, signatures, and flush points are all pure functions of the
+// workload, so the digest stays bit-identical across thread counts.
 //
 // Everything observable — per-shard metrics, merged totals, and the FNV
 // state hash over final vehicle states — is bit-identical between a
-// 1-thread and an N-thread run of the same seed (`digest_json`, diffed
-// byte-for-byte in CI).
+// 1-thread and an N-thread run of the same seed (`digest_json`, compared
+// byte-for-byte by the `determinism.e19_threads` ctest).
 
 #include <cstdint>
 #include <memory>

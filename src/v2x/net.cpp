@@ -143,22 +143,25 @@ VehicleNode::VehicleNode(Scheduler& sched, V2xMedium& medium, std::string name,
   }
   // Temp id derived from the pseudonym cert id (unlinkable across certs).
   temp_id_ = util::load_be32(pseudonyms_.certs[0].id().data());
-  // Standalone nodes stay silent: V2X scale runs have thousands of nodes at
-  // 10 Hz and an unbounded private buffer would dominate memory.
+  // Standalone nodes stay silent (kinds are interned on bind): V2X scale
+  // runs have thousands of nodes at 10 Hz and an unbounded private buffer
+  // would dominate memory.
   trace_.set_enabled(false);
-  k_bsm_tx_ = trace_.kind("bsm_tx");
-  k_verify_fail_ = trace_.kind("verify_fail");
-  k_misbehavior_ = trace_.kind("misbehavior");
   medium_.attach(this);
 }
 
 void VehicleNode::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t.bus);
+  trace_.bind(t);
+  wire_telemetry();
+}
+
+void VehicleNode::wire_telemetry() {
   trace_.set_enabled(true);
   k_bsm_tx_ = trace_.kind("bsm_tx");
   k_verify_fail_ = trace_.kind("verify_fail");
   k_misbehavior_ = trace_.kind("misbehavior");
-  verify_engine_.bind_metrics(*t.metrics);
+  if (deferred_) k_revoke_ = trace_.kind("bsm_revoke");
+  verify_engine_.bind_metrics(trace_.metrics());
 }
 
 Position VehicleNode::position() const {

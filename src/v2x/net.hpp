@@ -18,7 +18,6 @@
 #include "sim/faultplan.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "v2x/message.hpp"
@@ -219,6 +218,9 @@ class VehicleNode : public V2xRadio {
  private:
   void send_bsm();
   void rotate_pseudonym();
+  /// Opts the node into the bound plane: tracing on, kinds interned there,
+  /// verify counters exported.
+  void wire_telemetry();
 
   Scheduler& sched_;
   V2xMedium& medium_;

@@ -150,8 +150,8 @@ TEST(CorpusReplayer, ChunksLongPayloadsAndUsesCarrierId) {
   EXPECT_EQ(rep.frames_sent(), 3u);
   EXPECT_EQ(rep.frames_rejected(), 0u);
   // Replay events land on the replayer's trace.
-  EXPECT_EQ(rep.trace().count("corpus", "corpus_tx"), 3u);
-  EXPECT_EQ(rep.trace().count("corpus", "corpus_schedule"), 1u);
+  EXPECT_EQ(rep.trace().bus()->count("corpus", "corpus_tx"), 3u);
+  EXPECT_EQ(rep.trace().bus()->count("corpus", "corpus_schedule"), 1u);
 }
 
 // --- malformed-frame chaos splicing ----------------------------------------
@@ -185,7 +185,7 @@ TEST(FaultPlan, MalformedFrameSplicesPayloadInsideWindow) {
   EXPECT_EQ(sink.rx[0].id, 0x100u);  // id untouched — payload-level chaos
   // Outside the window traffic is pristine again.
   EXPECT_EQ(sink.rx[1].data, f.data);
-  EXPECT_GT(bus.trace().count("can0", "fault_malformed"), 0u);
+  EXPECT_GT(bus.trace().bus()->count("can0", "fault_malformed"), 0u);
   // Frame-level faults auto-recover when the window clears.
   EXPECT_EQ(plan.unrecovered(), 0u);
 }

@@ -165,7 +165,7 @@ TEST(FaultPlan, SafetyCampaignSharesRngAndTraces) {
   Scheduler sched;
   FaultPlan plan(sched, 7);
   safety::run_fault_campaign(fns, 0.3, 10, plan);
-  EXPECT_EQ(plan.trace().count("faultplan", "campaign"), 1u);
+  EXPECT_EQ(plan.trace().bus()->count("faultplan", "campaign"), 1u);
 
   // Both overloads report through the same schema.
   const safety::FaultCampaignResult seeded =

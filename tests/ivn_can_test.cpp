@@ -259,8 +259,8 @@ TEST(CanBus, TraceRecordsEvents) {
   bus.attach(&b);
   bus.send(&a, make_frame(0x100, {}));
   sched.run();
-  EXPECT_EQ(bus.trace().count("can0", "tx"), 1u);
-  EXPECT_EQ(bus.trace().count("can0", "tx_start"), 1u);
+  EXPECT_EQ(bus.trace().bus()->count("can0", "tx"), 1u);
+  EXPECT_EQ(bus.trace().bus()->count("can0", "tx_start"), 1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests for the discrete-event scheduler and trace sink.
+// Unit tests for the discrete-event scheduler.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 
 namespace aseck::sim {
 namespace {
@@ -319,27 +318,6 @@ TEST(Scheduler, CancelInsideRunningEventAffectsSameTimestampBatch) {
   s.schedule_at(SimTime::from_ms(2), [&] { order.push_back('B'); });
   s.run();
   EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'Z'}));
-}
-
-TEST(TraceSink, RecordsAndQueries) {
-  TraceSink t;
-  t.record(SimTime::from_us(1), "can0", "tx", "id=0x100");
-  t.record(SimTime::from_us(2), "can0", "rx", "id=0x100");
-  t.record(SimTime::from_us(3), "gateway", "drop", "rule=fw1");
-  EXPECT_EQ(t.records().size(), 3u);
-  EXPECT_EQ(t.count("can0"), 2u);
-  EXPECT_EQ(t.count("can0", "tx"), 1u);
-  EXPECT_EQ(t.count("", "drop"), 1u);
-  ASSERT_NE(t.find_first("gateway"), nullptr);
-  EXPECT_EQ(t.find_first("gateway")->detail, "rule=fw1");
-  EXPECT_EQ(t.find_first("nosuch"), nullptr);
-}
-
-TEST(TraceSink, DisabledRecordsNothing) {
-  TraceSink t;
-  t.set_enabled(false);
-  t.record(SimTime::zero(), "x", "y");
-  EXPECT_TRUE(t.records().empty());
 }
 
 }  // namespace

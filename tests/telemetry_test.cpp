@@ -11,6 +11,7 @@
 
 #include "ecu/ecu.hpp"
 #include "gateway/gateway.hpp"
+#include "gateway/redundant.hpp"
 #include "ids/detectors.hpp"
 #include "ivn/ethernet.hpp"
 #include "ivn/flexray.hpp"
@@ -130,22 +131,42 @@ TEST(TraceBus, TimelineFormatsFilteredOrderedLines) {
 
 TEST(TraceScope, PrivateBusByDefaultThenRebinds) {
   TraceScope scope("can0");
+  const std::shared_ptr<TraceBus> private_bus = scope.bus();
   const TraceId k = scope.kind("tx");
   scope.record(SimTime::from_us(1), k, "id=1");
-  EXPECT_EQ(scope.count("can0", "tx"), 1u);  // legacy sink behavior
+  EXPECT_EQ(private_bus->count("can0", "tx"), 1u);
 
   Telemetry shared;
-  scope.bind(shared.bus);
+  scope.bind(shared);
+  EXPECT_EQ(scope.bus(), shared.bus);
   const TraceId k2 = scope.kind("tx");
   scope.record(SimTime::from_us(2), k2);
   EXPECT_EQ(shared.bus->count("can0", "tx"), 1u);  // lands on the shared bus
-  EXPECT_EQ(scope.count("can0", "tx"), 1u);  // old private events not migrated
+  EXPECT_EQ(private_bus->count("can0", "tx"), 1u);  // old events not migrated
+}
+
+TEST(TraceScope, BindMovesPrefixedInstrumentsAndCarriesValues) {
+  TraceScope scope("can0", "can.can0.");
+  scope.counter("frames_ok").inc(3);
+  scope.histogram("lat_us", 0.0, 10.0, 5).record(2.0);
+  scope.metrics().gauge("can.can0.load").set(0.5);  // gauges are not carried
+
+  Telemetry shared;
+  scope.bind(shared);
+  EXPECT_EQ(&scope.metrics(), shared.metrics.get());
+  EXPECT_EQ(shared.metrics->counter_value("can.can0.frames_ok"), 3u);
+  ASSERT_NE(shared.metrics->find_histogram("can.can0.lat_us"), nullptr);
+  EXPECT_EQ(shared.metrics->find_histogram("can.can0.lat_us")->count(), 1u);
+  EXPECT_EQ(shared.metrics->find_gauge("can.can0.load"), nullptr);
+  // Resolving again after the bind hands out the shared instrument.
+  EXPECT_EQ(&scope.counter("frames_ok"),
+            &shared.metrics->counter("can.can0.frames_ok"));
 }
 
 TEST(TraceScope, LocalDisableGatesRecording) {
   Telemetry shared;
   TraceScope scope("v2x.car1");
-  scope.bind(shared.bus);
+  scope.bind(shared);
   scope.set_enabled(false);
   EXPECT_FALSE(scope.enabled());
   scope.record(SimTime::zero(), "bsm_tx");
@@ -207,18 +228,20 @@ TEST(Metrics, HistogramNanSampleIsCountedNotBinned) {
   EXPECT_DOUBLE_EQ(h.min(), 10.0);
   EXPECT_DOUBLE_EQ(h.max(), 10.0);
   EXPECT_DOUBLE_EQ(h.sum(), 10.0);
-}
 
-TEST(Metrics, ScopedTimerRecordsOneSample) {
-  MetricsRegistry reg;
-  LatencyHistogram& h = reg.histogram("t", 0.0, 1e6, 8);
-  {
-    ScopedTimer t(h);
-    volatile int sink = 0;
-    for (int i = 0; i < 1000; ++i) sink = sink + i;
-  }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.sum(), 0.0);
+  // Regression: an infinite or >= 2^64 bucket index was cast to size_t
+  // before the range clamp (UB). Such samples clamp to the edge buckets.
+  const double inf = std::numeric_limits<double>::infinity();
+  h.record(inf);
+  h.record(-inf);
+  h.record(1e300);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.nan_count(), 1u);
+  EXPECT_EQ(h.bucket_count(0), 1u);  // -inf
+  EXPECT_EQ(h.bucket_count(1), 1u);  // 10.0
+  EXPECT_EQ(h.bucket_count(9), 2u);  // +inf, 1e300
+  EXPECT_EQ(h.min(), -inf);
+  EXPECT_EQ(h.max(), inf);
 }
 
 TEST(Metrics, JsonExportIsDeterministicAndComplete) {
@@ -445,6 +468,77 @@ TEST(CrossLayer, RebindCarriesAccumulatedCountersOver) {
   a.send_frame(0x101, util::Bytes{0x02});
   sched.run();
   EXPECT_EQ(t.metrics->counter_value("can.can0.frames_ok"), 2u);
+}
+
+TEST(CrossLayer, RebindCarriesHistogramSamplesOver) {
+  // Regression: counters carried across a late bind but histograms did not,
+  // so the failover's detection-latency sample vanished.
+  Scheduler sched;
+  gateway::RedundantGateway rgw{sched, "gw"};
+  ASSERT_TRUE(rgw.failover());
+
+  Telemetry t;
+  rgw.bind_telemetry(t);
+  EXPECT_EQ(t.metrics->counter_value("rgw.gw.failovers"), 1u);
+  const LatencyHistogram* h = t.metrics->find_histogram("rgw.gw.detect_ms");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 1u);
+}
+
+// One frame on can0 from a two-ECU rig, for the binding-contract tests.
+struct CanPair {
+  Scheduler sched;
+  ivn::CanBus can{sched, "can0", 500000};
+  ecu::Ecu a{sched, "a", 1}, b{sched, "b", 2};
+  CanPair() {
+    VehicleFixture::provision(a);
+    VehicleFixture::provision(b);
+    a.attach_to(&can);
+    b.attach_to(&can);
+    a.boot();
+    b.boot();
+  }
+  void send() {
+    a.send_frame(0x100, util::Bytes{0x01});
+    sched.run();
+  }
+};
+
+TEST(CrossLayer, BindingTwiceToOnePlaneLeavesCountersUnchanged) {
+  CanPair rig;
+  Telemetry t;
+  rig.can.bind_telemetry(t);
+  rig.send();
+  rig.can.bind_telemetry(t);
+  EXPECT_EQ(t.metrics->counter_value("can.can0.frames_ok"), 1u);
+  EXPECT_EQ(rig.can.stats().frames_ok, 1u);
+}
+
+TEST(CrossLayer, PrivateToAToBCarriesValuesOnce) {
+  CanPair rig;
+  rig.send();
+  Telemetry a, b;
+  rig.can.bind_telemetry(a);
+  rig.can.bind_telemetry(b);
+  EXPECT_EQ(a.metrics->counter_value("can.can0.frames_ok"), 1u);
+  EXPECT_EQ(b.metrics->counter_value("can.can0.frames_ok"), 1u);
+  rig.send();  // only the current plane counts from here on
+  EXPECT_EQ(a.metrics->counter_value("can.can0.frames_ok"), 1u);
+  EXPECT_EQ(b.metrics->counter_value("can.can0.frames_ok"), 2u);
+}
+
+TEST(CrossLayer, MovedIdsEnsembleStillCountsAfterBind) {
+  // The factories return the ensemble by value, so the handle must not hold
+  // pointers into it.
+  ids::IdsEnsemble ids = ids::make_extended_ensemble();
+  const ivn::CanFrame frame{0x123, false, false, ivn::CanFormat::kClassic,
+                            false, util::Bytes{1, 2}};
+  ids.observe(frame, SimTime::from_ms(1));
+  ids::IdsEnsemble moved = std::move(ids);
+  Telemetry t;
+  moved.bind_telemetry(t);
+  moved.observe(frame, SimTime::from_ms(2));
+  EXPECT_EQ(t.metrics->counter_value("ids.observed"), 2u);
 }
 
 }  // namespace
