@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -440,12 +439,9 @@ std::string rows_to_json(std::uint64_t seed, const std::vector<RowResult>& rows)
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
+  if (const int rc = benchutil::parse_args(
+          argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
+    return rc;
   }
   const std::vector<double> rates =
       smoke ? std::vector<double>{1.0} : std::vector<double>{0.2, 1.0, 5.0};
@@ -488,5 +484,5 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n%s\n", rows_to_json(seed, rows).c_str());
   std::printf("\ntotal unrecovered faults: %zu\n", total_unrecovered);
-  return total_unrecovered > 255 ? 255 : static_cast<int>(total_unrecovered);
+  return benchutil::exit_status(total_unrecovered);
 }

@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -243,12 +242,9 @@ std::string rows_to_json(std::uint64_t seed, const std::vector<RowResult>& rows)
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
+  if (const int rc = benchutil::parse_args(
+          argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
+    return rc;
   }
   const std::vector<SimTime> hb_periods =
       smoke ? std::vector<SimTime>{SimTime::from_ms(1), SimTime::from_ms(5),
@@ -295,5 +291,5 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n%s\n", rows_to_json(seed, rows).c_str());
   std::printf("\nsupervised unrecovered faults: %zu\n", total_unrecovered);
-  return total_unrecovered > 255 ? 255 : static_cast<int>(total_unrecovered);
+  return benchutil::exit_status(total_unrecovered);
 }

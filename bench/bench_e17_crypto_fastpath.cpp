@@ -26,9 +26,7 @@
 // bench_e22_batch_verify for the batched measurement.
 
 #include <algorithm>
-#include <ctime>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -70,27 +68,14 @@ std::vector<SignedDigest> make_corpus(std::size_t n, util::Rng& rng) {
   return out;
 }
 
-// Process CPU time, not wall clock: shared/oversubscribed runners inflate
-// wall time by whatever factor the scheduler feels like that minute, while
-// CPU time stays within a few percent run to run.
-double cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
+  if (const int rc = benchutil::parse_args(
+          argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
+    return rc;
   }
   util::Rng rng(seed);
 
@@ -112,18 +97,18 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : 5;
   double slow_s = 1e300, fast_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
-    const double t_slow = cpu_seconds();
+    const double t_slow = benchutil::cpu_seconds();
     for (std::size_t i = 0; i < corpus.size(); ++i) {
       slow_verdicts[i] = crypto::ecdsa_verify_digest_slow(
           corpus[i].key.public_key(), corpus[i].digest, corpus[i].sig);
     }
-    slow_s = std::min(slow_s, cpu_seconds() - t_slow);
-    const double t_fast = cpu_seconds();
+    slow_s = std::min(slow_s, benchutil::cpu_seconds() - t_slow);
+    const double t_fast = benchutil::cpu_seconds();
     for (std::size_t i = 0; i < corpus.size(); ++i) {
       fast_verdicts[i] = crypto::ecdsa_verify_digest(
           corpus[i].key.public_key(), corpus[i].digest, corpus[i].sig);
     }
-    fast_s = std::min(fast_s, cpu_seconds() - t_fast);
+    fast_s = std::min(fast_s, benchutil::cpu_seconds() - t_fast);
   }
 
   std::size_t mismatches = 0;
@@ -229,5 +214,5 @@ int main(int argc, char** argv) {
     t3.print();
   }
 
-  return static_cast<int>(mismatches);
+  return benchutil::exit_status(mismatches);
 }

@@ -30,7 +30,6 @@
 // per seed: the `determinism.e18` ctest compares two `--smoke --seed 42` runs.
 
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -302,12 +301,9 @@ WatchdogResult run_watchdog() {
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
+  if (const int rc = benchutil::parse_args(
+          argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
+    return rc;
   }
 
   std::printf("E18: power-loss-atomic A/B updates\n");
@@ -426,5 +422,5 @@ int main(int argc, char** argv) {
   json += buf;
   std::printf("%s\n", json.c_str());
 
-  return violations > 255 ? 255 : violations;
+  return benchutil::exit_status(violations);
 }

@@ -28,10 +28,8 @@
 //        --smoke (small preset)  --digest (digest JSON only, no timing)
 //        --modeled (cost-model crypto accounting instead of real ECDSA)
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -75,10 +73,9 @@ RunResult run_once(const v2x::MetroConfig& cfg, double sim_s) {
   RunResult r;
   r.threads = cfg.threads;
   v2x::MetroWorld metro(cfg);
-  const auto wall0 = std::chrono::steady_clock::now();
+  const double wall0 = benchutil::wall_seconds();
   metro.run_until(SimTime::from_seconds_f(sim_s));
-  const auto wall1 = std::chrono::steady_clock::now();
-  r.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
+  r.wall_s = benchutil::wall_seconds() - wall0;
   r.totals = metro.totals();
   r.digest = metro.digest_json();
   r.bytes_per_vehicle = metro.bytes_per_vehicle();
@@ -95,28 +92,12 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   unsigned max_threads = 4;
   bool smoke = false, digest_only = false, modeled = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--vehicles") == 0 && i + 1 < argc) {
-      vehicles = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--sim-s") == 0 && i + 1 < argc) {
-      sim_s = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      max_threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--digest") == 0) {
-      digest_only = true;
-    } else if (std::strcmp(argv[i], "--modeled") == 0) {
-      modeled = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--vehicles N] [--sim-s S] [--seed U] "
-                   "[--threads T] [--smoke] [--digest] [--modeled]\n",
-                   argv[0]);
-      return 255;
-    }
+  if (const int rc = benchutil::parse_args(
+          argc, argv,
+          {{"--vehicles", &vehicles}, {"--sim-s", &sim_s}, {"--seed", &seed},
+           {"--threads", &max_threads}, {"--smoke", &smoke},
+           {"--digest", &digest_only}, {"--modeled", &modeled}})) {
+    return rc;
   }
   if (smoke) {
     vehicles = 5000;
@@ -215,5 +196,5 @@ int main(int argc, char** argv) {
               "counts (state hash %s)\n",
               mismatches, sweep.size(),
               mismatches == 0 ? "byte-identical" : "DIVERGED");
-  return mismatches > 255 ? 255 : mismatches;
+  return benchutil::exit_status(mismatches);
 }

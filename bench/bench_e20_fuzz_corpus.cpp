@@ -20,7 +20,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -286,19 +285,13 @@ std::size_t run_replay(std::uint64_t seed) {
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   std::uint64_t iters = 4000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      iters = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      iters = 500;
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed U] [--iters N] [--smoke]\n",
-                   argv[0]);
-      return 255;
-    }
+  bool smoke = false;
+  if (const int rc = benchutil::parse_args(
+          argc, argv,
+          {{"--seed", &seed}, {"--iters", &iters}, {"--smoke", &smoke}})) {
+    return rc;
   }
+  if (smoke) iters = 500;
 
   std::printf("E20: deterministic fuzzing + replayable attack corpus\n\n");
   const PhaseAResult a = run_campaigns(seed, iters);
@@ -313,5 +306,5 @@ int main(int argc, char** argv) {
   violations += run_replay(seed);
 
   std::printf("violations=%zu\n", violations);
-  return static_cast<int>(violations);
+  return benchutil::exit_status(violations);
 }

@@ -46,9 +46,7 @@
 // `--smoke --seed 42` runs byte-for-byte.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -121,12 +119,12 @@ SnapshotResult run_snapshot_preamble(std::uint64_t seed, bool smoke) {
   r.iters = smoke ? 500 : 20000;
 
   volatile std::size_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = benchutil::wall_seconds();
   for (std::size_t i = 0; i < r.iters; ++i) {
     ota::MetadataBundle copy = repo.metadata();  // the pre-snapshot cost
     sink = sink + copy.targets.body.targets.size();
   }
-  const auto t1 = std::chrono::steady_clock::now();
+  const double t1 = benchutil::wall_seconds();
   const std::uint64_t gen0 = repo.generation();
   std::shared_ptr<const ota::MetadataBundle> first = repo.snapshot();
   bool shared = true;
@@ -135,13 +133,13 @@ SnapshotResult run_snapshot_preamble(std::uint64_t seed, bool smoke) {
     shared = shared && s.get() == first.get();
     sink = sink + s->targets.body.targets.size();
   }
-  const auto t2 = std::chrono::steady_clock::now();
+  const double t2 = benchutil::wall_seconds();
   (void)sink;
 
   r.shared = shared;
   r.generation_stable = repo.generation() == gen0;
-  r.copy_us = std::chrono::duration<double, std::micro>(t1 - t0).count();
-  r.snapshot_us = std::chrono::duration<double, std::micro>(t2 - t1).count();
+  r.copy_us = (t1 - t0) * 1e6;
+  r.snapshot_us = (t2 - t1) * 1e6;
   if (!r.shared) ++r.violations;
   if (!r.generation_stable) ++r.violations;
   return r;
@@ -405,12 +403,9 @@ FrontendRow run_frontend(std::uint64_t seed, bool smoke) {
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
+  if (const int rc = benchutil::parse_args(
+          argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
+    return rc;
   }
 
   std::printf("E21: campaign-storm-hardened OTA serving front\n");
@@ -532,5 +527,5 @@ int main(int argc, char** argv) {
   json += buf;
   std::printf("%s\n", json.c_str());
 
-  return violations > 255 ? 255 : violations;
+  return benchutil::exit_status(violations);
 }

@@ -31,8 +31,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -51,13 +49,6 @@ using namespace aseck;
 using util::SimTime;
 
 namespace {
-
-double cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 crypto::EcdsaPrivateKey random_key(util::Rng& rng) {
   std::array<std::uint8_t, 32> secret{};
@@ -139,20 +130,11 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false, digest_only = false;
   unsigned threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--digest") == 0) {
-      digest_only = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed N] [--smoke] [--threads T] [--digest]\n",
-                   argv[0]);
-      return 255;
-    }
+  if (const int rc = benchutil::parse_args(
+          argc, argv,
+          {{"--seed", &seed}, {"--smoke", &smoke}, {"--threads", &threads},
+           {"--digest", &digest_only}})) {
+    return rc;
   }
   if (threads == 0) threads = 1;
   util::Rng rng(seed);
@@ -245,11 +227,11 @@ int main(int argc, char** argv) {
     double single_s = 1e300;
     std::size_t wrong = 0;
     for (int rep = 0; rep < reps; ++rep) {
-      const double t0 = cpu_seconds();
+      const double t0 = benchutil::cpu_seconds();
       for (const auto& it : items) {
         if (!crypto::ecdsa_verify_digest(*it.pub, it.digest, *it.sig)) ++wrong;
       }
-      single_s = std::min(single_s, cpu_seconds() - t0);
+      single_s = std::min(single_s, benchutil::cpu_seconds() - t0);
     }
     benchutil::Table table({"batch", "us/item", "vs per-sig", "throughput/s"});
     if (!smoke) {
@@ -262,7 +244,7 @@ int main(int argc, char** argv) {
     for (std::size_t bs : {8u, 32u, 64u, 128u}) {
       double best = 1e300;
       for (int rep = 0; rep < reps; ++rep) {
-        const double t0 = cpu_seconds();
+        const double t0 = benchutil::cpu_seconds();
         std::size_t done = 0;
         while (done < items.size()) {
           const std::size_t take = std::min(bs, items.size() - done);
@@ -275,7 +257,7 @@ int main(int argc, char** argv) {
           }
           done += take;
         }
-        best = std::min(best, cpu_seconds() - t0);
+        best = std::min(best, benchutil::cpu_seconds() - t0);
       }
       if (!smoke) {
         table.add_row({std::to_string(bs),
@@ -420,5 +402,5 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nE22 exit: %zu mismatch(es)\n", exit_count);
-  return exit_count > 255 ? 255 : static_cast<int>(exit_count);
+  return benchutil::exit_status(exit_count);
 }

@@ -37,10 +37,7 @@
 //
 // Flags: --seed N  --smoke
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -364,15 +361,9 @@ BudgetRow run_budget(std::uint64_t seed, std::size_t app_pages) {
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed N] [--smoke]\n", argv[0]);
-      return 255;
-    }
+  if (const int rc = benchutil::parse_args(
+          argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
+    return rc;
   }
 
   std::printf("E23: measured boot chain + power-cut-survivable provisioning\n");
@@ -457,12 +448,12 @@ int main(int argc, char** argv) {
   }
   std::size_t verified = 0;
   crypto::VerifyEngine engine;
-  const auto wall0 = std::chrono::steady_clock::now();
+  const double wall0 = benchutil::wall_seconds();
   for (std::size_t i = 0; i < blobs.size(); ++i) {
     const auto ev = AttestationEvidence::parse(blobs[i]);
     if (ev && verify_evidence(*ev, pubs[i], nonces[i], &engine)) ++verified;
   }
-  const auto wall1 = std::chrono::steady_clock::now();
+  const double secs = benchutil::wall_seconds() - wall0;
   if (verified != fleet) ++violations;
 
   // Forgeries: replayed nonce, flipped verdict, truncated blob.
@@ -489,8 +480,6 @@ int main(int argc, char** argv) {
   if (smoke) {
     std::printf("  (verify throughput suppressed in smoke mode)\n\n");
   } else {
-    const double secs =
-        std::chrono::duration<double>(wall1 - wall0).count();
     std::printf("  verify throughput: %.0f evidence/s (wall-clock)\n\n",
                 secs > 0 ? static_cast<double>(verified) / secs : 0.0);
   }
@@ -530,5 +519,5 @@ int main(int argc, char** argv) {
   json += buf;
   std::printf("%s\n", json.c_str());
 
-  return violations > 255 ? 255 : violations;
+  return benchutil::exit_status(violations);
 }

@@ -16,7 +16,6 @@
 // Reported: exact-distance checks per broadcast (the O(N) vs O(density)
 // difference) and wall time.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -66,14 +65,13 @@ DiscoveryCost discovery_run(int n, bool use_grid) {
         Position{place.uniform_real(0, side), place.uniform_real(0, side)}));
     medium.attach(radios.back().get());
   }
-  const auto wall0 = std::chrono::steady_clock::now();
+  const double wall0 = benchutil::wall_seconds();
   for (auto& r : radios) medium.broadcast(r.get(), Spdu{});
   sched.run();
-  const auto wall1 = std::chrono::steady_clock::now();
   DiscoveryCost c;
+  c.wall_ms = (benchutil::wall_seconds() - wall0) * 1e3;
   c.checks = medium.receivers_checked();
   c.delivered = medium.delivered();
-  c.wall_ms = std::chrono::duration<double, std::milli>(wall1 - wall0).count();
   return c;
 }
 
@@ -112,12 +110,12 @@ int main() {
     }
 
     const double sim_seconds = 1.0;
-    const auto wall0 = std::chrono::steady_clock::now();
+    const double wall0 = benchutil::wall_seconds();
     for (auto& v : vehicles) v->start();
     sched.run_until(util::SimTime::from_seconds_f(sim_seconds));
     for (auto& v : vehicles) v->stop();
     sched.run();
-    const auto wall1 = std::chrono::steady_clock::now();
+    const double wall_ms = (benchutil::wall_seconds() - wall0) * 1e3;
 
     std::uint64_t rx = 0, ok = 0, rej = 0;
     for (const auto& v : vehicles) {
@@ -134,10 +132,7 @@ int main() {
         {std::to_string(n), benchutil::fmt("%.0f", rx_per_vehicle_s),
          benchutil::fmt("%.0f", verify_per_s),
          benchutil::fmt("%.1f", hsm_util * 100), benchutil::fmt_u(ok),
-         benchutil::fmt_u(rej),
-         benchutil::fmt("%.0f", std::chrono::duration<double, std::milli>(
-                                    wall1 - wall0)
-                                    .count())});
+         benchutil::fmt_u(rej), benchutil::fmt("%.0f", wall_ms)});
   }
   table.print();
   std::printf(

@@ -1,12 +1,92 @@
 #pragma once
-// Shared helpers for the experiment benches (bench_e1..e12): fixed-width
-// table printing so every bench emits a reproducible, diff-able report.
+// Shared front door for the experiment benches (E1–E23): the flag parser,
+// the two host clocks, the exit status, and fixed-width table printing, so
+// every bench parses, times and reports the same way.
 
+#include <algorithm>
+#include <charconv>
+#include <chrono>
 #include <cstdio>
+#include <ctime>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace benchutil {
+
+/// One flag a bench accepts. Bound to a bool it is a switch (`--smoke`);
+/// bound to a number it takes one value (`--seed 7`).
+struct Flag {
+  const char* name;
+  std::variant<bool*, unsigned*, unsigned long*, unsigned long long*, double*>
+      target;
+};
+
+/// Parses argv against `flags`; a repeated flag keeps its last value. Values
+/// go through std::from_chars and must be consumed whole. An unknown flag, a
+/// missing value or a malformed value prints a usage line generated from
+/// `flags` to stderr and returns 255; success returns 0. Presets belong
+/// after the call, so they win regardless of argument order.
+inline int parse_args(int argc, char** argv, std::initializer_list<Flag> flags) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const Flag* f = std::find_if(flags.begin(), flags.end(),
+                                 [&](const Flag& g) { return arg == g.name; });
+    const bool ok = f != flags.end() && std::visit(
+        [&](auto* out) {
+          if constexpr (std::is_same_v<decltype(out), bool*>) {
+            *out = true;
+            return true;
+          } else {
+            if (i + 1 >= argc) return false;
+            const std::string_view text = argv[++i];
+            const char* end = text.data() + text.size();
+            const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+            return ec == std::errc() && stop == end;
+          }
+        },
+        f->target);
+    if (!ok) {
+      std::string usage = std::string("usage: ") + argv[0];
+      for (const Flag& g : flags) {
+        usage += std::string(" [") + g.name;
+        if (std::holds_alternative<double*>(g.target)) usage += " X";
+        else if (!std::holds_alternative<bool*>(g.target)) usage += " N";
+        usage += "]";
+      }
+      std::fprintf(stderr, "%s\n", usage.c_str());
+      return 255;
+    }
+  }
+  return 0;
+}
+
+/// Process CPU seconds. Shared or oversubscribed hosts inflate wall time by
+/// whatever the scheduler feels like that minute, while CPU time stays within
+/// a few percent run to run.
+inline double cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Monotonic wall-clock seconds, for figures that must see parallel speedup
+/// (E19's thread sweep) or that report elapsed time as such.
+inline double wall_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Process exit status for a violation count: 0 passes, and counts past 255
+/// clamp instead of wrapping back to a passing status.
+constexpr int exit_status(std::size_t violations) {
+  return static_cast<int>(std::min<std::size_t>(violations, 255));
+}
+static_assert(exit_status(256) == 255);
 
 class Table {
  public:

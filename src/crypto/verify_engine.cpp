@@ -112,6 +112,8 @@ std::vector<bool> VerifyEngine::verify_batch(
 }
 
 void VerifyEngine::bind_metrics(sim::MetricsRegistry& reg) {
+  if (&reg == bound_) return;
+  bound_ = &reg;
   c_calls_ = &reg.counter("crypto.verify.calls");
   c_hits_ = &reg.counter("crypto.verify.cache_hits");
   c_evictions_ = &reg.counter("crypto.verify.evictions");
@@ -119,17 +121,13 @@ void VerifyEngine::bind_metrics(sim::MetricsRegistry& reg) {
   c_batched_ = &reg.counter("crypto.verify.batched");
   h_batch_items_ =
       &reg.histogram("crypto.verify.batch_items", 0.0, 256.0, 32);
-  // Carry pre-binding totals so the registry view matches the engine's —
-  // the same rule for every counter (evictions used to carry only the
-  // delta since the previous binding, under-reporting on fresh registries).
-  const auto carry = [](sim::Counter* c, std::uint64_t total) {
-    if (total > c->value()) c->inc(total - c->value());
-  };
-  carry(c_calls_, calls_);
-  carry(c_hits_, cache_.hits() + alias_hits_);
-  carry(c_evictions_, cache_.evictions());
-  carry(c_primitive_, primitive_);
-  carry(c_batched_, batched_);
+  // Add the pre-binding totals, the sim::TraceScope::bind carry rule: engines
+  // sharing one registry sum, and a fresh registry matches the engine's view.
+  c_calls_->inc(calls_);
+  c_hits_->inc(cache_hits());
+  c_evictions_->inc(cache_.evictions());
+  c_primitive_->inc(primitive_);
+  c_batched_->inc(batched_);
   synced_evictions_ = cache_.evictions();
 }
 

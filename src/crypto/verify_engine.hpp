@@ -70,10 +70,11 @@ class VerifyEngine {
   /// Kernel work accounting (RLC checks, bisections, fallbacks).
   const BatchVerifyStats& batch_stats() const { return batch_stats_; }
 
-  /// Exports counters onto a shared registry (idempotent; later
-  /// verifications also tick the registry instruments). Totals accumulated
-  /// before binding are carried over — for every counter alike, so a fresh
-  /// registry always ends up matching the engine's own view.
+  /// Exports counters onto a shared registry (later verifications also tick
+  /// the registry instruments). Binding adds the engine's totals so far to
+  /// every counter, so engines bound onto one registry sum and a fresh
+  /// registry matches the engine's own view. Binding again to the registry
+  /// the engine is already on is a no-op.
   void bind_metrics(sim::MetricsRegistry& reg);
 
   std::uint64_t calls() const { return calls_; }
@@ -103,6 +104,7 @@ class VerifyEngine {
   std::size_t batch_min_ = 2;
   util::Bytes salt_;
   BatchVerifyStats batch_stats_;
+  sim::MetricsRegistry* bound_ = nullptr;  // registry the counters live on
   sim::Counter* c_calls_ = nullptr;
   sim::Counter* c_hits_ = nullptr;
   sim::Counter* c_evictions_ = nullptr;

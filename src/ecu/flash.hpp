@@ -77,7 +77,11 @@ enum class FlashWrite {
 };
 
 /// Dual-slot journaled flash with anti-rollback.
-class Flash {
+///
+/// Faults (sim::FaultHook): FaultKind::kPowerLoss windows cut power during
+/// page programs and header writes (exact write index or per-write
+/// probability).
+class Flash : public sim::FaultHook {
  public:
   static constexpr std::size_t kPageSize = 4096;
 
@@ -160,10 +164,6 @@ class Flash {
   const util::Bytes* staging_digest() const;
 
   // --- power-loss modeling ----------------------------------------------------
-  /// Attaches a fault-injection port; FaultKind::kPowerLoss windows cut power
-  /// during page programs and header writes (exact write index or
-  /// per-write probability).
-  void set_fault_port(sim::FaultPort* port) { fault_port_ = port; }
   /// True after an injected cut until boot() runs; all writes fail meanwhile.
   bool lost_power() const { return lost_power_; }
   /// Boot-time recovery scan (see file header). Idempotent; its own writes
@@ -240,7 +240,6 @@ class Flash {
   std::uint64_t seq_counter_ = 0;
   std::uint32_t rollback_floor_ = 0;  // monotonic fuse; word write is atomic
   bool lost_power_ = false;
-  sim::FaultPort* fault_port_ = nullptr;
 };
 
 }  // namespace aseck::ecu

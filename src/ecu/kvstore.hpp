@@ -60,7 +60,11 @@ class KvTransaction {
   std::vector<Op> ops_;
 };
 
-class KvStore {
+/// Faults (sim::FaultHook): FaultKind::kPowerLoss windows cut power during
+/// record/header writes (exact write index or per-write probability). A
+/// Flash and a KvStore may share one port so a single cut index sweeps the
+/// whole boot+config path.
+class KvStore : public sim::FaultHook {
  public:
   /// Compaction trigger: live-log records above this start a rewrite.
   static constexpr std::size_t kDefaultCompactionThreshold = 256;
@@ -80,10 +84,6 @@ class KvStore {
   KvStore();
 
   // --- power-loss modeling ---------------------------------------------------
-  /// FaultKind::kPowerLoss windows cut power during record/header writes
-  /// (exact write index or per-write probability). A Flash and a KvStore may
-  /// share one port so a single cut index sweeps the whole boot+config path.
-  void set_fault_port(sim::FaultPort* port) { fault_port_ = port; }
   /// True after an injected cut until mount() runs; writes fail meanwhile.
   bool lost_power() const { return lost_power_; }
 
@@ -154,7 +154,6 @@ class KvStore {
   std::uint64_t compactions_ = 0;
   bool mounted_ = false;
   bool lost_power_ = false;
-  sim::FaultPort* fault_port_ = nullptr;
 };
 
 }  // namespace aseck::ecu

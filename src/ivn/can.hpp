@@ -118,7 +118,10 @@ struct CanBusStats {
 /// the bus-off attack primitive). Receives the transmitting node.
 using ErrorInjector = std::function<bool(const CanFrame&, const CanNode&)>;
 
-class CanBus {
+/// Faults (sim::FaultHook): per-frame drop, corrupt, delay, duplicate, and
+/// malformed-splice faults plus whole-bus down windows are consulted on the
+/// TX path.
+class CanBus : public sim::FaultHook {
  public:
   /// `data_bitrate` only matters for FD frames with BRS.
   CanBus(Scheduler& sched, std::string name, std::uint64_t bitrate_bps,
@@ -147,11 +150,6 @@ class CanBus {
   void set_error_injector(ErrorInjector injector) {
     error_injector_ = std::move(injector);
   }
-
-  /// Attaches a fault-injection port (sim::FaultPlan). Per-frame drop,
-  /// corrupt, delay, duplicate, and malformed-splice faults plus whole-bus
-  /// down windows are consulted on the TX path. nullptr detaches.
-  void set_fault_port(sim::FaultPort* port) { fault_port_ = port; }
 
   /// Time to serialize `frame` on this bus.
   SimTime frame_time(const CanFrame& frame) const;
@@ -190,7 +188,6 @@ class CanBus {
                k_tx_error_start_ = 0, k_bus_off_ = 0, k_recover_ = 0,
                k_fault_drop_ = 0, k_fault_dup_ = 0, k_fault_malformed_ = 0;
   ErrorInjector error_injector_;
-  sim::FaultPort* fault_port_ = nullptr;
   SimTime auto_recovery_ = SimTime::zero();
   std::map<CanNode*, sim::EventId> recovery_timers_;
 };

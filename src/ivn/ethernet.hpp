@@ -70,7 +70,10 @@ struct PortPolicer {
   bool admit(std::size_t bytes, SimTime now);
 };
 
-class EthernetSwitch {
+/// Faults (sim::FaultHook): drop faults and link-down windows discard at
+/// ingress, corrupt faults flip a payload byte, delay faults stretch
+/// store-and-forward latency, duplicate faults forward the frame twice.
+class EthernetSwitch : public sim::FaultHook {
  public:
   EthernetSwitch(Scheduler& sched, std::string name,
                  std::uint64_t link_bps = 100'000'000,
@@ -101,12 +104,6 @@ class EthernetSwitch {
   std::uint64_t corrupted_fault() const { return c_corrupted_fault_->value(); }
   std::uint64_t duplicated_fault() const { return c_duplicated_fault_->value(); }
   sim::TraceScope& trace() { return trace_; }
-
-  /// Attaches a fault-injection port (sim::FaultPlan). Drop faults and
-  /// link-down windows discard at ingress, corrupt faults flip a payload
-  /// byte, delay faults stretch store-and-forward latency, duplicate faults
-  /// forward the frame twice.
-  void set_fault_port(sim::FaultPort* port) { fault_port_ = port; }
 
   /// Rebinds trace events and counters onto a shared telemetry plane.
   void bind_telemetry(const sim::Telemetry& t);
@@ -144,7 +141,6 @@ class EthernetSwitch {
   sim::TraceId k_port_up_ = 0, k_port_down_ = 0, k_drop_vlan_ = 0,
                k_drop_policed_ = 0, k_fault_drop_ = 0, k_fault_corrupt_ = 0,
                k_fault_dup_ = 0;
-  sim::FaultPort* fault_port_ = nullptr;
 };
 
 }  // namespace aseck::ivn

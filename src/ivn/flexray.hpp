@@ -64,7 +64,9 @@ class FlexRayNode {
   std::string name_;
 };
 
-class FlexRayBus {
+/// Faults (sim::FaultHook): drop faults and bus-down windows lose static and
+/// dynamic frames in their slots.
+class FlexRayBus : public sim::FaultHook {
  public:
   FlexRayBus(Scheduler& sched, std::string name, FlexRayConfig cfg = {});
 
@@ -91,10 +93,6 @@ class FlexRayBus {
   std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
   const FlexRayConfig& config() const { return cfg_; }
   sim::TraceScope& trace() { return trace_; }
-
-  /// Attaches a fault-injection port (sim::FaultPlan): drop faults and
-  /// bus-down windows lose static/dynamic frames in their slots.
-  void set_fault_port(sim::FaultPort* port) { fault_port_ = port; }
 
   /// Rebinds trace events and counters onto a shared telemetry plane.
   void bind_telemetry(const sim::Telemetry& t);
@@ -123,7 +121,6 @@ class FlexRayBus {
   sim::Counter* c_dynamic_dropped_ = nullptr;
   sim::Counter* c_dropped_fault_ = nullptr;
   sim::TraceId k_static_ = 0, k_dynamic_ = 0, k_fault_drop_ = 0;
-  sim::FaultPort* fault_port_ = nullptr;
 };
 
 }  // namespace aseck::ivn

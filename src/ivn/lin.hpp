@@ -57,7 +57,10 @@ struct LinSlot {
   SimTime slot_time = SimTime::from_ms(10);
 };
 
-class LinMaster {
+/// Faults (sim::FaultHook): drop faults and bus-down windows lose the
+/// response (counted separately from no_response), corrupt faults flip
+/// payload bits into the checksum path.
+class LinMaster : public sim::FaultHook {
  public:
   LinMaster(Scheduler& sched, std::string name, std::uint64_t bitrate_bps = 19200);
 
@@ -79,10 +82,6 @@ class LinMaster {
   using Corruptor = std::function<bool(util::Bytes&)>;
   void set_corruptor(Corruptor c) { corruptor_ = std::move(c); }
 
-  /// Attaches a fault-injection port (sim::FaultPlan): drop faults and
-  /// bus-down windows lose the response (counted separately from
-  /// no_response), corrupt faults flip payload bits into the checksum path.
-  void set_fault_port(sim::FaultPort* port) { fault_port_ = port; }
   /// Responses lost to injected faults.
   std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
 
@@ -109,7 +108,6 @@ class LinMaster {
   sim::Counter* c_dropped_fault_ = nullptr;
   sim::TraceId k_frame_ = 0, k_no_response_ = 0, k_checksum_error_ = 0,
                k_fault_drop_ = 0;
-  sim::FaultPort* fault_port_ = nullptr;
 };
 
 }  // namespace aseck::ivn

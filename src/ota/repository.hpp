@@ -24,7 +24,9 @@ struct MetadataBundle {
   Signed<TimestampMeta> timestamp;
 };
 
-class Repository {
+/// Faults (sim::FaultHook): while a kOutage window holds the port down the
+/// repository refuses all downloads.
+class Repository : public sim::FaultHook {
  public:
   /// Creates a repository with fresh role keys. `expiry` applies to all
   /// roles initially (timestamp typically re-signed frequently).
@@ -63,9 +65,6 @@ class Repository {
                                             std::size_t offset,
                                             std::size_t max_len) const;
 
-  /// Attaches a fault-injection port (sim::FaultPlan kOutage windows): while
-  /// the port is down the repository refuses all downloads.
-  void set_fault_port(sim::FaultPort* port) { fault_port_ = port; }
   /// False while an injected outage window is active.
   bool available() const { return !fault_port_ || !fault_port_->down(); }
 
@@ -126,7 +125,6 @@ class Repository {
   MetadataBundle bundle_;
   std::uint64_t generation_ = 0;
   mutable std::shared_ptr<const MetadataBundle> snapshot_;  // lazy, per gen
-  sim::FaultPort* fault_port_ = nullptr;
 };
 
 }  // namespace aseck::ota

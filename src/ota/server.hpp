@@ -130,7 +130,9 @@ struct ChunkResponse {
   util::SimTime retry_after = util::SimTime::zero();
 };
 
-class RepositoryServer {
+/// Faults (sim::FaultHook): kOutage and kRepoSlowdown windows (target e.g.
+/// "ota.server"), as described under "Chaos integration" above.
+class RepositoryServer : public sim::FaultHook {
  public:
   RepositoryServer(const Repository& director, const Repository& image_repo,
                    ServerConfig cfg = {});
@@ -151,9 +153,6 @@ class RepositoryServer {
   /// Registers the fleet's currently-installed image bytes as the delta base
   /// for `image_name` chunk responses.
   void register_delta_base(const std::string& image_name, util::Bytes base);
-
-  /// kOutage / kRepoSlowdown windows (target e.g. "ota.server").
-  void set_fault_port(sim::FaultPort* port) { fault_port_ = port; }
 
   /// Rolls the observation window / token buckets forward without issuing a
   /// request — the backpressure poll hook (a paused campaign still needs the
@@ -224,7 +223,6 @@ class RepositoryServer {
   const Repository& director_;
   const Repository& image_repo_;
   ServerConfig cfg_;
-  sim::FaultPort* fault_port_ = nullptr;
 
   // virtual single-server queue
   util::SimTime busy_until_ = util::SimTime::zero();

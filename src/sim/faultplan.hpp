@@ -21,8 +21,8 @@
 // is what `bench_e15_resilience` and the `determinism.e15` ctest assert.
 //
 // Layering: this file lives in sim/ and knows nothing about CAN, the
-// gateway, or OTA. Substrates opt in by accepting a `FaultPort*`
-// (ivn::CanBus::set_fault_port, ota::Repository::set_fault_port, ...) or by
+// gateway, or OTA. Substrates opt in by deriving from `FaultHook` (ivn::CanBus,
+// ota::Repository, ...; each class doc says which faults it honors) or by
 // registering a handler (`plan.on("gw.link.body", FaultKind::kPartition,
 // ...)`) that calls into their own degradation API.
 
@@ -142,6 +142,16 @@ class FaultPort {
   util::SimTime slowdown_ = util::SimTime::zero();  // summed active inflation
   int down_ = 0;  // nesting count of overlapping stateful windows
   util::Rng* rng_;
+};
+
+/// The one fault port a substrate consults on its hot path, attached by the
+/// harness (usually `&plan.port(target)`); nullptr, the default, detaches.
+class FaultHook {
+ public:
+  void set_fault_port(FaultPort* port) { fault_port_ = port; }
+
+ protected:
+  FaultPort* fault_port_ = nullptr;
 };
 
 /// Ledger entry for one injected fault.

@@ -47,7 +47,11 @@ class V2xRadio {
 /// range circle and are visited in attach order, so grid-mode delivery —
 /// including every per-delivery RNG draw — is bit-identical to the linear
 /// scan as long as no radio outruns the configured slack between reindexes.
-class V2xMedium {
+///
+/// Faults (sim::FaultHook): radio-loss windows (down()) black out all
+/// receivers; drop faults lose individual receptions. Monitors (sniffers)
+/// are unaffected.
+class V2xMedium : public sim::FaultHook {
  public:
   V2xMedium(Scheduler& sched, double range_m = 300.0, double loss_prob = 0.0,
             std::uint64_t seed = 1);
@@ -81,11 +85,6 @@ class V2xMedium {
   /// discovery cost metric E2 compares between linear and grid modes.
   std::uint64_t receivers_checked() const { return receivers_checked_; }
 
-  /// Attaches a fault-injection port (sim::FaultPlan): radio-loss windows
-  /// (down()) black out all receivers; drop faults lose individual
-  /// receptions. Monitors (sniffers) are unaffected.
-  void set_fault_port(sim::FaultPort* port) { fault_port_ = port; }
-
  private:
   bool deliver_roll(V2xRadio* rx, const Spdu& msg, const Position& src,
                     bool radio_down);
@@ -94,7 +93,6 @@ class V2xMedium {
   double range_;
   double loss_prob_;
   util::Rng rng_;
-  sim::FaultPort* fault_port_ = nullptr;
   std::vector<V2xRadio*> radios_;  // ascending attach_seq_ order
   std::vector<V2xRadio*> monitors_;
   std::unique_ptr<SpatialGrid> grid_;

@@ -311,6 +311,29 @@ TEST(VerifyEngine, RebindCarriesFullTotalsForEveryCounter) {
   EXPECT_EQ(fresh.find_counter("crypto.verify.calls")->value(), eng.calls());
 }
 
+// Regression: the bind carry used to keep the larger of the registry's value
+// and the engine's total, so two engines that had each verified 3 signatures
+// read 3 calls on a shared registry instead of 6.
+TEST(VerifyEngine, EnginesBoundOntoOneRegistrySumTheirTotals) {
+  const auto key = test_key(0x97);
+  crypto::VerifyEngine a, b;
+  for (int i = 0; i < 3; ++i) {
+    const util::Bytes msg = {static_cast<std::uint8_t>(i)};
+    const auto sig = key.sign(msg);
+    EXPECT_TRUE(a.verify(key.public_key(), msg, sig));
+    EXPECT_TRUE(b.verify(key.public_key(), msg, sig));
+  }
+
+  sim::MetricsRegistry shared;
+  a.bind_metrics(shared);
+  b.bind_metrics(shared);
+  EXPECT_EQ(shared.find_counter("crypto.verify.calls")->value(), 6u);
+  EXPECT_EQ(shared.find_counter("crypto.verify.primitive")->value(), 6u);
+
+  a.bind_metrics(shared);  // already bound there: nothing carried twice
+  EXPECT_EQ(shared.find_counter("crypto.verify.calls")->value(), 6u);
+}
+
 TEST(VerifyEngine, BatchKernelVerdictsMatchPerItemPath) {
   const auto k1 = test_key(0x95);
   const auto k2 = test_key(0x96);
