@@ -12,42 +12,24 @@ ConfirmWatchdog::ConfirmWatchdog(sim::Scheduler& sched,
                                  ecu::Flash& flash, std::string entity,
                                  util::SimTime check_period)
     : sched_(sched),
-      supervisor_(supervisor),
       flash_(flash),
-      entity_(std::move(entity)) {
-  safety::AliveSupervision alive;
-  alive.period = check_period;
-  alive.expected = 1;
-  alive.min_margin = 0;
-  alive.max_margin = 3;  // heartbeat runs at 2x the cycle; allow phase drift
-  safety::EscalationPolicy esc;
-  esc.failed_tolerance = 0;  // first silent cycle expires the entity
-  esc.max_resets = 3;
-  supervisor_.supervise_alive(entity_, alive, esc);
-  supervisor_.set_reset_handler(entity_, [this](const std::string&) {
-    // The watchdog reset IS the reboot: boot-time recovery auto-reverts the
-    // lapsed ACTIVE-unconfirmed slot to the previous confirmed bank.
-    const auto rep = flash_.boot(sched_.now());
-    if (rep.auto_reverted) ++auto_reverts_;
-    return rep.bootable;
-  });
-  heartbeat_ = std::make_unique<safety::HeartbeatEmitter>(
-      sched_, supervisor_, entity_,
-      util::SimTime::from_ns(std::max<std::uint64_t>(1, check_period.ns / 2)),
-      [this] {
-        const util::SimTime dl = flash_.confirm_deadline();
-        const bool lapsed = flash_.confirm_pending() &&
-                            dl != util::SimTime::zero() && sched_.now() > dl;
-        return !lapsed;
-      });
-}
-
-void ConfirmWatchdog::start() {
-  heartbeat_->start();
-  if (!supervisor_.running()) supervisor_.start();
-}
-
-void ConfirmWatchdog::stop() { heartbeat_->stop(); }
+      watchdog_(
+          sched, supervisor, std::move(entity), check_period,
+          [this] {
+            const util::SimTime dl = flash_.confirm_deadline();
+            const bool lapsed = flash_.confirm_pending() &&
+                                dl != util::SimTime::zero() &&
+                                sched_.now() > dl;
+            return !lapsed;
+          },
+          [this](const std::string&) {
+            // The watchdog reset IS the reboot: boot-time recovery
+            // auto-reverts the lapsed ACTIVE-unconfirmed slot to the previous
+            // confirmed bank.
+            const auto rep = flash_.boot(sched_.now());
+            if (rep.auto_reverted) ++auto_reverts_;
+            return rep.bootable;
+          }) {}
 
 // --- CampaignRunner ----------------------------------------------------------
 
@@ -203,8 +185,11 @@ void CampaignRunner::on_fetch_done(
 
 void CampaignRunner::run_install(std::size_t idx) {
   Vehicle& v = vehicles_[idx];
-  const InstallResult r = install_staged(*v.flash, sched_.now(),
-                                         cfg_.confirm_timeout, v.self_test);
+  settle_install(idx, install_staged(*v.flash, sched_.now(),
+                                     cfg_.confirm_timeout, v.self_test));
+}
+
+void CampaignRunner::settle_install(std::size_t idx, InstallResult r) {
   switch (r) {
     case InstallResult::kCommitted:
       finish_vehicle(idx, ledger_[idx].power_losses > 0
@@ -244,19 +229,8 @@ void CampaignRunner::reboot(std::size_t idx) {
   }
   if (v.flash->confirm_pending()) {
     // The cut hit the commit marker: new image active but unconfirmed.
-    const bool ok = !v.self_test || v.self_test();
-    if (!ok) {
-      v.flash->revert();
-      finish_vehicle(idx, VehicleOutcome::kRevertedSelfTest);
-      return;
-    }
-    v.flash->commit();
-    if (v.flash->lost_power()) {
-      ++led.power_losses;
-      schedule_reboot(idx);
-      return;
-    }
-    finish_vehicle(idx, VehicleOutcome::kUpdatedAfterPowerLoss);
+    // power_losses > 0 here, so a commit settles as kUpdatedAfterPowerLoss.
+    settle_install(idx, confirm_or_revert(*v.flash, v.self_test));
     return;
   }
   if (v.flash->staged()) {

@@ -6,7 +6,8 @@
 // an image out in staggered waves, watches a per-wave abort threshold so a
 // bad image or a power-loss storm halts the campaign instead of bricking
 // the fleet, and keeps a per-vehicle outcome ledger. Each vehicle streams
-// the image into its journaled flash (ota::fetch_and_stage_with_retry),
+// the image into its journaled flash
+// (FullVerificationClient::fetch_and_stage_with_retry),
 // survives injected power cuts by rebooting (`Flash::boot()`) and resuming
 // from the journal watermark, and finishes with install_staged's
 // confirm-or-revert deadline.
@@ -35,7 +36,7 @@
 
 namespace aseck::ota {
 
-/// Supervised confirm-or-revert deadline: an alive-supervised entity whose
+/// Supervised confirm-or-revert deadline: a safety::Watchdog whose
 /// heartbeat is suppressed once the active slot's confirmation deadline has
 /// lapsed without commit(); the supervisor's reset handler then runs
 /// `Flash::boot()`, which auto-reverts to the previous confirmed bank.
@@ -47,20 +48,18 @@ class ConfirmWatchdog {
                   util::SimTime check_period);
 
   /// Starts the heartbeat (and the supervisor, if not yet running).
-  void start();
-  void stop();
+  void start() { watchdog_.start(); }
+  void stop() { watchdog_.stop(); }
 
   /// Recoveries performed by the supervisor's reset (lapsed deadline hit).
   std::uint64_t auto_reverts() const { return auto_reverts_; }
-  const std::string& entity() const { return entity_; }
+  const std::string& entity() const { return watchdog_.entity(); }
 
  private:
   sim::Scheduler& sched_;
-  safety::HealthSupervisor& supervisor_;
   ecu::Flash& flash_;
-  std::string entity_;
-  std::unique_ptr<safety::HeartbeatEmitter> heartbeat_;
   std::uint64_t auto_reverts_ = 0;
+  safety::Watchdog watchdog_;
 };
 
 /// Terminal state of one vehicle in a campaign.
@@ -178,6 +177,8 @@ class CampaignRunner {
   void start_fetch(std::size_t idx);
   void on_fetch_done(std::size_t idx, const FullVerificationClient::RetryOutcome& ro);
   void run_install(std::size_t idx);
+  /// Ledger and reboot bookkeeping for one install_staged/confirm_or_revert.
+  void settle_install(std::size_t idx, InstallResult r);
   void schedule_reboot(std::size_t idx);
   void reboot(std::size_t idx);
   void finish_vehicle(std::size_t idx, VehicleOutcome o);

@@ -152,23 +152,100 @@ OtaError FullVerificationClient::verify_chain(const MetadataBundle& bundle,
   return verify_repo(bundle, is_director ? director_ : image_, now, nullptr);
 }
 
+namespace {
+
+OtaError check_image(const util::Bytes& image, const TargetInfo& info) {
+  if (image.size() != info.length) return OtaError::kImageLengthMismatch;
+  if (crypto::sha256_bytes(image) != info.sha256) {
+    return OtaError::kImageHashMismatch;
+  }
+  return OtaError::kOk;
+}
+
+// The transport step of the retrying fetch: the serving front when the
+// policy names one, otherwise the repositories answer directly (never
+// deferred, zero latency, kUnavailable while either is down).
+MetadataResponse fetch_metadata(
+    const FullVerificationClient::RetryPolicy& policy,
+    const Repository& director, const Repository& image_repo, SimTime now) {
+  if (policy.server) {
+    return policy.server->fetch_metadata(policy.server_class, now);
+  }
+  MetadataResponse r;
+  if (!director.available() || !image_repo.available()) {
+    r.status = ServeStatus::kUnavailable;
+    return r;
+  }
+  r.snapshot.director = director.snapshot();
+  r.snapshot.image = image_repo.snapshot();
+  return r;
+}
+
+ChunkResponse fetch_chunk(const FullVerificationClient::RetryPolicy& policy,
+                          const Repository& director,
+                          const Repository& image_repo,
+                          const std::string& image_name, std::size_t offset,
+                          SimTime now) {
+  if (policy.server) {
+    return policy.server->fetch_chunk(policy.server_class, image_name, offset,
+                                      policy.chunk_bytes, now);
+  }
+  ChunkResponse r;
+  // Image repo is the primary mirror; the director may also serve bytes.
+  std::optional<util::Bytes> chunk =
+      image_repo.download_range(image_name, offset, policy.chunk_bytes);
+  if (!chunk) {
+    chunk = director.download_range(image_name, offset, policy.chunk_bytes);
+  }
+  if (!chunk) {
+    r.status = ServeStatus::kUnavailable;
+    return r;
+  }
+  r.chunk = std::move(*chunk);
+  r.wire_bytes = r.chunk.size();
+  return r;
+}
+
+// Why an install could not reach activation.
+InstallResult not_activated(const ecu::Flash& flash) {
+  return flash.lost_power() ? InstallResult::kPowerLoss
+                            : InstallResult::kStageRejected;
+}
+
+}  // namespace
+
+void FullVerificationClient::record_verdict(SimTime now, OtaError err,
+                                            const std::string& image) {
+  if (err == OtaError::kOk) {
+    c_verify_ok_->inc();
+    ASECK_TRACE(trace_, now, k_verify_ok_, "image=" + image);
+  } else {
+    c_verify_fail_->inc();
+    ASECK_TRACE(trace_, now, k_verify_fail_,
+                std::string(ota_error_name(err)) + " image=" + image);
+  }
+}
+
 FullVerificationClient::Outcome FullVerificationClient::fetch_and_verify(
     const MetadataBundle& director, const MetadataBundle& image_repo,
     const Repository& director_repo, const Repository& image_repo_store,
     const std::string& image_name, const std::string& hardware_id,
     std::uint32_t installed_version, SimTime now) {
-  Outcome out =
-      fetch_and_verify_inner(director, image_repo, director_repo,
-                             image_repo_store, image_name, hardware_id,
-                             installed_version, now);
+  Outcome out;
+  TargetInfo info;
+  out.error = resolve_target(director, image_repo, image_name, hardware_id,
+                             installed_version, now, &info);
   if (out.error == OtaError::kOk) {
-    c_verify_ok_->inc();
-    ASECK_TRACE(trace_, now, k_verify_ok_, "image=" + image_name);
-  } else {
-    c_verify_fail_->inc();
-    ASECK_TRACE(trace_, now, k_verify_fail_,
-                std::string(ota_error_name(out.error)) + " image=" + image_name);
+    // Download preferentially from the image repo; director may also serve.
+    const util::Bytes* image = image_repo_store.download(image_name);
+    if (!image) image = director_repo.download(image_name);
+    out.error = image ? check_image(*image, info) : OtaError::kDownloadFailed;
+    if (out.error == OtaError::kOk) {
+      out.target = info;
+      out.image = *image;
+    }
   }
+  record_verdict(now, out.error, image_name);
   return out;
 }
 
@@ -197,37 +274,6 @@ OtaError FullVerificationClient::resolve_target(
   return OtaError::kOk;
 }
 
-FullVerificationClient::Outcome FullVerificationClient::fetch_and_verify_inner(
-    const MetadataBundle& director, const MetadataBundle& image_repo,
-    const Repository& director_repo, const Repository& image_repo_store,
-    const std::string& image_name, const std::string& hardware_id,
-    std::uint32_t installed_version, SimTime now) {
-  Outcome out;
-  TargetInfo info;
-  out.error = resolve_target(director, image_repo, image_name, hardware_id,
-                             installed_version, now, &info);
-  if (out.error != OtaError::kOk) return out;
-  // Download preferentially from the image repo; director may also serve.
-  const util::Bytes* image = image_repo_store.download(image_name);
-  if (!image) image = director_repo.download(image_name);
-  if (!image) {
-    out.error = OtaError::kDownloadFailed;
-    return out;
-  }
-  if (image->size() != info.length) {
-    out.error = OtaError::kImageLengthMismatch;
-    return out;
-  }
-  if (crypto::sha256_bytes(*image) != info.sha256) {
-    out.error = OtaError::kImageHashMismatch;
-    return out;
-  }
-  out.target = info;
-  out.image = *image;
-  out.error = OtaError::kOk;
-  return out;
-}
-
 // --- retrying resumable fetch ------------------------------------------------
 
 struct FullVerificationClient::RetryState {
@@ -245,6 +291,7 @@ struct FullVerificationClient::RetryState {
   std::size_t offset = 0;   // bytes delivered; survives failed attempts
   std::size_t resumed_from = 0;
   ecu::Flash* flash = nullptr;     // non-null: stream into the staging journal
+  bool journal_opened = false;     // stage_begin succeeded in this session
   std::size_t resume_saved = 0;    // journal bytes inherited from a past boot
   int deferrals = 0;               // kRetryAfter responses honored so far
   std::size_t wire_bytes = 0;      // bytes that crossed the link
@@ -255,16 +302,8 @@ void FullVerificationClient::fetch_and_verify_with_retry(
     const Repository& image_repo, const std::string& image_name,
     const std::string& hardware_id, std::uint32_t installed_version,
     RetryPolicy policy, RetryCallback done) {
-  auto st = std::make_shared<RetryState>();
-  st->sched = &sched;
-  st->director = &director_repo;
-  st->image_repo = &image_repo;
-  st->image_name = image_name;
-  st->hardware_id = hardware_id;
-  st->installed_version = installed_version;
-  st->policy = policy;
-  st->done = std::move(done);
-  sched.schedule_after(SimTime::zero(), [this, st] { retry_attempt(st); });
+  start_retry(sched, director_repo, image_repo, image_name, hardware_id,
+              installed_version, policy, nullptr, std::move(done));
 }
 
 void FullVerificationClient::fetch_and_stage_with_retry(
@@ -272,6 +311,15 @@ void FullVerificationClient::fetch_and_stage_with_retry(
     const Repository& image_repo, const std::string& image_name,
     const std::string& hardware_id, std::uint32_t installed_version,
     RetryPolicy policy, ecu::Flash& flash, RetryCallback done) {
+  start_retry(sched, director_repo, image_repo, image_name, hardware_id,
+              installed_version, policy, &flash, std::move(done));
+}
+
+void FullVerificationClient::start_retry(
+    sim::Scheduler& sched, const Repository& director_repo,
+    const Repository& image_repo, const std::string& image_name,
+    const std::string& hardware_id, std::uint32_t installed_version,
+    RetryPolicy policy, ecu::Flash* flash, RetryCallback done) {
   auto st = std::make_shared<RetryState>();
   st->sched = &sched;
   st->director = &director_repo;
@@ -280,7 +328,7 @@ void FullVerificationClient::fetch_and_stage_with_retry(
   st->hardware_id = hardware_id;
   st->installed_version = installed_version;
   st->policy = policy;
-  st->flash = &flash;
+  st->flash = flash;
   st->done = std::move(done);
   sched.schedule_after(SimTime::zero(), [this, st] { retry_attempt(st); });
 }
@@ -288,75 +336,32 @@ void FullVerificationClient::fetch_and_stage_with_retry(
 void FullVerificationClient::retry_attempt(
     const std::shared_ptr<RetryState>& st) {
   const SimTime now = st->sched->now();
-  SimTime response_latency = SimTime::zero();
+  const MetadataResponse mr =
+      fetch_metadata(st->policy, *st->director, *st->image_repo, now);
+  if (mr.status == ServeStatus::kRetryAfter) {
+    retry_defer(st, mr.retry_after, "metadata",
+                &FullVerificationClient::retry_attempt);
+    return;
+  }
+  ++st->attempt;
+  c_fetch_attempts_->inc();
+  ASECK_TRACE(trace_, now, k_fetch_attempt_,
+              "n=" + std::to_string(st->attempt) + " image=" + st->image_name);
+  if (mr.status == ServeStatus::kUnavailable) {
+    ASECK_TRACE(trace_, now, k_fetch_interrupted_,
+                st->policy.server ? "server_unavailable" : "repo_unavailable");
+    retry_fail_transport(st);
+    return;
+  }
   TargetInfo info;
-  if (st->policy.server) {
-    // Serving-front path: metadata comes as one coalesced snapshot, and a
-    // kRetryAfter answer is an instruction, not a failure — honoring the
-    // server's slot keeps a shed herd de-synchronized, so deferrals never
-    // count against max_attempts.
-    const MetadataResponse mr =
-        st->policy.server->fetch_metadata(st->policy.server_class, now);
-    if (mr.status == ServeStatus::kRetryAfter) {
-      if (++st->deferrals > st->policy.max_server_deferrals) {
-        ASECK_TRACE(trace_, now, k_retries_exhausted_,
-                    "deferrals=" + std::to_string(st->deferrals));
-        Outcome out;
-        out.error = OtaError::kRetriesExhausted;
-        retry_finish(st, std::move(out));
-        return;
-      }
-      c_server_deferrals_->inc();
-      ASECK_TRACE(trace_, now, k_retry_after_,
-                  "ns=" + std::to_string(mr.retry_after.ns) + " at=metadata");
-      st->sched->schedule_after(mr.retry_after,
-                                [this, st] { retry_attempt(st); });
-      return;
-    }
-    ++st->attempt;
-    c_fetch_attempts_->inc();
-    ASECK_TRACE(trace_, now, k_fetch_attempt_,
-                "n=" + std::to_string(st->attempt) +
-                    " image=" + st->image_name);
-    if (mr.status == ServeStatus::kUnavailable) {
-      ASECK_TRACE(trace_, now, k_fetch_interrupted_, "server_unavailable");
-      retry_fail_transport(st);
-      return;
-    }
-    response_latency = mr.latency;
-    const OtaError err = resolve_target(
-        *mr.snapshot.director, *mr.snapshot.image, st->image_name,
-        st->hardware_id, st->installed_version, now, &info);
-    if (err != OtaError::kOk) {
-      // Metadata failures are final: a retry cannot fix a bad signature,
-      // rollback, or repo disagreement.
-      Outcome out;
-      out.error = err;
-      retry_finish(st, std::move(out));
-      return;
-    }
-  } else {
-    ++st->attempt;
-    c_fetch_attempts_->inc();
-    ASECK_TRACE(trace_, now, k_fetch_attempt_,
-                "n=" + std::to_string(st->attempt) +
-                    " image=" + st->image_name);
-    if (!st->director->available() || !st->image_repo->available()) {
-      ASECK_TRACE(trace_, now, k_fetch_interrupted_, "repo_unavailable");
-      retry_fail_transport(st);
-      return;
-    }
-    const OtaError err = resolve_target(
-        st->director->metadata(), st->image_repo->metadata(), st->image_name,
-        st->hardware_id, st->installed_version, now, &info);
-    if (err != OtaError::kOk) {
-      // Metadata failures are final: a retry cannot fix a bad signature,
-      // rollback, or repo disagreement.
-      Outcome out;
-      out.error = err;
-      retry_finish(st, std::move(out));
-      return;
-    }
+  const OtaError err = resolve_target(
+      *mr.snapshot.director, *mr.snapshot.image, st->image_name,
+      st->hardware_id, st->installed_version, now, &info);
+  if (err != OtaError::kOk) {
+    // Metadata failures are final: a retry cannot fix a bad signature,
+    // rollback, or repo disagreement.
+    retry_finish(st, err);
+    return;
   }
   if (st->offset > 0 &&
       (info.sha256 != st->info.sha256 || info.length != st->info.length)) {
@@ -375,14 +380,12 @@ void FullVerificationClient::retry_attempt(
     req.total_bytes = info.length;
     req.sha256 = info.sha256;
     if (!st->flash->stage_begin(req)) {
-      Outcome out;
-      out.error = st->flash->lost_power() ? OtaError::kPowerLoss
-                                          : OtaError::kImageRollback;
-      retry_finish(st, std::move(out));
+      retry_finish(st, st->flash->lost_power() ? OtaError::kPowerLoss
+                                               : OtaError::kImageRollback);
       return;
     }
     const std::uint64_t wm = st->flash->staging_watermark();
-    if (st->attempt == 1 && wm > 0) {
+    if (!st->journal_opened && wm > 0) {
       // Journal survived a previous session (power cut + boot recovery):
       // these bytes never cross the link again.
       st->resume_saved = static_cast<std::size_t>(wm);
@@ -391,6 +394,7 @@ void FullVerificationClient::retry_attempt(
                   "watermark=" + std::to_string(wm) +
                       " image=" + st->image_name);
     }
+    st->journal_opened = true;
     st->offset = static_cast<std::size_t>(wm);
   }
   st->resumed_from = st->offset;
@@ -398,9 +402,9 @@ void FullVerificationClient::retry_attempt(
     ASECK_TRACE(trace_, now, k_fetch_resume_,
                 "offset=" + std::to_string(st->offset));
   }
-  if (response_latency > SimTime::zero()) {
+  if (mr.latency > SimTime::zero()) {
     // The metadata response spent queue + service time at the front.
-    st->sched->schedule_after(response_latency,
+    st->sched->schedule_after(mr.latency,
                               [this, st] { retry_fetch_chunk(st); });
   } else {
     retry_fetch_chunk(st);
@@ -410,38 +414,24 @@ void FullVerificationClient::retry_attempt(
 void FullVerificationClient::retry_fetch_chunk(
     const std::shared_ptr<RetryState>& st) {
   const SimTime now = st->sched->now();
-  if (st->flash && st->offset >= st->info.length) {
-    // Seal the journal: page CRCs + content digest are checked in flash.
-    const ecu::FlashWrite w = st->flash->stage_finish();
-    Outcome out;
-    if (w == ecu::FlashWrite::kOk) {
-      out.target = st->info;
-      out.error = OtaError::kOk;  // bytes live in flash, not in out.image
-      retry_finish(st, std::move(out));
-      return;
-    }
-    if (w == ecu::FlashWrite::kPowerLoss) {
-      ASECK_TRACE(trace_, now, k_power_loss_,
-                  "at=stage_finish image=" + st->image_name);
-      out.error = OtaError::kPowerLoss;
-      retry_finish(st, std::move(out));
-      return;
-    }
-    // kRejected: journal bytes did not match the digest (erased inside
-    // stage_finish); restart the download on the next attempt.
-    st->offset = 0;
-    ASECK_TRACE(trace_, now, k_fetch_interrupted_, "hash_mismatch_restart");
-    retry_fail_transport(st);
-    return;
-  }
   if (st->offset >= st->info.length) {
-    Outcome out;
-    if (st->buffer.size() != st->info.length) {
-      out.error = OtaError::kImageLengthMismatch;
-      retry_finish(st, std::move(out));
-      return;
+    OtaError err = OtaError::kOk;
+    if (st->flash) {
+      // Seal the journal: page CRCs + content digest are checked in flash.
+      const ecu::FlashWrite w = st->flash->stage_finish();
+      if (w == ecu::FlashWrite::kPowerLoss) {
+        ASECK_TRACE(trace_, now, k_power_loss_,
+                    "at=stage_finish image=" + st->image_name);
+        retry_finish(st, OtaError::kPowerLoss);
+        return;
+      }
+      // kRejected: the journal bytes failed verification and stage_finish
+      // erased them, which is a hash mismatch like the RAM sink's.
+      if (w == ecu::FlashWrite::kRejected) err = OtaError::kImageHashMismatch;
+    } else {
+      err = check_image(st->buffer, st->info);
     }
-    if (crypto::sha256_bytes(st->buffer) != st->info.sha256) {
+    if (err == OtaError::kImageHashMismatch) {
       // Bytes changed under us mid-download (repo republished); restart the
       // download on the next attempt.
       st->offset = 0;
@@ -450,100 +440,76 @@ void FullVerificationClient::retry_fetch_chunk(
       retry_fail_transport(st);
       return;
     }
-    out.target = st->info;
-    out.image = st->buffer;
-    out.error = OtaError::kOk;
-    retry_finish(st, std::move(out));
+    retry_finish(st, err);
     return;
   }
-  std::optional<util::Bytes> chunk;
-  std::size_t wire = 0;                      // bytes crossing the link
-  SimTime server_latency = SimTime::zero();  // queue + service at the front
-  if (st->policy.server) {
-    ChunkResponse cr =
-        st->policy.server->fetch_chunk(st->policy.server_class, st->image_name,
-                                       st->offset, st->policy.chunk_bytes, now);
-    if (cr.status == ServeStatus::kRetryAfter) {
-      // Mid-download shed: keep the offset, come back at the server's slot.
-      if (++st->deferrals > st->policy.max_server_deferrals) {
-        ASECK_TRACE(trace_, now, k_retries_exhausted_,
-                    "deferrals=" + std::to_string(st->deferrals));
-        Outcome out;
-        out.error = OtaError::kRetriesExhausted;
-        retry_finish(st, std::move(out));
-        return;
-      }
-      c_server_deferrals_->inc();
-      ASECK_TRACE(trace_, now, k_retry_after_,
-                  "ns=" + std::to_string(cr.retry_after.ns) + " at=chunk");
-      st->sched->schedule_after(cr.retry_after,
-                                [this, st] { retry_fetch_chunk(st); });
-      return;
-    }
-    if (cr.status == ServeStatus::kUnavailable) {
-      ASECK_TRACE(trace_, now, k_fetch_interrupted_,
-                  "offset=" + std::to_string(st->offset));
-      retry_fail_transport(st);
-      return;
-    }
-    wire = cr.wire_bytes;
-    server_latency = cr.latency;
-    chunk = std::move(cr.chunk);
-  } else {
-    // Image repo is the primary mirror; the director may also serve bytes.
-    chunk = st->image_repo->download_range(st->image_name, st->offset,
-                                           st->policy.chunk_bytes);
-    if (!chunk) {
-      chunk = st->director->download_range(st->image_name, st->offset,
-                                           st->policy.chunk_bytes);
-    }
-    if (!chunk) {
-      ASECK_TRACE(trace_, now, k_fetch_interrupted_,
-                  "offset=" + std::to_string(st->offset));
-      retry_fail_transport(st);
-      return;
-    }
-    wire = chunk->size();
+  const ChunkResponse cr = fetch_chunk(st->policy, *st->director,
+                                       *st->image_repo, st->image_name,
+                                       st->offset, now);
+  if (cr.status == ServeStatus::kRetryAfter) {
+    // Mid-download shed: keep the offset, come back at the server's slot.
+    retry_defer(st, cr.retry_after, "chunk",
+                &FullVerificationClient::retry_fetch_chunk);
+    return;
   }
-  if (chunk->empty()) {
+  if (cr.status == ServeStatus::kUnavailable) {
+    ASECK_TRACE(trace_, now, k_fetch_interrupted_,
+                "offset=" + std::to_string(st->offset));
+    retry_fail_transport(st);
+    return;
+  }
+  if (cr.chunk.empty()) {
     // Stored image is shorter than the metadata claims.
-    Outcome out;
-    out.error = OtaError::kImageLengthMismatch;
-    retry_finish(st, std::move(out));
+    retry_finish(st, OtaError::kImageLengthMismatch);
     return;
   }
   if (st->flash) {
-    const ecu::FlashWrite w = st->flash->stage_write(*chunk);
+    const ecu::FlashWrite w = st->flash->stage_write(cr.chunk);
     if (w == ecu::FlashWrite::kPowerLoss) {
       ASECK_TRACE(trace_, now, k_power_loss_,
                   "offset=" + std::to_string(st->offset) +
                       " image=" + st->image_name);
-      Outcome out;
-      out.error = OtaError::kPowerLoss;
-      retry_finish(st, std::move(out));
+      retry_finish(st, OtaError::kPowerLoss);
       return;
     }
     if (w == ecu::FlashWrite::kRejected) {
-      Outcome out;
-      out.error = OtaError::kDownloadFailed;
-      retry_finish(st, std::move(out));
+      retry_finish(st, OtaError::kDownloadFailed);
       return;
     }
   } else {
-    st->buffer.insert(st->buffer.end(), chunk->begin(), chunk->end());
+    st->buffer.insert(st->buffer.end(), cr.chunk.begin(), cr.chunk.end());
   }
-  st->offset += chunk->size();
-  st->wire_bytes += wire;
-  c_bytes_fetched_->inc(chunk->size());
-  c_wire_bytes_->inc(wire);
+  st->offset += cr.chunk.size();
+  st->wire_bytes += cr.wire_bytes;
+  c_bytes_fetched_->inc(cr.chunk.size());
+  c_wire_bytes_->inc(cr.wire_bytes);
   // Transfer time is paid on WIRE bytes (a delta-compressed chunk crosses
   // the link faster), plus whatever the serving front charged in queueing.
   const SimTime tx =
       SimTime::from_seconds_f(
-          static_cast<double>(wire) /
+          static_cast<double>(cr.wire_bytes) /
           static_cast<double>(st->policy.link_bytes_per_sec)) +
-      server_latency;
+      cr.latency;
   st->sched->schedule_after(tx, [this, st] { retry_fetch_chunk(st); });
+}
+
+void FullVerificationClient::retry_defer(const std::shared_ptr<RetryState>& st,
+                                         SimTime after, const char* at,
+                                         RetryStep step) {
+  // A kRetryAfter answer is an instruction, not a failure: honoring the
+  // server's slot keeps a shed herd de-synchronized, so deferrals never
+  // count against max_attempts.
+  const SimTime now = st->sched->now();
+  if (++st->deferrals > st->policy.max_server_deferrals) {
+    ASECK_TRACE(trace_, now, k_retries_exhausted_,
+                "deferrals=" + std::to_string(st->deferrals));
+    retry_finish(st, OtaError::kRetriesExhausted);
+    return;
+  }
+  c_server_deferrals_->inc();
+  ASECK_TRACE(trace_, now, k_retry_after_,
+              "ns=" + std::to_string(after.ns) + " at=" + at);
+  st->sched->schedule_after(after, [this, st, step] { (this->*step)(st); });
 }
 
 void FullVerificationClient::retry_fail_transport(
@@ -551,9 +517,7 @@ void FullVerificationClient::retry_fail_transport(
   if (st->attempt >= st->policy.max_attempts) {
     ASECK_TRACE(trace_, st->sched->now(), k_retries_exhausted_,
                 "attempts=" + std::to_string(st->attempt));
-    Outcome out;
-    out.error = OtaError::kRetriesExhausted;
-    retry_finish(st, std::move(out));
+    retry_finish(st, OtaError::kRetriesExhausted);
     return;
   }
   c_fetch_retries_->inc();
@@ -574,19 +538,16 @@ void FullVerificationClient::retry_fail_transport(
 }
 
 void FullVerificationClient::retry_finish(const std::shared_ptr<RetryState>& st,
-                                          Outcome out) {
+                                          OtaError err) {
   const SimTime now = st->sched->now();
-  if (out.error == OtaError::kOk) {
-    c_verify_ok_->inc();
-    ASECK_TRACE(trace_, now, k_verify_ok_, "image=" + st->image_name);
-  } else {
-    c_verify_fail_->inc();
-    ASECK_TRACE(trace_, now, k_verify_fail_,
-                std::string(ota_error_name(out.error)) +
-                    " image=" + st->image_name);
-  }
+  record_verdict(now, err, st->image_name);
   RetryOutcome ro;
-  ro.outcome = std::move(out);
+  ro.outcome.error = err;
+  if (err == OtaError::kOk) {
+    ro.outcome.target = st->info;
+    // Empty for the flash sink: the bytes live in the staging journal.
+    ro.outcome.image = std::move(st->buffer);
+  }
   ro.attempts = st->attempt;
   ro.resumed_from = st->resumed_from;
   ro.resume_bytes_saved = st->resume_saved;
@@ -654,25 +615,23 @@ InstallResult install_image(ecu::Flash& flash, const std::string& image_name,
                             std::uint32_t version, const util::Bytes& image,
                             const std::function<bool()>& self_test) {
   if (!flash.stage(ecu::FirmwareImage{image_name, version, image})) {
-    return InstallResult::kStageRejected;
+    return not_activated(flash);
   }
-  flash.activate();
-  if (self_test && !self_test()) {
-    flash.revert();
-    return InstallResult::kRevertedSelfTest;
-  }
-  flash.commit();
-  return InstallResult::kCommitted;
+  return install_staged(flash, util::SimTime::zero(), util::SimTime::zero(),
+                        self_test);
 }
 
 InstallResult install_staged(ecu::Flash& flash, util::SimTime now,
                              util::SimTime confirm_timeout,
                              const std::function<bool()>& self_test) {
-  if (!flash.staged()) return InstallResult::kStageRejected;
-  if (!flash.activate(now, confirm_timeout)) {
-    return flash.lost_power() ? InstallResult::kPowerLoss
-                              : InstallResult::kStageRejected;
+  if (!flash.staged() || !flash.activate(now, confirm_timeout)) {
+    return not_activated(flash);
   }
+  return confirm_or_revert(flash, self_test);
+}
+
+InstallResult confirm_or_revert(ecu::Flash& flash,
+                                const std::function<bool()>& self_test) {
   if (self_test && !self_test()) {
     flash.revert();
     return InstallResult::kRevertedSelfTest;

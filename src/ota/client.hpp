@@ -107,7 +107,8 @@ class FullVerificationClient {
     int attempts = 0;
     std::size_t resumed_from = 0;  // offset the final attempt resumed at
     /// Bytes NOT refetched because a pre-reboot staging journal survived
-    /// (fetch_and_stage_with_retry only; the journal watermark at start).
+    /// (fetch_and_stage_with_retry only; the journal watermark when this
+    /// session first opens the journal, whichever attempt that is).
     std::size_t resume_bytes_saved = 0;
     /// Bytes that actually crossed the link (delta-compressed when served
     /// through a RepositoryServer with a registered delta base).
@@ -177,17 +178,23 @@ class FullVerificationClient {
                           const std::string& hardware_id,
                           std::uint32_t installed_version, SimTime now,
                           TargetInfo* out_info);
-  Outcome fetch_and_verify_inner(const MetadataBundle& director,
-                                 const MetadataBundle& image_repo,
-                                 const Repository& director_repo,
-                                 const Repository& image_repo_store,
-                                 const std::string& image_name,
-                                 const std::string& hardware_id,
-                                 std::uint32_t installed_version, SimTime now);
+  /// verify_ok / verify_fail accounting for one finished fetch.
+  void record_verdict(SimTime now, OtaError err, const std::string& image);
+  /// Both retry entry points; a null `flash` buffers the image in RAM.
+  void start_retry(sim::Scheduler& sched, const Repository& director_repo,
+                   const Repository& image_repo, const std::string& image_name,
+                   const std::string& hardware_id,
+                   std::uint32_t installed_version, RetryPolicy policy,
+                   ecu::Flash* flash, RetryCallback done);
+  using RetryStep = void (FullVerificationClient::*)(
+      const std::shared_ptr<RetryState>&);
   void retry_attempt(const std::shared_ptr<RetryState>& st);
   void retry_fetch_chunk(const std::shared_ptr<RetryState>& st);
+  /// Honors a kRetryAfter answer by re-running `step` at the server's slot.
+  void retry_defer(const std::shared_ptr<RetryState>& st, SimTime after,
+                   const char* at, RetryStep step);
   void retry_fail_transport(const std::shared_ptr<RetryState>& st);
-  void retry_finish(const std::shared_ptr<RetryState>& st, Outcome out);
+  void retry_finish(const std::shared_ptr<RetryState>& st, OtaError err);
   void wire_telemetry();
 
   std::string name_;
@@ -239,9 +246,10 @@ enum class InstallResult {
   kCommitted,
   kRevertedSelfTest,
   kStageRejected,
-  kPowerLoss,  // cut during activation/commit marker; boot() decides fate
+  kPowerLoss,  // cut while staging or at a marker write; boot() decides fate
 };
 const char* install_result_name(InstallResult r);
+/// Stages `image`, then install_staged with no confirm deadline.
 InstallResult install_image(ecu::Flash& flash, const std::string& image_name,
                             std::uint32_t version, const util::Bytes& image,
                             const std::function<bool()>& self_test);
@@ -249,11 +257,15 @@ InstallResult install_image(ecu::Flash& flash, const std::string& image_name,
 /// Activates an already-STAGED image (e.g. streamed in by
 /// fetch_and_stage_with_retry) with a confirm-or-revert deadline: if the
 /// vehicle reboots after `now + confirm_timeout` without the commit marker,
-/// `Flash::boot()` auto-reverts to the previous bank. Runs the self-test and
-/// commits (raising the rollback floor) or reverts, exactly like
-/// install_image, but power-cut aware.
+/// `Flash::boot()` auto-reverts to the previous bank. Then confirm_or_revert.
 InstallResult install_staged(ecu::Flash& flash, util::SimTime now,
                              util::SimTime confirm_timeout,
                              const std::function<bool()>& self_test);
+
+/// Settles an ACTIVE-unconfirmed image: runs the self-test, then commits
+/// (raising the rollback floor) or reverts to the previous bank. kPowerLoss
+/// when the commit marker write is cut.
+InstallResult confirm_or_revert(ecu::Flash& flash,
+                                const std::function<bool()>& self_test);
 
 }  // namespace aseck::ota

@@ -57,7 +57,7 @@ enum class ServeStatus {
   kOk,          // served; `latency` = queue wait + service time
   kRetryAfter,  // shed by admission control; come back at `retry_after`
   kUnavailable, // hard failure (outage with admission control off, or
-                // unknown image) — the legacy transport-error path
+                // unknown image) — the client's transport-error path
 };
 const char* serve_status_name(ServeStatus s);
 

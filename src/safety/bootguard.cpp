@@ -1,45 +1,23 @@
 #include "safety/bootguard.hpp"
 
-#include <algorithm>
-
 namespace aseck::safety {
 
 BootGuard::BootGuard(sim::Scheduler& sched, HealthSupervisor& supervisor,
                      ecu::BootChain& chain, std::string entity,
                      util::SimTime check_period)
     : sched_(sched),
-      supervisor_(supervisor),
       chain_(chain),
-      entity_(std::move(entity)) {
-  AliveSupervision alive;
-  alive.period = check_period;
-  alive.expected = 1;
-  alive.min_margin = 0;
-  alive.max_margin = 3;  // heartbeat runs at 2x the cycle; allow phase drift
-  EscalationPolicy esc;
-  esc.failed_tolerance = 0;  // first silent cycle expires the entity
-  esc.max_resets = 3;
-  supervisor_.supervise_alive(entity_, alive, esc);
-  supervisor_.set_reset_handler(entity_, [this](const std::string&) {
-    // The watchdog reset IS the reboot: re-run the measured chain. The
-    // chain's own degradation ladder (retry -> fallback slot -> recovery
-    // image) decides what comes up; any non-hung outcome is "back up".
-    ++reboots_;
-    const auto rep = chain_.run(sched_.now());
-    if (!rep.hung) ++reboots_recovered_;
-    return !rep.hung;
-  });
-  heartbeat_ = std::make_unique<HeartbeatEmitter>(
-      sched_, supervisor_, entity_,
-      util::SimTime::from_ns(std::max<std::uint64_t>(1, check_period.ns / 2)),
-      [this] { return !chain_.hung(); });
-}
-
-void BootGuard::start() {
-  heartbeat_->start();
-  if (!supervisor_.running()) supervisor_.start();
-}
-
-void BootGuard::stop() { heartbeat_->stop(); }
+      watchdog_(sched, supervisor, std::move(entity), check_period,
+                [this] { return !chain_.hung(); },
+                [this](const std::string&) {
+                  // The watchdog reset IS the reboot: re-run the measured
+                  // chain. The chain's own degradation ladder (retry ->
+                  // fallback slot -> recovery image) decides what comes up;
+                  // any non-hung outcome is "back up".
+                  ++reboots_;
+                  const auto rep = chain_.run(sched_.now());
+                  if (!rep.hung) ++reboots_recovered_;
+                  return !rep.hung;
+                }) {}
 
 }  // namespace aseck::safety

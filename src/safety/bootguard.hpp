@@ -4,15 +4,14 @@
 // wedging the ECU (ISSUE E23 / paper §3+§7: safety mechanisms must cover the
 // security plumbing too).
 //
-// Mirrors ota::ConfirmWatchdog's shape: a HeartbeatEmitter beats while the
-// chain is healthy (`!chain.hung()`) and falls silent the moment a stage
-// hangs; the supervisor's reset handler then re-runs the chain, which is
-// exactly what a hardware watchdog reset does on a real ECU. Every
-// detection, escalation, and re-boot lands on the shared TraceBus next to
-// the chain's own stage events.
+// A safety::Watchdog whose heartbeat beats while the chain is healthy
+// (`!chain.hung()`) and falls silent the moment a stage hangs; the
+// supervisor's reset handler then re-runs the chain, which is exactly what a
+// hardware watchdog reset does on a real ECU. Every detection, escalation,
+// and re-boot lands on the shared TraceBus next to the chain's own stage
+// events.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "ecu/boot.hpp"
@@ -30,24 +29,22 @@ class BootGuard {
             util::SimTime check_period);
 
   /// Starts the heartbeat (and the supervisor, if not yet running).
-  void start();
-  void stop();
+  void start() { watchdog_.start(); }
+  void stop() { watchdog_.stop(); }
 
   /// Chain re-runs performed by the supervisor's reset handler.
   std::uint64_t reboots() const { return reboots_; }
   /// Of those, how many produced a non-hung boot (any mode counts — a
   /// recovery-mode boot is a *successful* escalation outcome).
   std::uint64_t reboots_recovered() const { return reboots_recovered_; }
-  const std::string& entity() const { return entity_; }
+  const std::string& entity() const { return watchdog_.entity(); }
 
  private:
   sim::Scheduler& sched_;
-  HealthSupervisor& supervisor_;
   ecu::BootChain& chain_;
-  std::string entity_;
-  std::unique_ptr<HeartbeatEmitter> heartbeat_;
   std::uint64_t reboots_ = 0;
   std::uint64_t reboots_recovered_ = 0;
+  Watchdog watchdog_;
 };
 
 }  // namespace aseck::safety

@@ -381,4 +381,35 @@ void HeartbeatEmitter::start() {
 
 void HeartbeatEmitter::stop() { task_.reset(); }
 
+// --- Watchdog ----------------------------------------------------------------
+
+Watchdog::Watchdog(Scheduler& sched, HealthSupervisor& supervisor,
+                   std::string entity, SimTime check_period,
+                   HeartbeatEmitter::HealthProbe healthy,
+                   HealthSupervisor::ResetHandler reset)
+    : supervisor_(supervisor),
+      entity_(std::move(entity)),
+      heartbeat_(
+          sched, supervisor, entity_,
+          SimTime::from_ns(std::max<std::uint64_t>(1, check_period.ns / 2)),
+          std::move(healthy)) {
+  AliveSupervision alive;
+  alive.period = check_period;
+  alive.expected = 1;
+  alive.min_margin = 0;
+  alive.max_margin = 3;  // heartbeat runs at 2x the cycle; allow phase drift
+  EscalationPolicy esc;
+  esc.failed_tolerance = 0;  // first silent cycle expires the entity
+  esc.max_resets = 3;
+  supervisor_.supervise_alive(entity_, alive, esc);
+  supervisor_.set_reset_handler(entity_, std::move(reset));
+}
+
+void Watchdog::start() {
+  heartbeat_.start();
+  if (!supervisor_.running()) supervisor_.start();
+}
+
+void Watchdog::stop() { heartbeat_.stop(); }
+
 }  // namespace aseck::safety

@@ -241,4 +241,28 @@ class HeartbeatEmitter {
   std::uint64_t suppressed_ = 0;
 };
 
+/// Supervised-reset wiring: registers `entity` for alive supervision at
+/// `check_period` with a HeartbeatEmitter beating at twice that rate while
+/// `healthy` holds. The first silent cycle expires the entity, and the
+/// escalation ladder (up to 3 resets) calls `reset`, which returns whether
+/// the entity came back up. BootGuard and ota::ConfirmWatchdog are this
+/// wiring plus their own probe and reset action.
+class Watchdog {
+ public:
+  /// Registers `entity` on `supervisor` (call before supervisor.start()).
+  Watchdog(Scheduler& sched, HealthSupervisor& supervisor, std::string entity,
+           SimTime check_period, HeartbeatEmitter::HealthProbe healthy,
+           HealthSupervisor::ResetHandler reset);
+
+  /// Starts the heartbeat (and the supervisor, if not yet running).
+  void start();
+  void stop();
+  const std::string& entity() const { return entity_; }
+
+ private:
+  HealthSupervisor& supervisor_;
+  std::string entity_;
+  HeartbeatEmitter heartbeat_;
+};
+
 }  // namespace aseck::safety

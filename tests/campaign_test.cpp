@@ -122,7 +122,10 @@ TEST(Campaign, FailedSelfTestsAbortAfterFirstWave) {
   }
 }
 
-TEST(Campaign, PowerLossDuringFetchResumesFromJournalWatermark) {
+/// Tears page 3 of a streaming install, reboots, and resumes in a second
+/// session; `resume_outage` > 0 takes both repositories down for that long
+/// over the second session's first attempt.
+void resume_after_power_cut(SimTime resume_outage) {
   FleetFixture f;
   FaultPlan plan(f.sched, 7);
   FaultSpec spec;
@@ -136,6 +139,8 @@ TEST(Campaign, PowerLossDuringFetchResumesFromJournalWatermark) {
   flash.provision(
       FirmwareImage{"vecu-fw", 1, patterned(2 * Flash::kPageSize, 0x11)});
   flash.set_fault_port(&plan.port("vm.flash"));
+  f.director.set_fault_port(&plan.port("ota.director"));
+  f.images.set_fault_port(&plan.port("ota.image"));
   FullVerificationClient client("vm0", f.director.trusted_root(),
                                 f.images.trusted_root());
   FullVerificationClient::RetryPolicy policy;
@@ -160,6 +165,15 @@ TEST(Campaign, PowerLossDuringFetchResumesFromJournalWatermark) {
   EXPECT_TRUE(rep.staging_resumable);
   EXPECT_EQ(rep.resume_watermark, 2 * Flash::kPageSize);
 
+  if (resume_outage > SimTime::zero()) {
+    for (const char* repo : {"ota.director", "ota.image"}) {
+      FaultSpec outage;
+      outage.target = repo;
+      outage.kind = FaultKind::kOutage;
+      plan.window(f.sched.now() + SimTime::from_ms(5), resume_outage, outage);
+    }
+  }
+
   // Second session resumes: exactly the surviving bytes are never refetched.
   std::optional<FullVerificationClient::RetryOutcome> second;
   f.sched.schedule_after(SimTime::from_ms(10), [&] {
@@ -170,6 +184,8 @@ TEST(Campaign, PowerLossDuringFetchResumesFromJournalWatermark) {
   f.sched.run_until(f.sched.now() + SimTime::from_s(10));
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->outcome.error, OtaError::kOk);
+  EXPECT_EQ(second->attempts, resume_outage > SimTime::zero() ? 2 : 1);
+  EXPECT_EQ(second->resumed_from, 2 * Flash::kPageSize);
   EXPECT_EQ(second->resume_bytes_saved, 2 * Flash::kPageSize);
 
   EXPECT_EQ(install_staged(flash, f.sched.now(), SimTime::from_s(30), {}),
@@ -177,6 +193,16 @@ TEST(Campaign, PowerLossDuringFetchResumesFromJournalWatermark) {
   ASSERT_NE(flash.active(), nullptr);
   EXPECT_EQ(flash.active()->version, 2u);
   EXPECT_EQ(flash.active()->code, f.fw);
+}
+
+TEST(Campaign, PowerLossDuringFetchResumesFromJournalWatermark) {
+  resume_after_power_cut(SimTime::zero());
+}
+
+// Regression: the pre-reboot watermark counts as saved even when the
+// resuming session's first attempt fails before the journal opens.
+TEST(Campaign, ResumeSavingsSurviveOutageOnFirstResumeAttempt) {
+  resume_after_power_cut(SimTime::from_ms(50));
 }
 
 TEST(Campaign, ConfirmWatchdogAutoRevertsUnconfirmedActivation) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "ota/client.hpp"
+#include "sim/faultplan.hpp"
+#include "sim/scheduler.hpp"
 
 namespace aseck::ota {
 namespace {
@@ -286,6 +288,37 @@ TEST(Ota, InstallFlow) {
   // Downgrade rejected at stage time.
   EXPECT_EQ(install_image(flash, "brake-fw", 1, img, [] { return true; }),
             InstallResult::kStageRejected);
+}
+
+// A single power cut anywhere in install_image (ops 0-2 stage the image,
+// 3 is the activation marker, 4 the commit marker) is reported as kPowerLoss,
+// and kCommitted means v2 really is active.
+TEST(Ota, InstallImageReportsEveryPowerCut) {
+  for (int cut = 0; cut < 8; ++cut) {
+    SCOPED_TRACE("cut at write op " + std::to_string(cut));
+    sim::Scheduler sched;
+    sim::FaultPlan plan(sched, 1);
+    sim::FaultSpec spec;
+    spec.target = "flash";
+    spec.kind = sim::FaultKind::kPowerLoss;
+    spec.probability = 0.0;
+    spec.page_index = cut;
+    plan.window(SimTime::zero(), SimTime::from_s(1), spec);
+    sched.run_until(SimTime::from_ms(1));  // open the window
+    ecu::Flash flash;
+    flash.provision(ecu::FirmwareImage{"brake-fw", 1, Bytes(128, 1)});
+    flash.set_fault_port(&plan.port("flash"));
+
+    const InstallResult r =
+        install_image(flash, "brake-fw", 2, Bytes(256, 2), [] { return true; });
+    EXPECT_EQ(r == InstallResult::kPowerLoss, flash.lost_power());
+    if (r == InstallResult::kCommitted) {
+      ASSERT_NE(flash.active(), nullptr);
+      EXPECT_EQ(flash.active()->version, 2u);
+    }
+    EXPECT_EQ(r, cut < 5 ? InstallResult::kPowerLoss
+                         : InstallResult::kCommitted);
+  }
 }
 
 }  // namespace
