@@ -146,11 +146,10 @@ RowResult run_lin(double rate_hz, std::uint64_t seed, SimTime horizon) {
   ivn::LinMaster master(sched, "lin0");
   master.bind_telemetry(t);
   struct Slave final : ivn::LinSlave {
-    using ivn::LinSlave::LinSlave;
     std::optional<Bytes> respond(std::uint8_t) override {
       return Bytes{0xAA, 0xBB};
     }
-  } slave("slave");
+  } slave;
   master.attach(&slave);
   master.set_schedule({{0x10, SimTime::from_ms(10)}});
   FaultPlan plan(sched, seed);
@@ -176,19 +175,17 @@ RowResult run_flexray(double rate_hz, std::uint64_t seed, SimTime horizon) {
   ivn::FlexRayBus bus(sched, "fr0");
   bus.bind_telemetry(t);
   struct Owner final : ivn::FlexRayNode {
-    using ivn::FlexRayNode::FlexRayNode;
     std::optional<Bytes> static_payload(std::uint16_t, std::uint8_t) override {
       return Bytes{0x01, 0x02};
     }
-  } owner("steer");
+  } owner;
   struct Listener final : ivn::FlexRayNode {
-    using ivn::FlexRayNode::FlexRayNode;
     std::optional<Bytes> static_payload(std::uint16_t, std::uint8_t) override {
       return std::nullopt;
     }
     void on_frame(const ivn::FlexRayFrame&, SimTime) override { ++rx; }
     std::uint64_t rx = 0;
-  } listener("listener");
+  } listener;
   bus.assign_static_slot(1, &owner);
   bus.attach_listener(&listener);
   FaultPlan plan(sched, seed);

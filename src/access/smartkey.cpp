@@ -52,16 +52,4 @@ SmartAccess::Result SmartAccess::request(const AccessToken& token,
   return Result::kGranted;
 }
 
-const char* SmartAccess::result_name(Result r) {
-  switch (r) {
-    case Result::kGranted: return "granted";
-    case Result::kBadToken: return "bad_token";
-    case Result::kExpired: return "expired";
-    case Result::kRevoked: return "revoked";
-    case Result::kNoCapability: return "no_capability";
-    case Result::kBadSignature: return "bad_signature";
-  }
-  return "?";
-}
-
 }  // namespace aseck::access

@@ -64,8 +64,6 @@ class SmartAccess {
   Result request(const AccessToken& token, Capability want, SimTime now,
                  util::BytesView challenge, const crypto::EcdsaSignature& proof);
 
-  static const char* result_name(Result r);
-
  private:
   crypto::EcdsaPublicKey server_key_;
   const KeyServer* revocation_;

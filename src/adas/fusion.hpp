@@ -89,8 +89,6 @@ class ImuPlausibilityMonitor {
   /// is active.
   bool feed(double imu_accel_mps2, double wheel_speed_mps, double dt_s);
 
-  bool alarmed() const { return alarmed_; }
-
  private:
   Config cfg_;
   std::optional<double> last_speed_;

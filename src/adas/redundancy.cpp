@@ -5,16 +5,6 @@
 
 namespace aseck::adas {
 
-const char* vote_verdict_name(VoteVerdict v) {
-  switch (v) {
-    case VoteVerdict::kAgree: return "agree";
-    case VoteVerdict::kDisagree: return "disagree";
-    case VoteVerdict::kDegradedSingle: return "degraded_single";
-    case VoteVerdict::kNoData: return "no_data";
-  }
-  return "?";
-}
-
 DualChannelVoter::DualChannelVoter(DualChannelConfig cfg,
                                    PerceptionSensor* channel_a,
                                    PerceptionSensor* channel_b)
@@ -29,13 +19,6 @@ void DualChannelVoter::set_channel_failed(int channel, bool failed) {
     throw std::invalid_argument("DualChannelVoter: channel must be 0 or 1");
   }
   failed_[channel] = failed;
-}
-
-bool DualChannelVoter::channel_failed(int channel) const {
-  if (channel < 0 || channel > 1) {
-    throw std::invalid_argument("DualChannelVoter: channel must be 0 or 1");
-  }
-  return failed_[channel];
 }
 
 DualChannelVoter::Output DualChannelVoter::sample(

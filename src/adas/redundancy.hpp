@@ -32,7 +32,6 @@ enum class VoteVerdict {
   kDegradedSingle,  // 1oo1: one channel failed, survivor passed through
   kNoData,          // both channels failed
 };
-const char* vote_verdict_name(VoteVerdict v);
 
 struct DualChannelConfig {
   /// Association gates: detections from the two channels within both gates
@@ -54,7 +53,6 @@ class DualChannelVoter {
   /// Marks a channel failed/recovered (0 = A, 1 = B); wired to the
   /// supervisor's status handler.
   void set_channel_failed(int channel, bool failed);
-  bool channel_failed(int channel) const;
 
   struct Output {
     std::vector<Detection> detections;

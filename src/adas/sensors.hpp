@@ -47,8 +47,6 @@ class PerceptionSensor {
   };
   PerceptionSensor(Config cfg, std::uint64_t seed);
 
-  const Config& config() const { return cfg_; }
-
   /// Measures the true scene; attack-injected ghosts are appended and
   /// attack-suppressed objects removed.
   std::vector<Detection> sense(const std::vector<TruthObject>& truth);
@@ -99,7 +97,6 @@ class TpmsReceiver {
   explicit TpmsReceiver(double nominal_kpa = 240) : nominal_(nominal_kpa) {}
   double sense() const { return spoofed_ ? *spoofed_ : nominal_; }
   void spoof(std::optional<double> kpa) { spoofed_ = kpa; }
-  double nominal() const { return nominal_; }
 
  private:
   double nominal_;

@@ -58,14 +58,13 @@ class SessionFrontend {
 
   std::uint64_t handshakes() const { return c_handshakes_->value(); }
   std::uint64_t resumptions() const { return c_resumed_->value(); }
-  std::uint64_t failures() const { return c_failures_->value(); }
   double resumption_rate() const {
     const std::uint64_t h = handshakes(), r = resumptions();
     return h + r == 0 ? 0.0
                       : static_cast<double>(r) / static_cast<double>(h + r);
   }
 
-  sim::TraceScope& trace() { return trace_; }
+  /// Rebinds trace events and cloud.front.* counters onto a shared plane.
   void bind_telemetry(const sim::Telemetry& t);
 
  private:

@@ -155,14 +155,4 @@ ChannelClient::Result ChannelClient::finish(const ServerHello& hello) {
   return Result::kOk;
 }
 
-const char* ChannelClient::result_name(Result r) {
-  switch (r) {
-    case Result::kOk: return "ok";
-    case Result::kBadCredential: return "bad_credential";
-    case Result::kBadTranscriptSig: return "bad_transcript_sig";
-    case Result::kEcdhFailure: return "ecdh_failure";
-  }
-  return "?";
-}
-
 }  // namespace aseck::cloud

@@ -101,8 +101,6 @@ class ChannelClient {
   RecordKeys& to_server() { return to_server_; }
   RecordKeys& from_server() { return from_server_; }
 
-  static const char* result_name(Result r);
-
  private:
   crypto::EcdsaPublicKey authority_;
   crypto::Drbg& rng_;

@@ -34,8 +34,6 @@ void LayerManager::bind_gateway(gateway::SecurityGateway* gw,
   external_domains_ = std::move(external_domains);
 }
 
-void LayerManager::bind_vehicle(v2x::VehicleNode* v) { vehicles_.push_back(v); }
-
 void LayerManager::bind_pkes(access::PkesCar* car) { pkes_ = car; }
 
 const CompiledConfig& LayerManager::apply(const SecurityPolicy& policy) {
@@ -55,9 +53,6 @@ const CompiledConfig& LayerManager::apply(const SecurityPolicy& policy) {
             domain, gateway::RateLimit{config_.gateway_rate_limit_fps, 10.0});
       }
     }
-  }
-  for (v2x::VehicleNode* v : vehicles_) {
-    v->set_verify_policy(config_.v2x_policy);
   }
   if (pkes_) pkes_->set_rtt_limit(config_.pkes_rtt_limit_us);
   return config_;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "access/pkes.hpp"
-#include "core/modes.hpp"
 #include "core/policy.hpp"
 #include "core/registry.hpp"
 #include "gateway/gateway.hpp"
@@ -51,7 +50,6 @@ class LayerManager {
   // --- component registration (any subset) ---------------------------------
   void bind_gateway(gateway::SecurityGateway* gw,
                     std::vector<std::string> external_domains);
-  void bind_vehicle(v2x::VehicleNode* v);
   void bind_pkes(access::PkesCar* car);
 
   /// Applies a policy to every bound component; returns the compiled form.
@@ -64,19 +62,13 @@ class LayerManager {
   ivn::SecOcChannel make_secoc_channel(util::BytesView key) const;
   /// L3: creates the active MAC suite for application-level authentication.
   std::unique_ptr<MacSuite> make_mac_suite(util::BytesView key) const;
-  const SuiteRegistry& registry() const { return registry_; }
-  SuiteRegistry& registry() { return registry_; }
-
-  TradeoffController& tradeoff() { return tradeoff_; }
 
  private:
   SuiteRegistry registry_;
   CompiledConfig config_;
   gateway::SecurityGateway* gateway_ = nullptr;
   std::vector<std::string> external_domains_;
-  std::vector<v2x::VehicleNode*> vehicles_;
   access::PkesCar* pkes_ = nullptr;
-  TradeoffController tradeoff_;
   std::uint32_t applications_ = 0;
 };
 

@@ -38,10 +38,6 @@ TradeoffController::TradeoffController() {
   current_ = highway;
 }
 
-void TradeoffController::set_mode(Environment env, SecurityMode mode) {
-  table_[env] = std::move(mode);
-}
-
 const SecurityMode& TradeoffController::mode_for(Environment env) const {
   const auto it = table_.find(env);
   if (it == table_.end()) {

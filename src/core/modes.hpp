@@ -32,8 +32,6 @@ struct SecurityMode {
   /// Composite security index in [0,1]: how much of the maximum checking
   /// this mode performs (used as the E10 y-axis).
   double security_index() const;
-  /// Estimated per-message verification cost factor (1.0 = verify all).
-  double verify_cost_factor() const { return v2x_verify_fraction; }
 };
 
 /// Hysteresis-based controller.
@@ -41,8 +39,6 @@ class TradeoffController {
  public:
   TradeoffController();
 
-  /// Replaces the mode table (policy-driven).
-  void set_mode(Environment env, SecurityMode mode);
   const SecurityMode& mode_for(Environment env) const;
 
   /// Feeds context; returns the selected mode. Threat level in [0,1]

@@ -59,7 +59,6 @@ class VehiclePlatform {
   ivn::CanBus& bus(const std::string& domain);
   ecu::Ecu& ecu(const std::string& name);
   gateway::SecurityGateway& gateway() { return *gateway_; }
-  LayerManager& layers() { return layers_; }
   PolicyStore& policy() { return *policy_store_; }
   const VehicleSpec& spec() const { return spec_; }
 
@@ -70,7 +69,6 @@ class VehiclePlatform {
   /// nodes) can join via their own bind_telemetry(telemetry()).
   const sim::Telemetry& telemetry() const { return telemetry_; }
   sim::TraceBus& trace_bus() { return *telemetry_.bus; }
-  sim::MetricsRegistry& metrics() { return *telemetry_.metrics; }
 
   /// SecOC channel under the active policy, bound to the vehicle SecOC key.
   ivn::SecOcChannel secoc_channel() const;

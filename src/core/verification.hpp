@@ -28,7 +28,6 @@ struct ConfigParam {
 class ConfigSpace {
  public:
   void add(ConfigParam p) { params_.push_back(std::move(p)); }
-  const std::vector<ConfigParam>& params() const { return params_; }
 
   /// |full cross product| (saturating at ~1e18).
   std::uint64_t exhaustive_count() const;
@@ -36,9 +35,6 @@ class ConfigSpace {
   /// Rows of a greedy pairwise covering array (every pair of values of every
   /// two parameters appears in some row).
   std::vector<std::vector<std::size_t>> pairwise_array(std::uint64_t seed) const;
-  std::uint64_t pairwise_count(std::uint64_t seed) const {
-    return pairwise_array(seed).size();
-  }
 
   /// Extensibility-aware count: cross product over non-reducible parameters
   /// plus per-value isolated runs for reducible ones.

@@ -288,8 +288,4 @@ util::Bytes aes_cbc_decrypt(const Aes& aes, const Block& iv, util::BytesView cip
   return out;
 }
 
-Block aes_ecb_encrypt_block(util::BytesView key, const Block& in) {
-  return Aes(key).encrypt(in);
-}
-
 }  // namespace aseck::crypto

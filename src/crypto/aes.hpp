@@ -31,8 +31,6 @@ class Aes {
   /// Key must be 16, 24 or 32 bytes.
   explicit Aes(util::BytesView key);
 
-  int rounds() const { return rounds_; }
-
   void encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const;
   void decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const;
 
@@ -59,8 +57,5 @@ util::Bytes aes_ctr(const Aes& aes, const Block& iv, util::BytesView data);
 util::Bytes aes_cbc_encrypt(const Aes& aes, const Block& iv, util::BytesView plain);
 /// Throws std::invalid_argument on bad padding or non-block-multiple input.
 util::Bytes aes_cbc_decrypt(const Aes& aes, const Block& iv, util::BytesView cipher);
-
-/// Single-block ECB helpers (used by SHE and the Miyaguchi–Preneel KDF).
-Block aes_ecb_encrypt_block(util::BytesView key, const Block& in);
 
 }  // namespace aseck::crypto

@@ -63,13 +63,5 @@ const Block& she_key_update_mac_c() {
   static const Block c = make_constant(0x02);
   return c;
 }
-const Block& she_debug_key_c() {
-  static const Block c = make_constant(0x03);
-  return c;
-}
-const Block& she_prng_key_c() {
-  static const Block c = make_constant(0x04);
-  return c;
-}
 
 }  // namespace aseck::crypto

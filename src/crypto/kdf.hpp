@@ -21,7 +21,5 @@ Block she_kdf(const Block& key, const Block& c);
 /// SHE update constants (SHE spec 1.1, section "Memory Update Protocol").
 const Block& she_key_update_enc_c();   // KEY_UPDATE_ENC_C
 const Block& she_key_update_mac_c();   // KEY_UPDATE_MAC_C
-const Block& she_debug_key_c();        // DEBUG_KEY_C
-const Block& she_prng_key_c();         // PRNG_KEY_C
 
 }  // namespace aseck::crypto

@@ -23,7 +23,6 @@ const U256 kGy = U256::from_hex(
 
 const U256& P() { return kP; }
 const U256& N() { return kN; }
-const U256& B() { return kB; }
 const U256& Gx() { return kGx; }
 const U256& Gy() { return kGy; }
 

@@ -23,10 +23,9 @@
 
 namespace aseck::crypto::p256 {
 
-/// Field prime p, curve order n, and curve parameter b (a = -3).
+/// Field prime p and curve order n (the curve has a = -3).
 const U256& P();
 const U256& N();
-const U256& B();
 /// Base point (affine).
 const U256& Gx();
 const U256& Gy();

@@ -239,13 +239,6 @@ ServiceStatus CryptoService::export_secret(PartitionId caller, KeyHandle h,
   return ServiceStatus::kOk;
 }
 
-ServiceStatus CryptoService::probe(PartitionId caller, KeyHandle h,
-                                   std::uint32_t usage) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  const RawKey* k = nullptr;
-  return check_locked(caller, h, usage, &k);
-}
-
 std::size_t CryptoService::key_count() const {
   std::lock_guard<std::mutex> lk(mu_);
   return keys_.size();
@@ -254,13 +247,6 @@ std::size_t CryptoService::key_count() const {
 std::uint64_t CryptoService::ops() const {
   std::lock_guard<std::mutex> lk(mu_);
   return ops_;
-}
-
-std::uint64_t CryptoService::denials() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [st, c] : denials_) n += c;
-  return n;
 }
 
 std::uint64_t CryptoService::denials(ServiceStatus s) const {

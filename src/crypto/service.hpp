@@ -92,12 +92,6 @@ class KeyHandle {
  public:
   KeyHandle() = default;
   bool valid() const { return id_ != 0; }
-  friend bool operator==(const KeyHandle& a, const KeyHandle& b) {
-    return a.id_ == b.id_;
-  }
-  friend bool operator<(const KeyHandle& a, const KeyHandle& b) {
-    return a.id_ < b.id_;
-  }
 
  private:
   friend class CryptoService;
@@ -119,7 +113,6 @@ class CryptoService {
   CryptoService(const CryptoService&) = delete;
   CryptoService& operator=(const CryptoService&) = delete;
 
-  const std::string& name() const { return name_; }
   State state() const;
 
   // --- provisioning (kProvisioning only) ------------------------------------
@@ -166,15 +159,10 @@ class CryptoService {
   ServiceStatus export_secret(PartitionId caller, KeyHandle h,
                               util::Bytes* out) const;
 
-  /// Non-mutating policy probe: would `usage` be allowed right now?
-  ServiceStatus probe(PartitionId caller, KeyHandle h,
-                      std::uint32_t usage) const;
-
   // --- observation -----------------------------------------------------------
   std::size_t key_count() const;
   std::uint64_t ops() const;       // successful operations
-  std::uint64_t denials() const;   // denied operations (any status)
-  std::uint64_t denials(ServiceStatus s) const;
+  std::uint64_t denials(ServiceStatus s) const;  // denied operations
   /// Deterministic export (state, partitions, op/denial counters).
   std::string to_json() const;
 

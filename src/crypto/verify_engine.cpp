@@ -89,8 +89,8 @@ std::vector<bool> VerifyEngine::verify_batch(
     std::vector<BatchVerifyItem> work;
     work.reserve(misses.size());
     for (const Miss& m : misses) work.push_back(items[m.slot]);
-    const std::vector<bool> ok = ecdsa_verify_batch(
-        work, util::BytesView(salt_.data(), salt_.size()), &batch_stats_);
+    const std::vector<bool> ok =
+        ecdsa_verify_batch(work, util::BytesView(salt_.data(), salt_.size()));
     batched_ += misses.size();
     if (c_batched_) c_batched_->inc(misses.size());
     if (h_batch_items_) {

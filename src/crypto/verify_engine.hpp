@@ -64,11 +64,8 @@ class VerifyEngine {
     batch_kernel_ = on;
     batch_min_ = min_batch < 1 ? 1 : min_batch;
   }
-  bool batch_kernel() const { return batch_kernel_; }
   /// Extra entropy folded into the kernel's randomizer transcript.
   void set_batch_salt(util::Bytes salt) { salt_ = std::move(salt); }
-  /// Kernel work accounting (RLC checks, bisections, fallbacks).
-  const BatchVerifyStats& batch_stats() const { return batch_stats_; }
 
   /// Exports counters onto a shared registry (later verifications also tick
   /// the registry instruments). Binding adds the engine's totals so far to
@@ -86,7 +83,6 @@ class VerifyEngine {
   /// Of those, how many were resolved through the batch kernel.
   std::uint64_t batched_calls() const { return batched_; }
   std::size_t cache_size() const { return cache_.size(); }
-  std::size_t cache_capacity() const { return cache_.capacity(); }
   void set_cache_capacity(std::size_t cap);
 
  private:
@@ -103,7 +99,6 @@ class VerifyEngine {
   bool batch_kernel_ = false;
   std::size_t batch_min_ = 2;
   util::Bytes salt_;
-  BatchVerifyStats batch_stats_;
   sim::MetricsRegistry* bound_ = nullptr;  // registry the counters live on
   sim::Counter* c_calls_ = nullptr;
   sim::Counter* c_hits_ = nullptr;

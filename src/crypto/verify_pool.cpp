@@ -13,8 +13,7 @@ VerifyPool::VerifyPool(VerifyPoolConfig cfg)
   lanes_.reserve(cfg_.lanes);
   for (std::size_t l = 0; l < cfg_.lanes; ++l) {
     auto lane = std::make_unique<Lane>();
-    lane->engine.set_cache_capacity(cfg_.cache_capacity);
-    lane->engine.set_batch_kernel(cfg_.batch_kernel);
+    lane->engine.set_batch_kernel(true);
     lane->engine.set_batch_salt(cfg_.salt);
     lane->engine.bind_metrics(lane->metrics);
     lanes_.push_back(std::move(lane));

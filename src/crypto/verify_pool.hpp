@@ -86,8 +86,6 @@ struct VerifyPoolConfig {
   std::size_t lanes = 8;
   /// Target RLC batch per engine burst; chunks larger bursts.
   std::size_t batch_size = 64;
-  std::size_t cache_capacity = VerifyEngine::kDefaultCacheCapacity;
-  bool batch_kernel = true;
   util::Bytes salt{};
 };
 
@@ -97,7 +95,6 @@ class VerifyPool {
 
   VerifyQueue& queue() { return queue_; }
   std::size_t lanes() const { return lanes_.size(); }
-  unsigned threads() const { return pool_.threads(); }
   std::uint64_t flushes() const { return flushes_; }
   std::uint64_t jobs_done() const { return jobs_; }
 

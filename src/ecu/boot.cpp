@@ -308,20 +308,17 @@ BootChain::Report BootChain::run(util::SimTime now) {
     rep.boot_us += rep.kv.scan_us;
   }
 
-  crypto::EcdsaPublicKey anchor = cfg_.app_anchor;
-  bool have_anchor = cfg_.has_app_anchor;
+  // The app trust anchor lives only in the KvStore under kKvAppAnchorKey.
+  std::optional<crypto::EcdsaPublicKey> anchor;
   if (const util::Bytes* a = kv_value(kKvAppAnchorKey)) {
-    if (const auto parsed = crypto::EcdsaPublicKey::from_bytes(*a)) {
-      anchor = *parsed;
-      have_anchor = true;
-    }
+    anchor = crypto::EcdsaPublicKey::from_bytes(*a);
   }
 
   // Verifies the currently-active image against the anchor, retrying per
   // config; a hang inside returns no verdict (caller checks hung_).
   const auto verify_active = [&](StageRecord* sr) {
     const FirmwareImage* img = flash_.active();
-    if (!img || !have_anchor) {
+    if (!img || !anchor) {
       ++sr->attempts;
       return false;
     }
@@ -333,7 +330,7 @@ BootChain::Report BootChain::run(util::SimTime now) {
       rep.boot_us += cfg_.sig_verify_us;
       if (!sig_bytes) continue;
       const auto sig = crypto::EcdsaSignature::from_bytes(*sig_bytes);
-      if (sig && engine_.verify_digest(anchor, d, *sig)) return true;
+      if (sig && engine_.verify_digest(*anchor, d, *sig)) return true;
     }
     return false;
   };

@@ -121,9 +121,6 @@ struct BootChainConfig {
   int stage_retries = 1;
   /// ROM-resident limp-home image booted when no slot verifies.
   std::optional<FirmwareImage> recovery_image;
-  /// Fallback app trust anchor when the KvStore has no "boot.anchor".
-  crypto::EcdsaPublicKey app_anchor{};
-  bool has_app_anchor = false;
   /// Modeled cost of one app-image ECDSA verification.
   double sig_verify_us = 200.0;
 };
@@ -175,9 +172,7 @@ class BootChain {
   Report run(util::SimTime now = util::SimTime::zero());
 
   bool hung() const { return hung_; }
-  std::uint32_t boot_count() const { return boot_count_; }
   const Report& last() const { return last_; }
-  const MeasurementRegister& measurements() const { return mr_; }
 
   /// Signed evidence for the last run; nullopt before the first run or when
   /// the service denies the signature (no attestation key provisioned).
@@ -188,7 +183,6 @@ class BootChain {
     return 2.0 + 0.01 * static_cast<double>(bytes);
   }
 
-  sim::TraceScope& trace() { return trace_; }
   void bind_telemetry(const sim::Telemetry& t);
 
  private:

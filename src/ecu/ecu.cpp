@@ -11,8 +11,10 @@ util::Bytes make_uid(std::uint64_t seed) {
 }
 }  // namespace
 
+// A non-finite sample is a violation: NaN fails every comparison, so the
+// envelope test alone would let a NaN glitch pass.
 bool TamperMonitor::feed_voltage(double volts) {
-  if (volts < v_min || volts > v_max) {
+  if (!std::isfinite(volts) || volts < v_min || volts > v_max) {
     tripped = true;
     return true;
   }
@@ -20,7 +22,8 @@ bool TamperMonitor::feed_voltage(double volts) {
 }
 
 bool TamperMonitor::feed_clock(double mhz) {
-  if (std::abs(mhz - clk_nominal_mhz) > clk_tolerance * clk_nominal_mhz) {
+  if (!std::isfinite(mhz) ||
+      std::abs(mhz - clk_nominal_mhz) > clk_tolerance * clk_nominal_mhz) {
     tripped = true;
     return true;
   }
@@ -109,13 +112,6 @@ void Ecu::compromise_partition(std::size_t idx) {
   if (!isolation_) {
     for (auto& p : partitions_) p.compromised = true;
   }
-}
-
-bool Ecu::any_compromised() const {
-  for (const auto& p : partitions_) {
-    if (p.compromised) return true;
-  }
-  return false;
 }
 
 void Ecu::attach_to(CanBus* bus) {

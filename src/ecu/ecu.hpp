@@ -54,7 +54,6 @@ class Ecu : public ivn::CanNode {
  public:
   Ecu(Scheduler& sched, std::string name, std::uint64_t uid_seed);
 
-  Scheduler& scheduler() { return sched_; }
   She& she() { return she_; }
   Flash& flash() { return flash_; }
   EcuState state() const { return state_; }
@@ -77,7 +76,6 @@ class Ecu : public ivn::CanNode {
   /// kvstore; subsequent boot() calls run the full chain (ROM -> boot MAC ->
   /// app signature) instead of the legacy bare SHE path.
   BootChain& install_boot_chain(BootChainConfig cfg);
-  BootChain* boot_chain() { return chain_.get(); }
 
   /// Powers on: secure boot of the active firmware. Operational on success,
   /// degraded on failure (limp-home: only diagnostics traffic). With an
@@ -99,16 +97,12 @@ class Ecu : public ivn::CanNode {
   /// With hypervisor isolation on (default), a compromised partition cannot
   /// reach others; with it off, compromise spreads to all partitions.
   void set_isolation(bool on) { isolation_ = on; }
-  bool isolation() const { return isolation_; }
   const std::vector<Partition>& partitions() const { return partitions_; }
-  /// True if any partition is compromised.
-  bool any_compromised() const;
 
   // --- CAN messaging ---------------------------------------------------------
   /// Attaches to a bus (an ECU joins exactly one bus; gateways use multiple
   /// adapters instead).
   void attach_to(CanBus* bus);
-  CanBus* bus() const { return bus_; }
 
   using FrameHandler = std::function<void(const CanFrame&, SimTime)>;
   /// Registers a handler for a CAN id.

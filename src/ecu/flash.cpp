@@ -6,17 +6,6 @@
 
 namespace aseck::ecu {
 
-const char* slot_state_name(SlotState s) {
-  switch (s) {
-    case SlotState::kEmpty: return "empty";
-    case SlotState::kStaging: return "staging";
-    case SlotState::kStaged: return "staged";
-    case SlotState::kActive: return "active";
-    case SlotState::kConfirmed: return "confirmed";
-  }
-  return "?";
-}
-
 bool Flash::consume_power() {
   if (fault_port_ && fault_port_->consume_power_loss()) {
     lost_power_ = true;
@@ -242,16 +231,6 @@ std::uint64_t Flash::staging_watermark() const {
   return s.durable_bytes;
 }
 
-const util::Bytes* Flash::staging_digest() const {
-  if (staging_slot_ < 0) return nullptr;
-  const Slot& s = slots_[staging_slot_];
-  if (s.header.state != SlotState::kStaging &&
-      s.header.state != SlotState::kStaged) {
-    return nullptr;
-  }
-  return &s.header.sha256;
-}
-
 bool Flash::stage(FirmwareImage img) {
   StageRequest req;
   req.name = img.name;
@@ -331,16 +310,6 @@ const FirmwareImage* Flash::staged() const {
   if (staging_slot_ < 0 || !img_[staging_slot_]) return nullptr;
   if (slots_[staging_slot_].header.state != SlotState::kStaged) return nullptr;
   return &*img_[staging_slot_];
-}
-
-SlotState Flash::slot_state(int slot) const {
-  if (slot < 0 || slot > 1) return SlotState::kEmpty;
-  return slots_[slot].header.state;
-}
-
-SlotState Flash::active_state() const {
-  return active_slot_ < 0 ? SlotState::kEmpty
-                          : slots_[active_slot_].header.state;
 }
 
 bool Flash::confirm_pending() const {

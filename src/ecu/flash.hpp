@@ -53,10 +53,6 @@ struct FirmwareImage {
     blob.insert(blob.end(), code.begin(), code.end());
     return crypto::sha256(blob);
   }
-  util::Bytes digest_bytes() const {
-    const auto d = digest();
-    return util::Bytes(d.begin(), d.end());
-  }
 };
 
 /// Slot header state machine.
@@ -67,7 +63,6 @@ enum class SlotState : std::uint8_t {
   kActive,     // booted but not yet confirmed (self-test pending)
   kConfirmed,  // self-test passed; rollback floor raised to its version
 };
-const char* slot_state_name(SlotState s);
 
 /// Outcome of one persistent write operation.
 enum class FlashWrite {
@@ -160,8 +155,6 @@ class Flash : public sim::FaultHook {
   FlashWrite stage_finish();
   /// Contiguous durable journal bytes (the download resume offset).
   std::uint64_t staging_watermark() const;
-  /// Content digest of the open/surviving journal (empty if none).
-  const util::Bytes* staging_digest() const;
 
   // --- power-loss modeling ----------------------------------------------------
   /// True after an injected cut until boot() runs; all writes fail meanwhile.
@@ -171,9 +164,6 @@ class Flash : public sim::FaultHook {
   /// repeats recovery.
   BootReport boot(util::SimTime now = util::SimTime::zero());
 
-  SlotState slot_state(int slot) const;
-  /// State of the slot currently selected to boot (kEmpty if none).
-  SlotState active_state() const;
   /// True while the active slot awaits its confirmation (commit) marker.
   bool confirm_pending() const;
   /// Absolute confirm-or-revert deadline (zero = none armed).

@@ -117,14 +117,6 @@ const util::Bytes* KvStore::get(const std::string& key) const {
   return it == live_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> KvStore::keys() const {
-  std::vector<std::string> out;
-  if (!mounted_) return out;
-  out.reserve(live_.size());
-  for (const auto& [k, v] : live_) out.push_back(k);
-  return out;
-}
-
 bool KvStore::put(const std::string& key, util::Bytes value) {
   KvTransaction txn;
   txn.put(key, std::move(value));

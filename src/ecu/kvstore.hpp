@@ -46,7 +46,6 @@ class KvTransaction {
   void erase(std::string key) {
     ops_.push_back({std::move(key), {}, true});
   }
-  std::size_t size() const { return ops_.size(); }
   bool empty() const { return ops_.empty(); }
 
   struct Op {
@@ -96,8 +95,6 @@ class KvStore : public sim::FaultHook {
   const util::Bytes* get(const std::string& key) const;
   bool contains(const std::string& key) const { return get(key) != nullptr; }
   std::size_t size() const { return mounted_ ? live_.size() : 0; }
-  /// Sorted key list (deterministic).
-  std::vector<std::string> keys() const;
 
   // --- writes ----------------------------------------------------------------
   /// Single-key convenience transactions.

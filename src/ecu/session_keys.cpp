@@ -59,15 +59,4 @@ SessionKeyClient::Result SessionKeyClient::install(const SessionKeyWrap& wrap) {
   return Result::kInstalled;
 }
 
-const char* SessionKeyClient::result_name(Result r) {
-  switch (r) {
-    case Result::kInstalled: return "installed";
-    case Result::kWrongEcu: return "wrong_ecu";
-    case Result::kBadMac: return "bad_mac";
-    case Result::kReplayedEpoch: return "replayed_epoch";
-    case Result::kSheError: return "she_error";
-  }
-  return "?";
-}
-
 }  // namespace aseck::ecu

@@ -40,7 +40,6 @@ class SessionKeyMaster {
   /// Starts a new epoch with a fresh session key; returns one wrap per ECU.
   std::vector<SessionKeyWrap> rotate();
 
-  std::uint32_t epoch() const { return epoch_; }
   /// Current session key (for test verification; the master holds it anyway).
   const crypto::Block& current_key() const { return session_key_; }
 
@@ -69,7 +68,6 @@ class SessionKeyClient {
   Result install(const SessionKeyWrap& wrap);
 
   std::uint32_t epoch() const { return epoch_; }
-  static const char* result_name(Result r);
 
  private:
   std::string name_;

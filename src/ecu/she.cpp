@@ -231,16 +231,6 @@ SheError She::dec_ecb(SheSlot slot, const Block& cipher, Block* plain) const {
   return SheError::kNoError;
 }
 
-SheError She::enc_cbc(SheSlot slot, const Block& iv, util::BytesView plain,
-                      util::Bytes* cipher) const {
-  const SheError e = usable(slot, /*for_mac=*/false);
-  if (e != SheError::kNoError) return e;
-  const KeySlotState& st = slot_ref(slot);
-  *cipher = crypto::aes_cbc_encrypt(crypto::Aes(util::BytesView(st.key.data(), 16)),
-                                    iv, plain);
-  return SheError::kNoError;
-}
-
 SheError She::generate_mac(SheSlot slot, util::BytesView msg, Block* mac) const {
   const SheError e = usable(slot, /*for_mac=*/true);
   if (e != SheError::kNoError) return e;
@@ -265,7 +255,6 @@ Block She::rnd() {
 }
 
 bool She::secure_boot(util::BytesView bootloader) {
-  boot_finished_ = true;
   // Reject a zero-length image outright: a blank boot flash must read as a
   // loud failure, not as a CMAC over the empty string that might even match
   // a carelessly-bootstrapped BOOT_MAC.

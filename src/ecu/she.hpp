@@ -104,8 +104,6 @@ class She {
   // --- crypto commands -----------------------------------------------------
   SheError enc_ecb(SheSlot slot, const Block& plain, Block* cipher) const;
   SheError dec_ecb(SheSlot slot, const Block& cipher, Block* plain) const;
-  SheError enc_cbc(SheSlot slot, const Block& iv, util::BytesView plain,
-                   util::Bytes* cipher) const;
   SheError generate_mac(SheSlot slot, util::BytesView msg, Block* mac) const;
   SheError verify_mac(SheSlot slot, util::BytesView msg, util::BytesView mac,
                       bool* ok) const;
@@ -121,7 +119,6 @@ class She {
   /// happily "verify" a device whose boot flash read back blank.
   bool secure_boot(util::BytesView bootloader);
   bool boot_ok() const { return boot_ok_; }
-  bool boot_finished() const { return boot_finished_; }
   /// Why the last secure_boot failed (kNoError after a passing one):
   /// kSequenceError = empty bootloader, kKeyEmpty = missing boot keys,
   /// kKeyUpdateError = MAC mismatch.
@@ -136,7 +133,6 @@ class She {
   /// debugger_protection flag is set (SHE semantics: internal debugger entry
   /// requires key erasure).
   void attach_debugger();
-  bool debugger_attached() const { return debugger_; }
 
   /// True if the slot currently holds a key.
   bool has_key(SheSlot slot) const;
@@ -165,7 +161,6 @@ class She {
   std::array<KeySlotState, 15> slots_{};
   crypto::Drbg prng_;
   bool boot_ok_ = false;
-  bool boot_finished_ = false;
   SheError last_boot_error_ = SheError::kNoError;
   bool debugger_ = false;
 };

@@ -165,9 +165,7 @@ CampaignResult Fuzzer::run(const FuzzTarget& target) {
     f.iteration = iteration;
     f.violation = violation;
     f.input = input;
-    f.minimized = cfg_.minimize
-                      ? minimize(target, cov, input, violation, result.execs)
-                      : input;
+    f.minimized = minimize(target, cov, input, violation, result.execs);
     result.findings.push_back(std::move(f));
   };
 

@@ -106,7 +106,6 @@ class Fuzzer {
   struct Config {
     std::uint64_t seed = 42;
     std::uint64_t iterations = 10'000;
-    bool minimize = true;
     MutatorConfig mutator;
   };
 

@@ -35,7 +35,6 @@ class Mutator {
   void set_dictionary(std::vector<util::Bytes> tokens) {
     dict_ = std::move(tokens);
   }
-  const std::vector<util::Bytes>& dictionary() const { return dict_; }
 
   /// Produces a mutated copy of `base`. Deterministic given `rng`'s state.
   util::Bytes mutate(util::BytesView base, util::Rng& rng) const;

@@ -5,15 +5,6 @@
 
 namespace aseck::gateway {
 
-const char* gateway_mode_name(GatewayMode m) {
-  switch (m) {
-    case GatewayMode::kNormal: return "normal";
-    case GatewayMode::kDegraded: return "degraded";
-    case GatewayMode::kLimpHome: return "limp_home";
-  }
-  return "?";
-}
-
 bool FirewallRule::matches(const std::string& from, const std::string& to,
                            const CanFrame& f) const {
   if (from_domain != "*" && from_domain != from) return false;

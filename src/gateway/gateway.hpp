@@ -41,7 +41,6 @@ enum class DropReason {
 /// Graceful-degradation state of a domain (paper §7: a gateway under attack
 /// or fault pressure sheds load instead of failing open or failing silent).
 enum class GatewayMode { kNormal, kDegraded, kLimpHome };
-const char* gateway_mode_name(GatewayMode m);
 
 /// Health-tick policy for automatic mode transitions. Every `window`, each
 /// domain's fault count (reported faults + link-down drops + watched bus
@@ -186,7 +185,6 @@ class SecurityGateway {
       std::function<void(const std::string& domain, const CanFrame&, DropReason)>;
   void set_drop_observer(DropObserver obs) { drop_observer_ = std::move(obs); }
 
-  SimTime processing_delay() const { return processing_delay_; }
   void set_processing_delay(SimTime d) { processing_delay_ = d; }
 
  private:

@@ -46,36 +46,9 @@ void RedundantGateway::add_route(std::uint32_t id, const std::string& from,
   b_->add_route(id, from, to, safety_critical);
 }
 
-void RedundantGateway::add_rule(FirewallRule rule) {
-  a_->add_rule(rule);
-  b_->add_rule(std::move(rule));
-}
-
-void RedundantGateway::set_rate_limit(const std::string& domain,
-                                      std::uint32_t id, RateLimit rl) {
-  a_->set_rate_limit(domain, id, rl);
-  b_->set_rate_limit(domain, id, rl);
-}
-
-void RedundantGateway::set_domain_rate_limit(const std::string& domain,
-                                             RateLimit rl) {
-  a_->set_domain_rate_limit(domain, rl);
-  b_->set_domain_rate_limit(domain, rl);
-}
-
 void RedundantGateway::enable_degraded_mode(DegradedModeConfig cfg) {
   a_->enable_degraded_mode(cfg);
   b_->enable_degraded_mode(cfg);
-}
-
-void RedundantGateway::enable_bus_fault_watch(const sim::Telemetry& t) {
-  a_->enable_bus_fault_watch(t);
-  b_->enable_bus_fault_watch(t);
-}
-
-void RedundantGateway::quarantine(const std::string& domain, bool on) {
-  a_->quarantine(domain, on);
-  b_->quarantine(domain, on);
 }
 
 void RedundantGateway::start_sync(SimTime period) {

@@ -39,20 +39,13 @@ class RedundantGateway {
   RedundantGateway& operator=(const RedundantGateway&) = delete;
 
   SecurityGateway& active() { return *active_; }
-  const SecurityGateway& active() const { return *active_; }
   SecurityGateway& standby() { return *standby_; }
-  const SecurityGateway& standby() const { return *standby_; }
 
   // --- mirrored configuration (applied to both units) ------------------------
   void add_domain(const std::string& domain, ivn::CanBus* bus);
   void add_route(std::uint32_t id, const std::string& from,
                  const std::string& to, bool safety_critical = false);
-  void add_rule(FirewallRule rule);
-  void set_rate_limit(const std::string& domain, std::uint32_t id, RateLimit rl);
-  void set_domain_rate_limit(const std::string& domain, RateLimit rl);
   void enable_degraded_mode(DegradedModeConfig cfg = {});
-  void enable_bus_fault_watch(const sim::Telemetry& t);
-  void quarantine(const std::string& domain, bool on = true);
 
   /// Starts periodic active -> standby state replication.
   void start_sync(SimTime period);
@@ -65,7 +58,6 @@ class RedundantGateway {
   /// was failed-over rejoins as the new standby in shadow mode, primed with
   /// the current active's state.
   void set_active_down(bool down);
-  bool active_down() const { return active_down_; }
 
   /// Promotes the standby (supervisor escalation handler). Records frames
   /// lost and detection latency for the incident. Returns false if a
@@ -81,7 +73,6 @@ class RedundantGateway {
   /// Active-down -> failover() of the most recent incident.
   SimTime last_detection_latency() const { return last_detect_latency_; }
 
-  sim::TraceScope& trace() { return trace_; }
   /// Rebinds both units and the pair's own events onto a shared plane.
   void bind_telemetry(const sim::Telemetry& t);
 

@@ -164,7 +164,6 @@ class IdsEnsemble {
   const IdsScore& score() const { return score_; }
   void reset_score() { score_ = {}; }
   std::size_t detector_count() const { return detectors_.size(); }
-  sim::TraceScope& trace() { return trace_; }
 
   /// Rebinds trace events and counters onto a shared telemetry plane.
   void bind_telemetry(const sim::Telemetry& t);

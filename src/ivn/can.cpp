@@ -278,12 +278,6 @@ bool CanBus::send(CanNode* node, CanFrame frame) {
   return true;
 }
 
-std::size_t CanBus::pending() const {
-  std::size_t n = 0;
-  for (const CanNode* node : nodes_) n += node->tx_queue_.size();
-  return n;
-}
-
 void CanBus::try_start_tx() {
   if (busy_) return;
   // Whole-bus fault window (harness-injected transceiver/wiring outage):
@@ -428,7 +422,6 @@ void CanBus::recover(CanNode* node) {
     recovery_timers_.erase(it);
   }
   node->tec_ = 0;
-  node->rec_ = 0;
   node->state_ = CanNodeState::kErrorActive;
   ASECK_TRACE(trace_, sched_.now(), k_recover_, node->name());
   try_start_tx();

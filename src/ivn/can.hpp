@@ -89,14 +89,12 @@ class CanNode {
 
   CanNodeState state() const { return state_; }
   int tec() const { return tec_; }
-  int rec() const { return rec_; }
 
  private:
   friend class CanBus;
   std::string name_;
   CanNodeState state_ = CanNodeState::kErrorActive;
   int tec_ = 0;  // transmit error counter
-  int rec_ = 0;  // receive error counter
   std::deque<CanFrame> tx_queue_;
 };
 
@@ -136,9 +134,6 @@ class CanBus : public sim::FaultHook {
   /// is bus-off or the frame is invalid.
   bool send(CanNode* node, CanFrame frame);
 
-  /// Frames pending across all nodes.
-  std::size_t pending() const;
-
   /// Snapshot materialized from the metrics registry (compat accessor).
   CanBusStats stats() const;
   sim::TraceScope& trace() { return trace_; }
@@ -162,7 +157,6 @@ class CanBus : public sim::FaultHook {
   /// kBusOff, a scheduler-driven timer calls recover() for it (zero
   /// disables; manual recover() still works and cancels the timer).
   void set_auto_recovery(SimTime delay) { auto_recovery_ = delay; }
-  SimTime auto_recovery() const { return auto_recovery_; }
 
  private:
   void try_start_tx();

@@ -2,17 +2,6 @@
 
 namespace aseck::ivn {
 
-const char* e2e_status_name(E2eStatus s) {
-  switch (s) {
-    case E2eStatus::kOk: return "ok";
-    case E2eStatus::kOkSomeLost: return "ok_some_lost";
-    case E2eStatus::kWrongCrc: return "wrong_crc";
-    case E2eStatus::kRepeated: return "repeated";
-    case E2eStatus::kWrongSequence: return "wrong_sequence";
-  }
-  return "?";
-}
-
 std::uint8_t e2e_crc(const E2eConfig& cfg, std::uint8_t counter,
                      util::BytesView payload) {
   util::Bytes buf;

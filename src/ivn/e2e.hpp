@@ -28,7 +28,6 @@ enum class E2eStatus {
   kRepeated,     // same counter as last frame (stale/replayed)
   kWrongSequence,  // jump beyond max_delta
 };
-const char* e2e_status_name(E2eStatus s);
 
 class E2eProtector {
  public:
@@ -58,7 +57,6 @@ class E2eChecker {
   /// delivery carries the same alive counter and is flagged kRepeated, so a
   /// supervision layer can distinguish replay/echo from loss.
   std::uint64_t ok() const { return count(E2eStatus::kOk); }
-  std::uint64_t ok_some_lost() const { return count(E2eStatus::kOkSomeLost); }
   std::uint64_t wrong_crc() const { return count(E2eStatus::kWrongCrc); }
   std::uint64_t repeated() const { return count(E2eStatus::kRepeated); }
   std::uint64_t wrong_sequence() const {

@@ -103,7 +103,6 @@ class EthernetSwitch : public sim::FaultHook {
   std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
   std::uint64_t corrupted_fault() const { return c_corrupted_fault_->value(); }
   std::uint64_t duplicated_fault() const { return c_duplicated_fault_->value(); }
-  sim::TraceScope& trace() { return trace_; }
 
   /// Rebinds trace events and counters onto a shared telemetry plane.
   void bind_telemetry(const sim::Telemetry& t);

@@ -46,9 +46,7 @@ struct FlexRayConfig {
 /// frames with a priority (= dynamic slot id; lower transmits earlier).
 class FlexRayNode {
  public:
-  explicit FlexRayNode(std::string name) : name_(std::move(name)) {}
   virtual ~FlexRayNode() = default;
-  const std::string& name() const { return name_; }
 
   /// Asked at the start of the node's static slot; return payload or nullopt
   /// (-> null frame).
@@ -59,9 +57,6 @@ class FlexRayNode {
     (void)frame;
     (void)at;
   }
-
- private:
-  std::string name_;
 };
 
 /// Faults (sim::FaultHook): drop faults and bus-down windows lose static and
@@ -86,13 +81,11 @@ class FlexRayBus : public sim::FaultHook {
   std::uint8_t cycle() const { return cycle_; }
   std::uint64_t static_frames() const { return c_static_frames_->value(); }
   std::uint64_t null_frames() const { return c_null_frames_->value(); }
-  std::uint64_t dynamic_frames() const { return c_dynamic_frames_->value(); }
   std::uint64_t dynamic_dropped() const { return c_dynamic_dropped_->value(); }
   /// Frames lost to injected faults (slot still consumed, as on a real bus
   /// where a corrupted frame burns its TDMA slot).
   std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
   const FlexRayConfig& config() const { return cfg_; }
-  sim::TraceScope& trace() { return trace_; }
 
   /// Rebinds trace events and counters onto a shared telemetry plane.
   void bind_telemetry(const sim::Telemetry& t);

@@ -35,9 +35,7 @@ struct LinFrame {
 /// A slave publishes responses for the ids it owns and consumes others.
 class LinSlave {
  public:
-  explicit LinSlave(std::string name) : name_(std::move(name)) {}
   virtual ~LinSlave() = default;
-  const std::string& name() const { return name_; }
 
   /// Returns the response payload if this slave answers `id`.
   virtual std::optional<util::Bytes> respond(std::uint8_t id) = 0;
@@ -46,9 +44,6 @@ class LinSlave {
     (void)frame;
     (void)at;
   }
-
- private:
-  std::string name_;
 };
 
 /// Schedule table entry: which id to poll and the slot duration.
@@ -84,8 +79,6 @@ class LinMaster : public sim::FaultHook {
 
   /// Responses lost to injected faults.
   std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
-
-  sim::TraceScope& trace() { return trace_; }
 
   /// Rebinds trace events and counters onto a shared telemetry plane.
   void bind_telemetry(const sim::Telemetry& t);

@@ -61,7 +61,6 @@ class ServiceAcl {
   bool permitted(ServiceId service, ClientId client) const {
     return allowed_.count({service, client}) > 0;
   }
-  std::size_t size() const { return allowed_.size(); }
 
  private:
   std::set<std::pair<ServiceId, ClientId>> allowed_;
@@ -86,7 +85,6 @@ class SomeIpServer : public EthernetEndpoint {
   std::uint64_t denied_acl() const { return c_denied_acl_->value(); }
   std::uint64_t denied_mac() const { return c_denied_mac_->value(); }
   std::size_t port() const { return port_; }
-  sim::TraceScope& trace() { return trace_; }
 
   /// Rebinds trace events and counters onto a shared telemetry plane.
   void bind_telemetry(const sim::Telemetry& t);
@@ -124,7 +122,6 @@ class SomeIpClient : public EthernetEndpoint {
 
   void on_frame(const EthernetFrame& frame, sim::SimTime at) override;
 
-  ClientId id() const { return id_; }
   std::size_t port() const { return port_; }
 
  private:

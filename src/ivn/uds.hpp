@@ -104,8 +104,6 @@ class UdsServer {
 
   bool unlocked() const { return unlocked_; }
   UdsSession session() const { return session_; }
-  std::uint32_t failed_attempts() const { return failed_attempts_; }
-  sim::TraceScope& trace() { return trace_; }
 
   /// Rebinds trace events and counters onto a shared telemetry plane.
   void bind_telemetry(const sim::Telemetry& t);

@@ -49,11 +49,9 @@ class ConfirmWatchdog {
 
   /// Starts the heartbeat (and the supervisor, if not yet running).
   void start() { watchdog_.start(); }
-  void stop() { watchdog_.stop(); }
 
   /// Recoveries performed by the supervisor's reset (lapsed deadline hit).
   std::uint64_t auto_reverts() const { return auto_reverts_; }
-  const std::string& entity() const { return watchdog_.entity(); }
 
  private:
   sim::Scheduler& sched_;

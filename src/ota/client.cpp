@@ -169,7 +169,7 @@ MetadataResponse fetch_metadata(
     const FullVerificationClient::RetryPolicy& policy,
     const Repository& director, const Repository& image_repo, SimTime now) {
   if (policy.server) {
-    return policy.server->fetch_metadata(policy.server_class, now);
+    return policy.server->fetch_metadata(ServeClass::kCampaign, now);
   }
   MetadataResponse r;
   if (!director.available() || !image_repo.available()) {
@@ -187,7 +187,7 @@ ChunkResponse fetch_chunk(const FullVerificationClient::RetryPolicy& policy,
                           const std::string& image_name, std::size_t offset,
                           SimTime now) {
   if (policy.server) {
-    return policy.server->fetch_chunk(policy.server_class, image_name, offset,
+    return policy.server->fetch_chunk(ServeClass::kCampaign, image_name, offset,
                                       policy.chunk_bytes, now);
   }
   ChunkResponse r;
@@ -599,16 +599,6 @@ PartialVerificationClient::Outcome PartialVerificationClient::verify(
   last_targets_ = director_targets.body.version;
   out.target = it->second;
   return out;
-}
-
-const char* install_result_name(InstallResult r) {
-  switch (r) {
-    case InstallResult::kCommitted: return "committed";
-    case InstallResult::kRevertedSelfTest: return "reverted_self_test";
-    case InstallResult::kStageRejected: return "stage_rejected";
-    case InstallResult::kPowerLoss: return "power_loss";
-  }
-  return "?";
 }
 
 InstallResult install_image(ecu::Flash& flash, const std::string& image_name,

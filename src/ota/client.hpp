@@ -95,9 +95,9 @@ class FullVerificationClient {
     /// slot (instead of blind local exponential backoff) is what keeps a
     /// shed herd de-synchronized. Deferrals do NOT count against
     /// max_attempts (the server asked us to wait; nothing failed);
-    /// kUnavailable falls back to the transport-error backoff path.
+    /// kUnavailable falls back to the transport-error backoff path. The
+    /// client always requests in ServeClass::kCampaign.
     RepositoryServer* server = nullptr;
-    ServeClass server_class = ServeClass::kCampaign;
     /// Safety valve: total kRetryAfter deferrals a single fetch will honor
     /// before giving up with kRetriesExhausted.
     int max_server_deferrals = 256;
@@ -150,9 +150,7 @@ class FullVerificationClient {
                                   RetryPolicy policy, ecu::Flash& flash,
                                   RetryCallback done);
 
-  std::uint64_t verify_ok() const { return c_verify_ok_->value(); }
   std::uint64_t verify_fail() const { return c_verify_fail_->value(); }
-  sim::TraceScope& trace() { return trace_; }
   /// Engine behind all metadata signature checks: poll cycles re-verify
   /// identical role metadata, so steady-state verification is a cache hit.
   crypto::VerifyEngine& verify_engine() { return verify_engine_; }
@@ -248,7 +246,6 @@ enum class InstallResult {
   kStageRejected,
   kPowerLoss,  // cut while staging or at a marker write; boot() decides fate
 };
-const char* install_result_name(InstallResult r);
 /// Stages `image`, then install_staged with no confirm deadline.
 InstallResult install_image(ecu::Flash& flash, const std::string& image_name,
                             std::uint32_t version, const util::Bytes& image,

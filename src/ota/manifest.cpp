@@ -114,15 +114,4 @@ ManifestProcessor::Result ManifestProcessor::process(
   return out;
 }
 
-const char* ManifestProcessor::status_name(ReportStatus s) {
-  switch (s) {
-    case ReportStatus::kCurrent: return "current";
-    case ReportStatus::kOutdated: return "outdated";
-    case ReportStatus::kUnexpectedVersion: return "unexpected_version";
-    case ReportStatus::kBadSignature: return "bad_signature";
-    case ReportStatus::kUnknownEcu: return "unknown_ecu";
-  }
-  return "?";
-}
-
 }  // namespace aseck::ota

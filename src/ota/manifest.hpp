@@ -77,8 +77,6 @@ class ManifestProcessor {
   };
   Result process(const VehicleManifest& manifest) const;
 
-  static const char* status_name(ReportStatus s);
-
  private:
   std::map<std::string, crypto::EcdsaPublicKey> ecu_keys_;
   std::map<std::string, crypto::EcdsaPublicKey> primary_keys_;

@@ -57,16 +57,6 @@ std::optional<Role> role_from_byte(std::uint8_t v) {
 
 }  // namespace
 
-const char* role_name(Role r) {
-  switch (r) {
-    case Role::kRoot: return "root";
-    case Role::kTargets: return "targets";
-    case Role::kSnapshot: return "snapshot";
-    case Role::kTimestamp: return "timestamp";
-  }
-  return "?";
-}
-
 KeyId key_id(const crypto::EcdsaPublicKey& pub) {
   const crypto::Digest d = crypto::sha256(pub.to_bytes());
   KeyId out;
@@ -85,21 +75,6 @@ util::Bytes TargetInfo::serialize() const {
   out.insert(out.end(), hardware_id.begin(), hardware_id.end());
   out.push_back(0);
   return out;
-}
-
-std::optional<TargetInfo> TargetInfo::parse(util::BytesView b) {
-  Reader r{b};
-  TargetInfo t;
-  t.sha256 = r.take(32);
-  t.length = r.be(8);
-  t.version = static_cast<std::uint32_t>(r.be(4));
-  t.hardware_id = r.cstr();
-  if (!r.done()) {
-    ASECK_COV("ota.target_info.bad");
-    return std::nullopt;
-  }
-  ASECK_COV("ota.target_info.ok");
-  return t;
 }
 
 util::Bytes RootMeta::serialize() const {

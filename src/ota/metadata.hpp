@@ -27,7 +27,6 @@ namespace aseck::ota {
 using util::SimTime;
 
 enum class Role { kRoot, kTargets, kSnapshot, kTimestamp };
-const char* role_name(Role r);
 
 /// Key id = first 8 bytes of SHA-256 of the SEC1 public key.
 using KeyId = std::array<std::uint8_t, 8>;
@@ -41,9 +40,6 @@ struct TargetInfo {
   std::string hardware_id;  // which ECU class may install this
 
   util::Bytes serialize() const;
-  /// Parses a TargetInfo occupying the whole of `b` (strict: trailing bytes
-  /// reject). Every serialized value round-trips: parse(serialize(x)) == x.
-  static std::optional<TargetInfo> parse(util::BytesView b);
   friend bool operator==(const TargetInfo&, const TargetInfo&) = default;
 };
 

@@ -5,7 +5,7 @@
 namespace aseck::ota {
 
 Repository::Repository(crypto::Drbg& rng, std::string name, SimTime expiry)
-    : name_(std::move(name)), expiry_(expiry), hsm_(name_ + "-hsm") {
+    : expiry_(expiry), hsm_(name + "-hsm") {
   part_ = hsm_.register_partition("uptane");
   // Same DRBG draw order as the pre-service code (kRoot..kTimestamp), so
   // seeded repositories keep their exact key material across the migration.
@@ -78,11 +78,6 @@ void Repository::add_target(const std::string& image_name,
   info.hardware_id = hardware_id;
   bundle_.targets.body.targets[image_name] = std::move(info);
   images_[image_name] = image;
-}
-
-void Repository::remove_target(const std::string& image_name) {
-  bundle_.targets.body.targets.erase(image_name);
-  images_.erase(image_name);
 }
 
 std::shared_ptr<const MetadataBundle> Repository::snapshot() const {

@@ -32,13 +32,9 @@ class Repository : public sim::FaultHook {
   /// roles initially (timestamp typically re-signed frequently).
   Repository(crypto::Drbg& rng, std::string name, SimTime expiry);
 
-  const std::string& name() const { return name_; }
-
   /// Adds/updates an image in `targets` and stores its bytes for download.
   void add_target(const std::string& image_name, const util::Bytes& image,
                   std::uint32_t version, const std::string& hardware_id);
-  /// Removes an image from targets.
-  void remove_target(const std::string& image_name);
 
   /// Re-signs all metadata (bumps targets/snapshot/timestamp versions).
   void publish(SimTime now);
@@ -96,10 +92,6 @@ class Repository : public sim::FaultHook {
     s.signatures.push_back(sign_role_payload(r, s.body.serialize()));
   }
 
-  /// The repository's backend HSM. Key material never leaves it except
-  /// through the policy-gated export used by role_key().
-  const crypto::CryptoService& hsm() const { return hsm_; }
-
  private:
   void rebuild_root(SimTime now, const crypto::KeyHandle* old_root_key);
   /// Signs `payload` with the role's service-held key (keyid + signature).
@@ -111,7 +103,6 @@ class Repository : public sim::FaultHook {
     snapshot_.reset();
   }
 
-  std::string name_;
   SimTime expiry_;
   /// Backend HSM: never sealed (kProvisioning), so runtime key rotation
   /// keeps working while all role keys live behind the service boundary.

@@ -12,15 +12,6 @@ const char* serve_class_name(ServeClass c) {
   return "?";
 }
 
-const char* serve_status_name(ServeStatus s) {
-  switch (s) {
-    case ServeStatus::kOk: return "ok";
-    case ServeStatus::kRetryAfter: return "retry_after";
-    case ServeStatus::kUnavailable: return "unavailable";
-  }
-  return "?";
-}
-
 const char* server_tier_name(ServerTier t) {
   switch (t) {
     case ServerTier::kNormal: return "normal";

@@ -59,7 +59,6 @@ enum class ServeStatus {
   kUnavailable, // hard failure (outage with admission control off, or
                 // unknown image) — the client's transport-error path
 };
-const char* serve_status_name(ServeStatus s);
 
 /// Degradation ladder (cheapest capability shed first).
 enum class ServerTier {
@@ -200,7 +199,6 @@ class RepositoryServer : public sim::FaultHook {
   /// Worst queueing delay any admitted request experienced.
   util::SimTime max_queue_delay_seen() const { return max_wait_; }
 
-  sim::TraceScope& trace() { return trace_; }
   /// Rebinds trace events and ota.repo.* counters onto a shared telemetry
   /// plane (counters carry their values across the rebind, and survive
   /// MetricsRegistry::merge_from in sharded runs).

@@ -30,14 +30,12 @@ class BootGuard {
 
   /// Starts the heartbeat (and the supervisor, if not yet running).
   void start() { watchdog_.start(); }
-  void stop() { watchdog_.stop(); }
 
   /// Chain re-runs performed by the supervisor's reset handler.
   std::uint64_t reboots() const { return reboots_; }
   /// Of those, how many produced a non-hung boot (any mode counts — a
   /// recovery-mode boot is a *successful* escalation outcome).
   std::uint64_t reboots_recovered() const { return reboots_recovered_; }
-  const std::string& entity() const { return watchdog_.entity(); }
 
  private:
   sim::Scheduler& sched_;

@@ -5,15 +5,6 @@
 
 namespace aseck::safety {
 
-const char* entity_status_name(EntityStatus s) {
-  switch (s) {
-    case EntityStatus::kOk: return "ok";
-    case EntityStatus::kFailed: return "failed";
-    case EntityStatus::kExpired: return "expired";
-  }
-  return "?";
-}
-
 const char* escalation_level_name(EscalationLevel l) {
   switch (l) {
     case EscalationLevel::kNone: return "none";
@@ -372,9 +363,7 @@ void HeartbeatEmitter::start() {
           ++suppressed_;
           return;
         }
-        ++beats_;
         supervisor_.alive(entity_);
-        if (on_beat_) on_beat_();
       },
       period_);
 }
@@ -409,7 +398,5 @@ void Watchdog::start() {
   heartbeat_.start();
   if (!supervisor_.running()) supervisor_.start();
 }
-
-void Watchdog::stop() { heartbeat_.stop(); }
 
 }  // namespace aseck::safety

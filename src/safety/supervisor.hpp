@@ -50,7 +50,6 @@ using sim::SimTime;
 
 /// WdgM local supervision status of one entity.
 enum class EntityStatus { kOk, kFailed, kExpired };
-const char* entity_status_name(EntityStatus s);
 
 /// Escalation ladder rung currently applied for an entity (kNone = healthy).
 enum class EscalationLevel { kNone, kLocalReset, kDomainDegrade, kLimpHome };
@@ -149,7 +148,6 @@ class HealthSupervisor {
   std::uint64_t resets_succeeded() const { return c_reset_ok_->value(); }
   std::uint64_t expirations() const { return c_expired_->value(); }
 
-  sim::TraceScope& trace() { return trace_; }
   /// Rebinds trace events and counters onto a shared telemetry plane.
   void bind_telemetry(const sim::Telemetry& t);
 
@@ -212,8 +210,6 @@ class HealthSupervisor {
 /// alive indication while the health probe holds. Wire the probe to a fault
 /// port (`[&] { return !plan.port("ecu.x").down(); }`) and a `FaultPlan`
 /// crash window becomes missed heartbeats with zero supervisor coupling.
-/// `on_beat` additionally fires for every emitted indication, so demos and
-/// benches can put the heartbeat on a real bus and charge its cost there.
 class HeartbeatEmitter {
  public:
   using HealthProbe = std::function<bool()>;
@@ -223,10 +219,8 @@ class HeartbeatEmitter {
   HeartbeatEmitter(const HeartbeatEmitter&) = delete;
   HeartbeatEmitter& operator=(const HeartbeatEmitter&) = delete;
 
-  void set_on_beat(std::function<void()> fn) { on_beat_ = std::move(fn); }
   void start();
   void stop();
-  std::uint64_t beats() const { return beats_; }
   std::uint64_t suppressed() const { return suppressed_; }
 
  private:
@@ -235,9 +229,7 @@ class HeartbeatEmitter {
   std::string entity_;
   SimTime period_;
   HealthProbe probe_;
-  std::function<void()> on_beat_;
   std::unique_ptr<sim::PeriodicTask> task_;
-  std::uint64_t beats_ = 0;
   std::uint64_t suppressed_ = 0;
 };
 
@@ -256,8 +248,6 @@ class Watchdog {
 
   /// Starts the heartbeat (and the supervisor, if not yet running).
   void start();
-  void stop();
-  const std::string& entity() const { return entity_; }
 
  private:
   HealthSupervisor& supervisor_;

@@ -25,7 +25,6 @@ class TimingLeakyVerifier {
   Response try_code(util::BytesView code);
 
   std::uint64_t attempts() const { return attempts_; }
-  std::size_t secret_len() const { return secret_.size(); }
 
  private:
   util::Bytes secret_;

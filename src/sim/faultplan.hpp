@@ -190,15 +190,11 @@ class FaultPlan {
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
 
-  std::uint64_t seed() const { return seed_; }
   /// Current sim time of the driving scheduler (for event annotations by
   /// consumers that do not hold the scheduler themselves).
   SimTime now() const { return sched_.now(); }
   /// The plan's single RNG stream; all injection randomness flows through it.
   util::Rng& rng() { return rng_; }
-  /// Independent child stream (e.g. for a safety Monte-Carlo campaign that
-  /// must not perturb the bus-level injection sequence).
-  util::Rng fork_rng() { return rng_.fork(); }
 
   /// Per-target channel-fault state; created on first use. The returned
   /// reference is stable for the plan's lifetime, so substrates may cache it.

@@ -113,7 +113,6 @@ class PeriodicTask {
   PeriodicTask& operator=(const PeriodicTask&) = delete;
 
   void stop();
-  bool running() const { return *alive_; }
 
  private:
   void arm(SimTime delay);

@@ -81,16 +81,12 @@ class Shard {
   using Handler = util::SmallFn<void(Shard&), 160>;
 
   Scheduler& sched() { return sched_; }
-  const Scheduler& sched() const { return sched_; }
-  Telemetry& telemetry() { return telemetry_; }
   MetricsRegistry& metrics() { return *telemetry_.metrics; }
-  TraceBus& trace_bus() { return *telemetry_.bus; }
   util::Rng& rng() { return rng_; }
 
   std::uint32_t index() const { return index_; }
   std::uint32_t col() const { return col_; }
   std::uint32_t row() const { return row_; }
-  ShardedWorld& world() { return world_; }
 
   /// Posts `fn` to shard `to`; it runs there at the next epoch boundary
   /// (or at `deliver_at` if that is later). May be called from shard
@@ -134,14 +130,12 @@ class ShardedWorld {
  public:
   explicit ShardedWorld(ShardedWorldConfig cfg);
 
-  const ShardedWorldConfig& config() const { return cfg_; }
   std::uint32_t cols() const { return cols_; }
   std::uint32_t rows() const { return rows_; }
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
   Shard& shard(std::uint32_t i) { return *shards_[i]; }
-  const Shard& shard(std::uint32_t i) const { return *shards_[i]; }
 
   /// Shard owning position (x, y); coordinates clamp to the world box.
   std::uint32_t shard_index_at(double x, double y) const;

@@ -70,7 +70,6 @@ class TraceBus {
   /// 0 = unbounded (default). Otherwise keep only the newest `cap` events
   /// (bounded ring buffer); older events are evicted and counted.
   void set_capacity(std::size_t cap);
-  std::size_t capacity() const { return capacity_; }
 
   /// Appends an event. Subscribers run synchronously before storage, so a
   /// tap sees every event even in ring mode.
@@ -141,7 +140,6 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { v_ += n; }
   std::uint64_t value() const { return v_; }
-  void reset() { v_ = 0; }
 
  private:
   std::uint64_t v_ = 0;

@@ -31,8 +31,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned threads() const { return static_cast<unsigned>(workers_.size()) + 1; }
-
   /// Runs fn(0..n-1), each index exactly once, on the caller plus the
   /// workers; returns when all n calls have finished. The first exception
   /// thrown by any fn invocation is rethrown on the caller after the join.

@@ -62,17 +62,6 @@ void xor_inplace(Bytes& a, BytesView b) {
   for (std::size_t i = 0; i < a.size(); ++i) a[i] ^= b[i];
 }
 
-Bytes xor_bytes(BytesView a, BytesView b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("xor_bytes: length mismatch");
-  }
-  Bytes out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out[i] = static_cast<std::uint8_t>(a[i] ^ b[i]);
-  }
-  return out;
-}
-
 bool ct_equal(BytesView a, BytesView b) {
   if (a.size() != b.size()) return false;
   std::uint8_t acc = 0;

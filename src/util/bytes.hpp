@@ -31,7 +31,6 @@ Bytes concat(std::initializer_list<BytesView> parts);
 
 /// XORs `b` into `a` elementwise; buffers must have equal length.
 void xor_inplace(Bytes& a, BytesView b);
-Bytes xor_bytes(BytesView a, BytesView b);
 
 /// Constant-time equality (length leak only). Returns false on length
 /// mismatch without early exit on content.
@@ -52,10 +51,7 @@ void store_le64(std::uint8_t* p, std::uint64_t v);
 /// Appends a big-endian integer of `width` bytes (1..8) to `out`.
 void append_be(Bytes& out, std::uint64_t v, std::size_t width);
 
-/// Rotate-left on 32-bit words (crypto kernels).
-constexpr std::uint32_t rotl32(std::uint32_t x, unsigned n) {
-  return (x << n) | (x >> (32u - n));
-}
+/// Word rotations (crypto kernels).
 constexpr std::uint32_t rotr32(std::uint32_t x, unsigned n) {
   return (x >> n) | (x << (32u - n));
 }

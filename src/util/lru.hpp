@@ -59,7 +59,6 @@ class LruCache {
   }
 
   std::size_t size() const { return order_.size(); }
-  std::size_t capacity() const { return capacity_; }
   /// Rebinding the capacity evicts immediately if the cache is over the new
   /// bound.
   void set_capacity(std::size_t capacity) {

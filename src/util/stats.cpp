@@ -56,14 +56,6 @@ double Samples::mean() const {
   return s / static_cast<double>(xs_.size());
 }
 
-double Samples::stddev() const {
-  if (xs_.size() < 2) return 0.0;
-  const double m = mean();
-  double s = 0.0;
-  for (double x : xs_) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs_.size() - 1));
-}
-
 double Samples::min() const {
   ensure_sorted();
   return xs_.empty() ? 0.0 : xs_.front();
@@ -84,51 +76,6 @@ double Samples::percentile(double p) const {
   const double frac = rank - static_cast<double>(lo);
   if (lo + 1 >= xs_.size()) return xs_.back();
   return xs_[lo] * (1.0 - frac) + xs_[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: bad range or zero bins");
-  }
-}
-
-void Histogram::add(double x) {
-  if (std::isnan(x)) {
-    // A NaN sample fails both range guards below, and casting NaN to an
-    // integer is UB — count it explicitly instead of binning it.
-    ++nan_;
-    return;
-  }
-  const double t = (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size());
-  std::size_t idx;
-  if (t < 0.0) {
-    idx = 0;
-  } else if (t >= static_cast<double>(counts_.size())) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>(t);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar = counts_[i] * width / peak;
-    out += std::to_string(bin_low(i));
-    out += " | ";
-    out.append(bar, '#');
-    out += " (" + std::to_string(counts_[i]) + ")\n";
-  }
-  return out;
 }
 
 double pearson(const std::vector<double>& x, const std::vector<double>& y) {

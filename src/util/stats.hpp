@@ -1,11 +1,10 @@
 #pragma once
 // Statistics accumulators used by benches, IDS detectors, and the
 // side-channel analysis code (Welford online moments, percentiles,
-// histograms, Pearson correlation, Welch's t-test).
+// Pearson correlation, Welch's t-test).
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace aseck::util {
@@ -23,7 +22,6 @@ class RunningStats {
   double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
 
  private:
   std::size_t n_ = 0;
@@ -36,41 +34,21 @@ class RunningStats {
 /// Stores samples; supports exact percentiles. Use for latency distributions.
 class Samples {
  public:
-  void add(double x) { xs_.push_back(x); }
+  void add(double x) {
+    xs_.push_back(x);
+    sorted_ = false;
+  }
   std::size_t count() const { return xs_.size(); }
   double mean() const;
-  double stddev() const;
   double min() const;
   double max() const;
   /// Exact percentile with linear interpolation; p in [0,100].
   double percentile(double p) const;
-  const std::vector<double>& values() const { return xs_; }
 
  private:
   mutable std::vector<double> xs_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to edge
-/// bins. NaN samples are never binned (they would be UB to cast); they are
-/// counted separately in nan_count().
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  std::size_t nan_count() const { return nan_; }
-  double bin_low(std::size_t i) const;
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t nan_ = 0;
 };
 
 /// Pearson correlation coefficient of two equal-length series.

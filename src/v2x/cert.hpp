@@ -104,9 +104,6 @@ class CertificateAuthority {
   PseudonymBatch issue_pseudonyms(crypto::Drbg& rng, std::size_t n,
                                   SimTime from, SimTime lifetime) const;
 
-  /// The CA's backend HSM (observation: op/denial counters, state).
-  const crypto::CryptoService& hsm() const { return *hsm_; }
-
  private:
   CertificateAuthority(std::shared_ptr<crypto::CryptoService> hsm,
                        crypto::PartitionId part, crypto::KeyHandle key,

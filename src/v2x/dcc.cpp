@@ -24,7 +24,6 @@ DccState DccController::update(double cbr, util::SimTime now) {
   if (rank(target) > rank(state_)) {
     // Escalate immediately.
     state_ = target;
-    ++transitions_;
     tracking_down_ = false;
   } else if (rank(target) < rank(state_)) {
     if (!tracking_down_) {
@@ -33,7 +32,6 @@ DccState DccController::update(double cbr, util::SimTime now) {
     } else if (now - below_since_ >= down_dwell) {
       // Step down one state at a time (ETSI ramp-down behavior).
       state_ = static_cast<DccState>(rank(state_) - 1);
-      ++transitions_;
       below_since_ = now;
       if (state_ == target) tracking_down_ = false;
     }

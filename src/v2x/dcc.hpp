@@ -39,7 +39,6 @@ class DccController {
   DccState state() const { return state_; }
   /// Beacon interval mandated by the current state.
   util::SimTime beacon_interval() const;
-  std::uint32_t transitions() const { return transitions_; }
 
   util::SimTime down_dwell = util::SimTime::from_s(1);
 
@@ -51,7 +50,6 @@ class DccController {
   DccState state_ = DccState::kRelaxed;
   util::SimTime below_since_ = util::SimTime::zero();
   bool tracking_down_ = false;
-  std::uint32_t transitions_ = 0;
 };
 
 /// Sliding-window CBR estimator fed with per-message airtime.

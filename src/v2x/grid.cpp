@@ -52,10 +52,8 @@ void SpatialGrid::query(double x, double y, double radius,
   for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
     for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
       const auto it = cells_.find(cell_key(cx, cy));
-      ++cells_scanned_;
       if (it == cells_.end()) continue;
       for (const std::uint64_t id : it->second) {
-        ++candidates_checked_;
         const Rec& rec = recs_.find(id)->second;
         const double dx = rec.x - x, dy = rec.y - y;
         if (dx * dx + dy * dy <= r2) out.push_back(id);

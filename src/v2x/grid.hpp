@@ -40,12 +40,6 @@ class SpatialGrid {
              std::vector<std::uint64_t>& out) const;
 
   std::size_t size() const { return recs_.size(); }
-  double cell_m() const { return cell_; }
-
-  /// Cumulative instrumentation: grid cells visited and candidate records
-  /// distance-checked by query() — the E2 old-vs-new discovery-cost metric.
-  std::uint64_t cells_scanned() const { return cells_scanned_; }
-  std::uint64_t candidates_checked() const { return candidates_checked_; }
 
  private:
   static std::uint64_t cell_key(std::int64_t cx, std::int64_t cy) {
@@ -64,8 +58,6 @@ class SpatialGrid {
   double cell_;
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> cells_;
   std::unordered_map<std::uint64_t, Rec> recs_;
-  mutable std::uint64_t cells_scanned_ = 0;
-  mutable std::uint64_t candidates_checked_ = 0;
 };
 
 }  // namespace aseck::v2x

@@ -68,15 +68,4 @@ std::size_t MisbehaviorAuthority::distinct_reporters(const CertId& accused) cons
   return it == reporters_.end() ? 0 : it->second.size();
 }
 
-const char* MisbehaviorAuthority::outcome_name(Outcome o) {
-  switch (o) {
-    case Outcome::kAccepted: return "accepted";
-    case Outcome::kAcceptedAndRevoked: return "accepted_and_revoked";
-    case Outcome::kDuplicateReporter: return "duplicate_reporter";
-    case Outcome::kInvalidEnvelope: return "invalid_envelope";
-    case Outcome::kAlreadyRevoked: return "already_revoked";
-  }
-  return "?";
-}
-
 }  // namespace aseck::v2x

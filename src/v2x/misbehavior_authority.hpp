@@ -29,10 +29,10 @@ struct MisbehaviorReport {
 
 /// Authority thresholds.
 struct MisbehaviorAuthorityConfig {
-  /// Distinct reporters required before revocation.
+  /// Distinct reporters required before revocation. Each reporter counts
+  /// once per accused (anti-spam; fixed, not configurable): a repeat report
+  /// is kDuplicateReporter.
   std::size_t revocation_threshold = 3;
-  /// Reports per reporter per accused actually counted (anti-spam).
-  std::size_t max_reports_per_reporter = 1;
 };
 
 class MisbehaviorAuthority {
@@ -52,8 +52,6 @@ class MisbehaviorAuthority {
 
   std::size_t distinct_reporters(const CertId& accused) const;
   std::size_t revocations() const { return revocations_; }
-
-  static const char* outcome_name(Outcome o);
 
  private:
   Crl& crl_;

@@ -152,10 +152,6 @@ VehicleNode::VehicleNode(Scheduler& sched, V2xMedium& medium, std::string name,
 
 void VehicleNode::bind_telemetry(const sim::Telemetry& t) {
   trace_.bind(t);
-  wire_telemetry();
-}
-
-void VehicleNode::wire_telemetry() {
   trace_.set_enabled(true);
   k_bsm_tx_ = trace_.kind("bsm_tx");
   k_verify_fail_ = trace_.kind("verify_fail");

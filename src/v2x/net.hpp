@@ -173,7 +173,6 @@ class VehicleNode : public V2xRadio {
   void stop();
 
   const VehicleStats& stats() const { return stats_; }
-  sim::TraceScope& trace() { return trace_; }
 
   /// Rebinds trace events onto a shared telemetry plane. Standalone vehicles
   /// keep tracing disabled (V2X scale benches run thousands of nodes at
@@ -182,12 +181,6 @@ class VehicleNode : public V2xRadio {
 
   std::uint32_t current_temp_id() const { return temp_id_; }
   std::size_t pseudonym_index() const { return pseudo_idx_; }
-  MisbehaviorDetector& misbehavior() { return misbehavior_; }
-  const VerifyPolicy& verify_policy() const { return verify_policy_; }
-  void set_verify_policy(VerifyPolicy p) { verify_policy_ = p; }
-  /// Per-node verification engine (signature result cache; BSM floods from
-  /// the same sender repeat identical SPDUs across receive paths).
-  crypto::VerifyEngine& verify_engine() { return verify_engine_; }
 
   /// Hook invoked for every plausible, verified BSM (the ADAS consumer).
   /// In opportunistic mode "verified" means "provisionally admitted" — a
@@ -216,9 +209,6 @@ class VehicleNode : public V2xRadio {
  private:
   void send_bsm();
   void rotate_pseudonym();
-  /// Opts the node into the bound plane: tracing on, kinds interned there,
-  /// verify counters exported.
-  void wire_telemetry();
 
   Scheduler& sched_;
   V2xMedium& medium_;
@@ -259,7 +249,6 @@ class RsuNode : public V2xRadio {
 
   std::uint64_t received() const { return received_; }
   std::uint64_t verified() const { return verified_; }
-  crypto::VerifyEngine& verify_engine() { return verify_engine_; }
 
  private:
   Scheduler& sched_;

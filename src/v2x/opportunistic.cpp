@@ -61,7 +61,6 @@ void DeferredSpduVerifier::flush() {
   const SimTime now = sched_.now();
   for (const crypto::VerifyOutcome& o : outcomes) {
     Pending& p = *flat[o.tag];
-    window_us_.add((now - p.admitted_at).seconds() * 1e6);
     if (o.ok) {
       ++confirmed_;
     } else {

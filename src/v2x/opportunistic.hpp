@@ -20,7 +20,6 @@
 
 #include "crypto/verify_pool.hpp"
 #include "sim/scheduler.hpp"
-#include "util/stats.hpp"
 #include "v2x/message.hpp"
 
 namespace aseck::v2x {
@@ -63,9 +62,6 @@ class DeferredSpduVerifier {
   std::uint64_t confirmed() const { return confirmed_; }
   std::uint64_t revoked() const { return revoked_; }
   std::size_t pending_count() const;
-  /// Admission-to-verdict exposure, microseconds of sim-time per message.
-  const util::Samples& window_us() const { return window_us_; }
-  crypto::VerifyPool& pool() { return pool_; }
 
  private:
   struct Pending {
@@ -83,7 +79,6 @@ class DeferredSpduVerifier {
   std::uint64_t submitted_ = 0;
   std::uint64_t confirmed_ = 0;
   std::uint64_t revoked_ = 0;
-  util::Samples window_us_;
 };
 
 }  // namespace aseck::v2x

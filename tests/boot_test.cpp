@@ -185,6 +185,8 @@ TEST(BootChain, UnsignedActiveImageFallsBackToSignedSlot) {
   ASSERT_TRUE(b.flash.stage(v2));
   ASSERT_TRUE(b.flash.activate());
   BootChain chain = b.chain();
+  sim::Telemetry t;
+  chain.bind_telemetry(t);
   const BootChain::Report rep = chain.run();
 
   EXPECT_EQ(rep.mode, BootMode::kFallback);
@@ -193,6 +195,8 @@ TEST(BootChain, UnsignedActiveImageFallsBackToSignedSlot) {
   EXPECT_TRUE(rep.keys_unlocked);
   ASSERT_NE(b.flash.active(), nullptr);
   EXPECT_EQ(b.flash.active()->version, 1u);
+  // The shared plane records why the ECU runs the old slot.
+  EXPECT_EQ(t.bus->count("boot", "fallback"), 1u);
 }
 
 TEST(BootChain, NoVerifiableImageLimpsHomeInRecovery) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/layers.hpp"
+#include "core/modes.hpp"
 #include "core/policy.hpp"
 #include "core/registry.hpp"
 #include "core/verification.hpp"

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ecu/ecu.hpp"
 #include "ecu/flash.hpp"
 #include "ecu/she.hpp"
@@ -366,6 +368,14 @@ TEST(Ecu, TamperMonitorZeroizes) {
   EXPECT_EQ(ecu.state(), EcuState::kDegraded);
   EXPECT_TRUE(ecu.tamper().tripped);
   EXPECT_FALSE(ecu.she().has_key(SheSlot::kKey1));  // zeroized
+
+  // A NaN sample is outside every envelope: it must not fail open.
+  Ecu nan_fed = make_provisioned_ecu(sched, "steer", 2);
+  nan_fed.boot();
+  nan_fed.report_voltage(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nan_fed.state(), EcuState::kDegraded);
+  EXPECT_TRUE(nan_fed.tamper().tripped);
+  EXPECT_FALSE(nan_fed.she().has_key(SheSlot::kKey1));
 }
 
 TEST(Ecu, ClockTamper) {
@@ -376,6 +386,12 @@ TEST(Ecu, ClockTamper) {
   EXPECT_EQ(ecu.state(), EcuState::kOperational);
   ecu.report_clock(180.0);  // overclock glitch
   EXPECT_EQ(ecu.state(), EcuState::kDegraded);
+
+  Ecu nan_fed = make_provisioned_ecu(sched, "steer", 2);
+  nan_fed.boot();
+  nan_fed.report_clock(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nan_fed.state(), EcuState::kDegraded);
+  EXPECT_FALSE(nan_fed.she().has_key(SheSlot::kKey1));
 }
 
 TEST(Ecu, PartitionIsolation) {

@@ -321,7 +321,6 @@ TEST(CanFault, BusDownWindowStallsThenResumes) {
 // LIN / FlexRay / Ethernet
 
 struct TestLinSlave : ivn::LinSlave {
-  using ivn::LinSlave::LinSlave;
   std::optional<Bytes> respond(std::uint8_t id) override {
     return id == 0x10 ? std::optional<Bytes>(Bytes{0xAA, 0xBB}) : std::nullopt;
   }
@@ -334,7 +333,7 @@ TEST(LinFault, DropWindowLosesResponses) {
   Telemetry t;
   ivn::LinMaster master(sched, "lin0");
   master.bind_telemetry(t);
-  TestLinSlave slave("seat");
+  TestLinSlave slave;
   master.attach(&slave);
   master.set_schedule({{0x10, SimTime::from_ms(10)}});
   FaultPlan plan(sched, 3);
@@ -354,7 +353,7 @@ TEST(LinFault, DropWindowLosesResponses) {
 TEST(LinFault, CorruptWindowFeedsChecksumPath) {
   Scheduler sched;
   ivn::LinMaster master(sched, "lin0");
-  TestLinSlave slave("seat");
+  TestLinSlave slave;
   master.attach(&slave);
   master.set_schedule({{0x10, SimTime::from_ms(10)}});
   FaultPlan plan(sched, 3);
@@ -369,7 +368,6 @@ TEST(LinFault, CorruptWindowFeedsChecksumPath) {
 }
 
 struct TestFlexNode : ivn::FlexRayNode {
-  using ivn::FlexRayNode::FlexRayNode;
   std::optional<Bytes> static_payload(std::uint16_t, std::uint8_t) override {
     return Bytes{0x01, 0x02};
   }
@@ -382,7 +380,7 @@ TEST(FlexRayFault, DropWindowBurnsSlots) {
   Telemetry t;
   ivn::FlexRayBus bus(sched, "fr0");
   bus.bind_telemetry(t);
-  TestFlexNode owner("steer"), listener("listener");
+  TestFlexNode owner, listener;
   bus.assign_static_slot(1, &owner);
   bus.attach_listener(&listener);
   FaultPlan plan(sched, 3);

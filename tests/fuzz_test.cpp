@@ -131,7 +131,7 @@ FuzzTarget toy_target() {
 }
 
 TEST(Fuzzer, FindsPlantedBugAndMinimizes) {
-  Fuzzer fuzzer({/*seed=*/42, /*iterations=*/2000, /*minimize=*/true, {}});
+  Fuzzer fuzzer({/*seed=*/42, /*iterations=*/2000, {}});
   const FuzzTarget t = toy_target();
   const CampaignResult r = fuzzer.run(t);
   ASSERT_EQ(r.findings.size(), 1u);

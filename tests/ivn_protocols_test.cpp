@@ -17,8 +17,8 @@ namespace {
 
 class EchoSlave : public LinSlave {
  public:
-  EchoSlave(std::string name, std::uint8_t owned_id, util::Bytes payload)
-      : LinSlave(std::move(name)), id_(owned_id), payload_(std::move(payload)) {}
+  EchoSlave(std::uint8_t owned_id, util::Bytes payload)
+      : id_(owned_id), payload_(std::move(payload)) {}
   std::optional<util::Bytes> respond(std::uint8_t id) override {
     if (id == id_) {
       ++polled;
@@ -63,8 +63,8 @@ TEST(Lin, ChecksumInvertedSum) {
 TEST(Lin, ScheduleCyclesAndDelivers) {
   sim::Scheduler sched;
   LinMaster master(sched, "lin0");
-  EchoSlave s1("window", 0x10, {0x01});
-  EchoSlave s2("seat", 0x11, {0x02, 0x03});
+  EchoSlave s1(0x10, {0x01});
+  EchoSlave s2(0x11, {0x02, 0x03});
   master.attach(&s1);
   master.attach(&s2);
   master.set_schedule({{0x10, SimTime::from_ms(10)}, {0x11, SimTime::from_ms(10)}});
@@ -82,7 +82,7 @@ TEST(Lin, ScheduleCyclesAndDelivers) {
 TEST(Lin, NoResponderCounted) {
   sim::Scheduler sched;
   LinMaster master(sched, "lin0");
-  EchoSlave s1("only", 0x10, {0x01});
+  EchoSlave s1(0x10, {0x01});
   master.attach(&s1);
   master.set_schedule({{0x22, SimTime::from_ms(10)}});
   master.start();
@@ -96,8 +96,8 @@ TEST(Lin, NoResponderCounted) {
 TEST(Lin, CorruptionDetectedByChecksum) {
   sim::Scheduler sched;
   LinMaster master(sched, "lin0");
-  EchoSlave s1("sensor", 0x10, {0xAA, 0xBB});
-  EchoSlave s2("consumer", 0x3F, {});
+  EchoSlave s1(0x10, {0xAA, 0xBB});
+  EchoSlave s2(0x3F, {});
   master.attach(&s1);
   master.attach(&s2);
   master.set_schedule({{0x10, SimTime::from_ms(10)}});
@@ -118,8 +118,7 @@ TEST(Lin, CorruptionDetectedByChecksum) {
 
 class StaticSender : public FlexRayNode {
  public:
-  StaticSender(std::string name, util::Bytes payload)
-      : FlexRayNode(std::move(name)), payload_(std::move(payload)) {}
+  explicit StaticSender(util::Bytes payload) : payload_(std::move(payload)) {}
   std::optional<util::Bytes> static_payload(std::uint16_t, std::uint8_t) override {
     ++asked;
     return send_null ? std::nullopt : std::optional<util::Bytes>(payload_);
@@ -143,8 +142,8 @@ TEST(FlexRay, StaticSlotsDeterministicTiming) {
   cfg.static_slots = 4;
   cfg.dynamic_minislots = 10;
   FlexRayBus bus(sched, "fr0", cfg);
-  StaticSender steering("steering", {0x01});
-  StaticSender braking("braking", {0x02});
+  StaticSender steering({0x01});
+  StaticSender braking({0x02});
   bus.assign_static_slot(1, &steering);
   bus.assign_static_slot(3, &braking);
   bus.start();
@@ -163,7 +162,7 @@ TEST(FlexRay, StaticSlotsDeterministicTiming) {
 TEST(FlexRay, SlotOwnershipExclusive) {
   sim::Scheduler sched;
   FlexRayBus bus(sched, "fr0");
-  StaticSender a("a", {}), b("b", {});
+  StaticSender a({}), b({});
   bus.assign_static_slot(1, &a);
   EXPECT_THROW(bus.assign_static_slot(1, &b), std::invalid_argument);
   EXPECT_THROW(bus.assign_static_slot(0, &b), std::invalid_argument);
@@ -175,7 +174,7 @@ TEST(FlexRay, NullFramesCounted) {
   FlexRayConfig cfg;
   cfg.static_slots = 2;
   FlexRayBus bus(sched, "fr0", cfg);
-  StaticSender a("a", {0x01});
+  StaticSender a({0x01});
   a.send_null = true;
   bus.assign_static_slot(1, &a);
   bus.start();
@@ -192,8 +191,8 @@ TEST(FlexRay, DynamicSegmentPriorityAndOverflow) {
   cfg.static_slots = 1;
   cfg.dynamic_minislots = 6;
   FlexRayBus bus(sched, "fr0", cfg);
-  StaticSender a("a", {0x01});
-  StaticSender listener("l", {});
+  StaticSender a({0x01});
+  StaticSender listener({});
   bus.assign_static_slot(1, &a);
   bus.attach_listener(&listener);
   // Two small frames fit; queue a big one that overflows the segment.
@@ -218,7 +217,7 @@ TEST(FlexRay, CycleCounterWraps64) {
   cfg.static_slots = 1;
   cfg.dynamic_minislots = 1;
   FlexRayBus bus(sched, "fr0", cfg);
-  StaticSender a("a", {0x01});
+  StaticSender a({0x01});
   bus.assign_static_slot(1, &a);
   bus.start();
   sched.run_until(cfg.cycle_length() * 70);

@@ -623,6 +623,31 @@ TEST(SessionFrontend, TicketCacheAmortizesHandshakes) {
   EXPECT_EQ(front.resumptions(), 1u);
 }
 
+TEST(SessionFrontend, BoundFrontTracesRejectedHandshake) {
+  // Why a vehicle did not update: a front bound to the shared plane records
+  // the handshake the vehicle rejected (credential not signed by the pinned
+  // authority) as an event and a counter there.
+  crypto::Drbg rng(7u);
+  using crypto::EcdsaPrivateKey;
+  const EcdsaPrivateKey authority = EcdsaPrivateKey::generate(rng);
+  const EcdsaPrivateKey rogue = EcdsaPrivateKey::generate(rng);
+  EcdsaPrivateKey identity = EcdsaPrivateKey::generate(rng);
+  cloud::ServerCredential cred =
+      cloud::ServerCredential::issue("ota-front", identity.public_key(), rogue);
+  cloud::SessionFrontend front(std::move(cred), std::move(identity),
+                               authority.public_key(), rng);
+  sim::Telemetry t;
+  front.bind_telemetry(t);
+
+  EXPECT_FALSE(front.connect("veh-7", SimTime::from_s(1)).ok);
+  EXPECT_EQ(front.handshakes(), 0u);
+  EXPECT_EQ(t.metrics->counter_value("cloud.front.failures"), 1u);
+  const sim::TraceEvent* ev =
+      t.bus->find_first("cloud.front", "handshake_fail");
+  ASSERT_NE(ev, nullptr);
+  EXPECT_EQ(ev->detail, "veh-7");
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: ota.repo.* metrics survive merge_from (sharded runs)
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <set>
 
 #include "util/bytes.hpp"
@@ -312,32 +311,18 @@ TEST(Stats, Percentiles) {
   EXPECT_NEAR(s.percentile(99), 99.01, 0.02);
 }
 
-TEST(Stats, HistogramBinning) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-1.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to last bin
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_THROW(Histogram(0.0, 0.0, 4), std::invalid_argument);
-}
-
-TEST(Stats, HistogramNanSampleIsCountedNotBinned) {
-  // Regression: NaN fails both range guards, so the old code fell through to
-  // `static_cast<std::size_t>(NaN)` — UB (caught by UBSan) and an arbitrary
-  // bin. NaN must leave every bin and the total untouched.
-  Histogram h(0.0, 10.0, 10);
-  h.add(5.0);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.total(), 1u);
-  EXPECT_EQ(h.nan_count(), 1u);
-  std::size_t binned = 0;
-  for (std::size_t b = 0; b < h.bins(); ++b) binned += h.bin_count(b);
-  EXPECT_EQ(binned, 1u);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.nan_count(), 2u);
+TEST(Stats, SamplesAddedAfterAQueryAreOrdered) {
+  // Regression: add() left the sorted flag set, so samples added after a
+  // query were appended unsorted and min/max/percentile read stale order.
+  Samples s;
+  s.add(3.0);
+  s.add(1.0);
+  EXPECT_DOUBLE_EQ(s.percentile(50), 2.0);
+  s.add(0.0);
+  s.add(9.0);
+  EXPECT_DOUBLE_EQ(s.min(), 0.0);
+  EXPECT_DOUBLE_EQ(s.max(), 9.0);
+  EXPECT_DOUBLE_EQ(s.percentile(50), 2.0);
 }
 
 TEST(Stats, Pearson) {

@@ -519,6 +519,52 @@ TEST(Opportunistic, AdmitsProvisionallyAndConfirmsHonestTraffic) {
   EXPECT_LE(b.stats().exposure_window_us.max(), 10001.0);
 }
 
+/// Radio at (10, 0) that only transmits.
+struct Injector : V2xRadio {
+  Injector() : V2xRadio("inj") {}
+  Position position() const override { return {10, 0}; }
+  void on_spdu(const Spdu&, SimTime) override {}
+};
+
+/// A plausible BSM (temp id 999, at the Injector) under a valid certificate,
+/// with a forged signature.
+Spdu forged_bsm(Pki& pki, SimTime now) {
+  const auto ent = pki.make_entity("mallory", {Psid::kBsm});
+  Bsm fake;
+  fake.temp_id = 999;
+  fake.pos = {10, 0};
+  fake.speed_mps = 10.0;
+  fake.generated = now;
+  Spdu msg = Spdu::sign(Psid::kBsm, now, fake.serialize(), ent.cert, ent.key);
+  msg.signature.s = crypto::U256::from_u64(5);  // forge
+  return msg;
+}
+
+TEST(Vehicle, BoundNodeTracesForgedSpduAsVerifyFail) {
+  // Why was this BSM dropped? A node bound to a shared plane records the
+  // rejection on the shared bus, with the verify status as detail.
+  sim::Scheduler sched;
+  Pki pki;
+  V2xMedium medium(sched);
+  auto batch = pki.pca.issue_pseudonyms(pki.rng, 1, SimTime::zero(), SimTime::from_s(1000));
+  VehicleNode b(sched, medium, "b", {50, 0}, 0, 0, pki.trust, std::move(batch));
+  sim::Telemetry t;
+  b.bind_telemetry(t);
+  Injector inj;
+  medium.attach(&inj);
+
+  sched.run_until(SimTime::from_ms(5));
+  medium.broadcast(&inj, forged_bsm(pki, sched.now()));
+  sched.run();
+
+  EXPECT_EQ(b.stats().rejected.at(VerifyStatus::kBadSignature), 1u);
+  EXPECT_EQ(b.stats().verified_ok, 0u);
+  ASSERT_EQ(t.bus->count("v2x.b", "verify_fail"), 1u);
+  const int status = static_cast<int>(VerifyStatus::kBadSignature);
+  EXPECT_EQ(t.bus->find_first("v2x.b", "verify_fail")->detail,
+            "status=" + std::to_string(status));
+}
+
 TEST(Opportunistic, RevokesForgedSignatureAfterActingOnIt) {
   sim::Scheduler sched;
   Pki pki;
@@ -536,11 +582,7 @@ TEST(Opportunistic, RevokesForgedSignatureAfterActingOnIt) {
     revoked_at = at;
   });
 
-  struct Injector : V2xRadio {
-    Injector() : V2xRadio("inj") {}
-    Position position() const override { return {10, 0}; }
-    void on_spdu(const Spdu&, SimTime) override {}
-  } inj;
+  Injector inj;
   medium.attach(&inj);
 
   verifier.start();
@@ -548,16 +590,7 @@ TEST(Opportunistic, RevokesForgedSignatureAfterActingOnIt) {
   // Valid certificate, fresh timestamp, plausible position — every check
   // the receiver can afford at admit time passes. Only the signature is
   // forged, and that check has been deferred.
-  const auto ent = pki.make_entity("mallory", {Psid::kBsm});
-  Bsm fake;
-  fake.temp_id = 999;
-  fake.pos = {10, 0};
-  fake.speed_mps = 10.0;
-  fake.generated = sched.now();
-  Spdu msg = Spdu::sign(Psid::kBsm, sched.now(), fake.serialize(), ent.cert,
-                        ent.key);
-  msg.signature.s = crypto::U256::from_u64(5);  // forge
-  medium.broadcast(&inj, msg);
+  medium.broadcast(&inj, forged_bsm(pki, sched.now()));
   sched.run_until(SimTime::from_ms(50));
   verifier.stop();
   sched.run();
