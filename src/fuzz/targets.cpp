@@ -180,9 +180,16 @@ FuzzTarget can_target() {
     if (re.size() != b.size() || !std::equal(re.begin(), re.end(), b.begin())) {
       return {true, "can.oracle.roundtrip"};
     }
-    // Timing accounting must hold for any accepted frame.
+    // Timing accounting must hold for any accepted frame: the region plus
+    // 13 trailer bits plus at most one stuff bit per four region bits, with
+    // a nominal-rate share shorter than the whole frame.
     std::size_t arb = 0;
-    (void)f->wire_bits(&arb);
+    const std::size_t wire = f->wire_bits(&arb);
+    const std::size_t region = f->stuff_region_bits().size();
+    if (wire < region + 13 || wire > region + 13 + (region - 1) / 4 + 1 ||
+        arb >= wire) {
+      return {true, "can.oracle.wire_bits"};
+    }
     return {true, ""};
   };
   return t;

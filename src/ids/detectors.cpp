@@ -41,7 +41,7 @@ void PayloadEntropyDetector::train(const CanFrame& frame, SimTime) {
   PerId& st = ids_[frame.id];
   if (st.values.size() < frame.data.size()) st.values.resize(frame.data.size());
   for (std::size_t i = 0; i < frame.data.size(); ++i) {
-    st.values[i].insert(frame.data[i]);
+    st.values[i].set(frame.data[i]);
   }
   ++st.samples;
 }
@@ -55,10 +55,10 @@ double PayloadEntropyDetector::observe(const CanFrame& frame, SimTime) {
   double worst = 0.0;
   for (std::size_t i = 0; i < frame.data.size(); ++i) {
     const auto& seen = st.values[i];
-    if (seen.count(frame.data[i])) continue;
+    if (seen.test(frame.data[i])) continue;
     // Unseen value at a structured (low-cardinality) position is suspicious;
     // at a high-entropy position it is expected.
-    const double cardinality = static_cast<double>(seen.size());
+    const std::size_t cardinality = seen.count();
     const double score = cardinality <= 4 ? 2.0 : (cardinality <= 32 ? 1.2 : 0.2);
     worst = std::max(worst, score);
   }

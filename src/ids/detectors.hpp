@@ -13,6 +13,7 @@
 //  * IdsEnsemble — OR-combination with per-detector attribution and
 //    TP/FP/FN/TN scoring against ground-truth labels (used by experiment E7).
 
+#include <bitset>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -76,7 +77,7 @@ class PayloadEntropyDetector : public Detector {
   struct PerId {
     // Observed value set per byte position; positions with few distinct
     // values are "structured" and deviations there are suspicious.
-    std::vector<std::set<std::uint8_t>> values;
+    std::vector<std::bitset<256>> values;
     std::size_t samples = 0;
   };
   std::map<std::uint32_t, PerId> ids_;

@@ -1,6 +1,7 @@
 #include "ivn/can.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
@@ -9,19 +10,31 @@
 
 namespace aseck::ivn {
 
+namespace {
+
+constexpr std::size_t kFdDlcSizes[16] = {0, 1,  2,  3,  4,  5,  6,  7,
+                                         8, 12, 16, 20, 24, 32, 48, 64};
+
+/// DLC code of the payload length; 0 for a length that is no FD size
+/// (valid() rejects such frames).
+std::uint8_t dlc_code(const CanFrame& f) {
+  if (f.format == CanFormat::kClassic) {
+    return static_cast<std::uint8_t>(f.data.size());
+  }
+  for (std::uint8_t i = 0; i < 16; ++i) {
+    if (kFdDlcSizes[i] == f.data.size()) return i;
+  }
+  return 0;
+}
+
+}  // namespace
+
 std::size_t CanFrame::fd_round_up(std::size_t n) {
-  static constexpr std::size_t kSizes[] = {0,  1,  2,  3,  4,  5,  6,  7,
-                                           8,  12, 16, 20, 24, 32, 48, 64};
-  for (std::size_t s : kSizes) {
+  for (std::size_t s : kFdDlcSizes) {
     if (n <= s) return s;
   }
   return 64;
 }
-
-namespace {
-constexpr std::size_t kFdDlcSizes[16] = {0, 1,  2,  3,  4,  5,  6,  7,
-                                         8, 12, 16, 20, 24, 32, 48, 64};
-}  // namespace
 
 util::Bytes CanFrame::encode_wire() const {
   util::Bytes out;
@@ -33,18 +46,7 @@ util::Bytes CanFrame::encode_wire() const {
   if (brs) flags |= 0x08;
   out.push_back(flags);
   util::append_be(out, id, 4);
-  std::uint8_t dlc = 0;
-  if (format == CanFormat::kClassic) {
-    dlc = static_cast<std::uint8_t>(data.size());
-  } else {
-    for (std::uint8_t i = 0; i < 16; ++i) {
-      if (kFdDlcSizes[i] == data.size()) {
-        dlc = i;
-        break;
-      }
-    }
-  }
-  out.push_back(dlc);
+  out.push_back(dlc_code(*this));
   out.insert(out.end(), data.begin(), data.end());
   return out;
 }
@@ -115,87 +117,130 @@ bool CanFrame::valid() const {
   return !remote && data.size() <= 64 && fd_round_up(data.size()) == data.size();
 }
 
-std::vector<bool> CanFrame::stuff_region_bits() const {
-  std::vector<bool> bits;
-  bits.push_back(false);  // SOF (dominant)
-  auto push_field = [&bits](std::uint32_t v, int width) {
-    for (int i = width - 1; i >= 0; --i) bits.push_back((v >> i) & 1u);
-  };
-  if (!extended) {
-    push_field(id, 11);
-    bits.push_back(remote);  // RTR
-    bits.push_back(false);   // IDE
-    bits.push_back(format == CanFormat::kFd);  // r0 / FDF
-  } else {
-    push_field(id >> 18, 11);
-    bits.push_back(true);   // SRR
-    bits.push_back(true);   // IDE
-    push_field(id & 0x3ffff, 18);
-    bits.push_back(remote);
-    bits.push_back(false);  // r1
-    bits.push_back(format == CanFormat::kFd);
+namespace {
+
+// Longest stuff region: extended header through DLC (39 bits), 64 data
+// bytes and CRC-21.
+constexpr std::size_t kMaxRegionBits = 39 + 64 * 8 + 21;
+// CRC delimiter + ACK slot + ACK delimiter + EOF(7) + IFS(3).
+constexpr std::size_t kTrailerBits = 1 + 1 + 1 + 7 + 3;
+
+/// The stuff region (SOF through CRC) packed MSB-first; bits past `n` are 0.
+struct RegionBits {
+  std::array<std::uint8_t, (kMaxRegionBits + 7) / 8> bytes{};
+  std::size_t n = 0;
+
+  /// Appends the low `width` (< 32) bits of `v`, most significant first.
+  void put(std::uint32_t v, unsigned width) {
+    const unsigned shift = static_cast<unsigned>(n % 8);
+    std::uint64_t w = static_cast<std::uint64_t>(v & ((1u << width) - 1))
+                      << (64 - width - shift);
+    std::uint8_t* p = bytes.data() + n / 8;
+    for (unsigned done = 0; done < shift + width; done += 8, w <<= 8) {
+      *p++ |= static_cast<std::uint8_t>(w >> 56);
+    }
+    n += width;
   }
-  // DLC
-  std::uint32_t dlc;
-  if (format == CanFormat::kClassic) {
-    dlc = static_cast<std::uint32_t>(data.size());
+  bool bit(std::size_t i) const { return (bytes[i / 8] >> (7 - i % 8)) & 1u; }
+};
+
+/// Encodes SOF..CRC. The CRC covers the bits before it, zero-padded to a
+/// byte boundary, i.e. the leading bytes of the buffer as they stand.
+RegionBits encode_region(const CanFrame& f) {
+  if (!f.valid()) {
+    throw std::invalid_argument("CanFrame: invalid frame has no wire encoding");
+  }
+  const bool fd = f.format == CanFormat::kFd;
+  RegionBits r;
+  r.put(0, 1);  // SOF (dominant)
+  if (!f.extended) {
+    r.put(f.id, 11);
+    r.put(f.remote, 1);  // RTR
+    r.put(0, 1);         // IDE
+    r.put(fd, 1);        // r0 / FDF
   } else {
-    static constexpr std::size_t kSizes[] = {0,  1,  2,  3,  4,  5,  6,  7,
-                                             8,  12, 16, 20, 24, 32, 48, 64};
-    dlc = 8;
-    for (std::uint32_t i = 0; i < 16; ++i) {
-      if (kSizes[i] == data.size()) {
-        dlc = i;
-        break;
-      }
+    r.put(f.id >> 18, 11);
+    r.put(0b11, 2);  // SRR, IDE
+    r.put(f.id & 0x3ffff, 18);
+    r.put(f.remote, 1);
+    r.put(0, 1);  // r1
+    r.put(fd, 1);
+  }
+  r.put(dlc_code(f), 4);
+  for (std::uint8_t b : f.data) r.put(b, 8);
+  const util::BytesView covered(r.bytes.data(), (r.n + 7) / 8);
+  if (!fd) {
+    r.put(util::crc15_can(covered), 15);
+  } else if (f.data.size() <= 16) {
+    r.put(util::crc17_canfd(covered), 17);
+  } else {
+    r.put(util::crc21_canfd(covered), 21);
+  }
+  return r;
+}
+
+// Bit-stuffing state: the last bit on the wire (bit 2) and the length of its
+// run minus one (bits 0-1). A run never rests at 5: the fifth equal bit
+// inserts the complement, which starts a new run of one.
+constexpr unsigned stuff_step(unsigned state, unsigned bit, unsigned& stuffed) {
+  const unsigned last = state >> 2;
+  if (bit != last) return bit << 2;
+  if ((state & 3u) < 3u) return state + 1;
+  ++stuffed;
+  return (last ^ 1u) << 2;
+}
+
+/// For each of the 8 states and 256 input bytes: the stuff bits the byte
+/// inserts (bits 3+) and the state after it (bits 0-2).
+constexpr std::array<std::uint8_t, 8 * 256> kStuffTable = []() consteval {
+  std::array<std::uint8_t, 8 * 256> table{};
+  for (unsigned state = 0; state < 8; ++state) {
+    for (unsigned byte = 0; byte < 256; ++byte) {
+      unsigned s = state, stuffed = 0;
+      for (int i = 7; i >= 0; --i) s = stuff_step(s, (byte >> i) & 1u, stuffed);
+      table[state * 256 + byte] = static_cast<std::uint8_t>(stuffed << 3 | s);
     }
   }
-  push_field(dlc, 4);
-  for (std::uint8_t b : data) push_field(b, 8);
-  // CRC over the bit stream so far: pack bits into bytes (MSB first).
-  util::Bytes packed((bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) packed[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+  return table;
+}();
+
+/// Stuff bits inserted into the region. The state starts as a recessive run
+/// of one, so the dominant SOF begins a fresh run.
+std::size_t count_stuff_bits(const RegionBits& r) {
+  unsigned state = 1u << 2;
+  std::size_t stuffed = 0;
+  const std::size_t whole = r.n / 8;
+  for (std::size_t i = 0; i < whole; ++i) {
+    const std::uint8_t e = kStuffTable[state * 256 + r.bytes[i]];
+    stuffed += e >> 3;
+    state = e & 7u;
   }
-  if (format == CanFormat::kClassic) {
-    push_field(util::crc15_can(packed), 15);
-  } else if (data.size() <= 16) {
-    push_field(util::crc17_canfd(packed), 17);
-  } else {
-    push_field(util::crc21_canfd(packed), 21);
+  unsigned tail = 0;
+  for (std::size_t i = whole * 8; i < r.n; ++i) {
+    state = stuff_step(state, r.bit(i), tail);
   }
+  return stuffed + tail;
+}
+
+}  // namespace
+
+std::vector<bool> CanFrame::stuff_region_bits() const {
+  const RegionBits r = encode_region(*this);
+  std::vector<bool> bits(r.n);
+  for (std::size_t i = 0; i < r.n; ++i) bits[i] = r.bit(i);
   return bits;
 }
 
 std::size_t CanFrame::wire_bits(std::size_t* arbitration_bits) const {
-  const std::vector<bool> bits = stuff_region_bits();
-  // Count stuff bits: after 5 consecutive equal bits, a complementary bit is
-  // inserted (which itself participates in subsequent runs).
-  std::size_t stuffed = bits.size();
-  int run = 1;
-  bool last = bits[0];
-  for (std::size_t i = 1; i < bits.size(); ++i) {
-    if (bits[i] == last) {
-      if (++run == 5) {
-        ++stuffed;   // inserted complement bit
-        last = !last;  // run restarts at the stuff bit
-        run = 1;
-      }
-    } else {
-      last = bits[i];
-      run = 1;
-    }
-  }
-  // Trailer: CRC delimiter + ACK slot + ACK delimiter + EOF(7) + IFS(3).
-  const std::size_t trailer = 1 + 1 + 1 + 7 + 3;
+  const RegionBits r = encode_region(*this);
   if (arbitration_bits) {
     // For FD/BRS: everything before the DLC region is nominal-rate. We
     // approximate the nominal-rate portion as the arbitration field
     // (SOF..IDE) which is close enough for load studies: ~30 bits for
     // base, ~50 for extended, plus the trailer which is also nominal.
-    *arbitration_bits = (extended ? 50 : 30) + trailer;
+    *arbitration_bits = (extended ? 50 : 30) + kTrailerBits;
   }
-  return stuffed + trailer;
+  return r.n + count_stuff_bits(r) + kTrailerBits;
 }
 
 CanBus::CanBus(Scheduler& sched, std::string name, std::uint64_t bitrate_bps,
@@ -260,6 +305,11 @@ void CanBus::detach(CanNode* node) {
 SimTime CanBus::frame_time(const CanFrame& frame) const {
   std::size_t arb_bits = 0;
   const std::size_t total = frame.wire_bits(&arb_bits);
+  return frame_time(frame, total, arb_bits);
+}
+
+SimTime CanBus::frame_time(const CanFrame& frame, std::size_t total,
+                           std::size_t arb_bits) const {
   if (frame.format == CanFormat::kFd && frame.brs && data_bitrate_ > bitrate_) {
     const std::size_t data_bits = total > arb_bits ? total - arb_bits : 0;
     const double secs = static_cast<double>(arb_bits) / static_cast<double>(bitrate_) +
@@ -331,7 +381,9 @@ void CanBus::try_start_tx() {
       ASECK_TRACE(trace_, sched_.now(), k_fault_malformed_, winner->name());
     }
   }
-  const SimTime duration = frame_time(frame);
+  std::size_t arb_bits = 0;
+  const std::size_t bits = frame.wire_bits(&arb_bits);
+  const SimTime duration = frame_time(frame, bits, arb_bits);
   const bool errored = (error_injector_ && error_injector_(frame, *winner)) ||
                        (fault_port_ && fault_port_->roll_corrupt());
   ASECK_TRACE(trace_, sched_.now(), errored ? k_tx_error_start_ : k_tx_start_,
@@ -340,14 +392,14 @@ void CanBus::try_start_tx() {
   // IFS ~= 17 bits); model as a fixed fraction of the frame.
   SimTime busy_for =
       errored ? SimTime::from_seconds_f(
-                    static_cast<double>(frame.wire_bits(nullptr) / 4 + 17) /
+                    static_cast<double>(bits / 4 + 17) /
                     static_cast<double>(bitrate_))
               : duration;
   // Injected delay: the medium is disturbed (retransmission-after-noise),
   // holding the bus longer and delivering the frame late.
   if (fault_port_) busy_for += fault_port_->roll_delay();
   c_busy_ns_->inc(busy_for.ns);
-  c_bits_on_wire_->inc(frame.wire_bits(nullptr));
+  c_bits_on_wire_->inc(bits);
   sched_.schedule_in(busy_for, [this, winner, frame, errored] {
     finish_tx(winner, frame, errored);
   });

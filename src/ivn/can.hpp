@@ -56,10 +56,14 @@ struct CanFrame {
   util::Bytes encode_wire() const;
   static std::optional<CanFrame> decode_wire(util::BytesView b);
   /// Serialized bits from SOF through CRC (stuffing region), for timing.
+  /// The CRC covers the bits before it zero-padded to a byte boundary, not
+  /// the unpadded bit stream of ISO 11898-1; correcting that changes every
+  /// frame's length and so every recorded golden. Throws
+  /// std::invalid_argument if `!valid()`.
   std::vector<bool> stuff_region_bits() const;
   /// Total on-wire bit count including stuff bits, delimiters, ACK, EOF, IFS.
   /// For FD frames `arbitration_bits` receives the count sent at nominal
-  /// rate, the rest at data rate.
+  /// rate, the rest at data rate. Throws std::invalid_argument if `!valid()`.
   std::size_t wire_bits(std::size_t* arbitration_bits = nullptr) const;
 };
 
@@ -146,7 +150,8 @@ class CanBus : public sim::FaultHook {
     error_injector_ = std::move(injector);
   }
 
-  /// Time to serialize `frame` on this bus.
+  /// Time to serialize `frame` on this bus. Throws std::invalid_argument
+  /// if `!frame.valid()`.
   SimTime frame_time(const CanFrame& frame) const;
 
   /// Clears a node's bus-off state (models the 128x11-recessive-bit recovery
@@ -159,6 +164,9 @@ class CanBus : public sim::FaultHook {
   void set_auto_recovery(SimTime delay) { auto_recovery_ = delay; }
 
  private:
+  /// frame_time() from an already computed wire_bits() result.
+  SimTime frame_time(const CanFrame& frame, std::size_t total,
+                     std::size_t arb_bits) const;
   void try_start_tx();
   void finish_tx(CanNode* node, const CanFrame& frame, bool errored);
   void bump_tx_error(CanNode* node);

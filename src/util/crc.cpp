@@ -1,62 +1,94 @@
 #include "util/crc.hpp"
 
+#include <array>
+
 namespace aseck::util {
 
 namespace {
 
-/// Generic MSB-first CRC over bytes for width <= 32.
-std::uint32_t crc_msb(BytesView data, unsigned width, std::uint32_t poly,
-                      std::uint32_t init, std::uint32_t xorout) {
-  const std::uint32_t topbit = 1u << (width - 1);
-  const std::uint32_t mask = (width == 32) ? 0xffffffffu : ((1u << width) - 1);
+/// Byte-wide table for an MSB-first CRC of `Width` (8..32) bits: entry i is
+/// the register `i << (Width - 8)` after eight shift-and-divide steps. The
+/// register is masked to `Width` bits, so a polynomial constant that spells
+/// out the x^Width term divides exactly like one that leaves it implicit.
+template <unsigned Width, std::uint32_t Poly>
+consteval std::array<std::uint32_t, 256> msb_table() {
+  static_assert(Width >= 8 && Width <= 32);
+  constexpr std::uint32_t kMask =
+      Width == 32 ? 0xffffffffu : ((1u << Width) - 1);
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i << (Width - 8);
+    for (int bit = 0; bit < 8; ++bit) {
+      const bool top = (crc >> (Width - 1)) & 1u;
+      crc = (crc << 1) & kMask;
+      if (top) crc ^= Poly & kMask;
+    }
+    table[i] = crc;
+  }
+  return table;
+}
+
+/// MSB-first CRC over bytes, one table lookup per byte.
+template <unsigned Width, std::uint32_t Poly>
+std::uint32_t crc_msb(BytesView data, std::uint32_t init,
+                      std::uint32_t xorout) {
+  static constexpr std::array<std::uint32_t, 256> kTable =
+      msb_table<Width, Poly>();
+  constexpr std::uint32_t kMask =
+      Width == 32 ? 0xffffffffu : ((1u << Width) - 1);
   std::uint32_t crc = init;
   for (std::uint8_t byte : data) {
-    for (int bit = 7; bit >= 0; --bit) {
-      const std::uint32_t in = (byte >> bit) & 1u;
-      const std::uint32_t top = (crc >> (width - 1)) & 1u;
-      crc = (crc << 1) & mask;
-      if (top ^ in) crc ^= poly;
-    }
+    crc = ((crc << 8) & kMask) ^ kTable[((crc >> (Width - 8)) ^ byte) & 0xffu];
   }
-  (void)topbit;
-  return (crc ^ xorout) & mask;
+  return (crc ^ xorout) & kMask;
+}
+
+/// Reflected (LSB-first) CRC-32 table for polynomial 0xEDB88320.
+consteval std::array<std::uint32_t, 256> crc32_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    table[i] = crc;
+  }
+  return table;
 }
 
 }  // namespace
 
-std::uint16_t crc15_can(BytesView bits_as_bytes) {
-  return static_cast<std::uint16_t>(crc_msb(bits_as_bytes, 15, 0x4599, 0, 0));
+std::uint16_t crc15_can(BytesView data) {
+  return static_cast<std::uint16_t>(crc_msb<15, 0x4599>(data, 0, 0));
 }
 
 std::uint32_t crc17_canfd(BytesView data) {
-  return crc_msb(data, 17, 0x3685B, 0, 0);
+  return crc_msb<17, 0x3685B>(data, 0, 0);
 }
 
 std::uint32_t crc21_canfd(BytesView data) {
-  return crc_msb(data, 21, 0x302899, 0, 0);
+  return crc_msb<21, 0x302899>(data, 0, 0);
 }
 
 std::uint16_t crc11_flexray(BytesView data) {
-  return static_cast<std::uint16_t>(crc_msb(data, 11, 0x385, 0x01A, 0));
+  return static_cast<std::uint16_t>(crc_msb<11, 0x385>(data, 0x01A, 0));
 }
 
 std::uint32_t crc24_flexray(BytesView data) {
-  return crc_msb(data, 24, 0x5D6DCB, 0xFEDCBA, 0);
+  return crc_msb<24, 0x5D6DCB>(data, 0xFEDCBA, 0);
 }
 
 std::uint32_t crc32_ieee(BytesView data) {
+  static constexpr std::array<std::uint32_t, 256> kTable = crc32_table();
   std::uint32_t crc = 0xffffffffu;
   for (std::uint8_t byte : data) {
-    crc ^= byte;
-    for (int i = 0; i < 8; ++i) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
+    crc = (crc >> 8) ^ kTable[(crc ^ byte) & 0xffu];
   }
   return crc ^ 0xffffffffu;
 }
 
 std::uint8_t crc8_j1850(BytesView data) {
-  return static_cast<std::uint8_t>(crc_msb(data, 8, 0x1D, 0xFF, 0xFF));
+  return static_cast<std::uint8_t>(crc_msb<8, 0x1D>(data, 0xFF, 0xFF));
 }
 
 }  // namespace aseck::util

@@ -4,6 +4,11 @@
 // CAN 2.0 uses CRC-15 (poly 0x4599); CAN FD uses CRC-17 (0x3685B) for
 // payloads up to 16 bytes and CRC-21 (0x302899) above; FlexRay uses CRC-24
 // on the frame and CRC-11 on the header; Ethernet uses CRC-32 (reflected).
+//
+// Polynomial constants: 0x3685B and 0x302899 spell out the x^17 and x^21
+// terms, while 0x4599 and the others leave the x^width term implicit. The
+// register is masked to the CRC width, so both spellings divide by the same
+// polynomial (0x1685B and 0x102899 in the implicit form).
 
 #include <cstdint>
 
@@ -12,9 +17,9 @@
 namespace aseck::util {
 
 /// CAN 2.0 CRC-15, polynomial x^15+x^14+x^10+x^8+x^7+x^4+x^3+1 (0x4599),
-/// computed MSB-first over a bit stream. `bit_count` bits of `bits` are
-/// consumed most-significant-bit first per byte.
-std::uint16_t crc15_can(BytesView bits_as_bytes);
+/// init 0, over bytes MSB-first. The CAN model feeds it the stuff region
+/// packed MSB-first and zero-padded to a byte boundary.
+std::uint16_t crc15_can(BytesView data);
 
 /// CAN FD CRC-17 (poly 0x3685B) over bytes, MSB-first, init 0.
 std::uint32_t crc17_canfd(BytesView data);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "ids/detectors.hpp"
 #include "util/rng.hpp"
 
@@ -97,6 +100,30 @@ TEST(PayloadDetector, InsufficientTrainingStaysQuiet) {
   d.train(frame(0x100, Bytes(8, 1)), ms(0));
   d.train(frame(0x100, Bytes(8, 1)), ms(10));
   EXPECT_EQ(d.observe(frame(0x100, Bytes(8, 9)), ms(20)), 0.0);
+}
+
+TEST(PayloadDetector, ScoreTiersFollowPositionCardinality) {
+  // Position 0 learns `cardinality` distinct values 0..n-1; position 1 only
+  // ever carries 0xAA.
+  auto trained = [](unsigned cardinality) {
+    PayloadEntropyDetector d;
+    for (unsigned i = 0; i < std::max(cardinality, 8u); ++i) {
+      d.train(frame(0x100, {static_cast<std::uint8_t>(i % cardinality), 0xAA}),
+              ms(i));
+    }
+    return d;
+  };
+  const std::pair<unsigned, double> tiers[] = {
+      {4, 2.0}, {5, 1.2}, {32, 1.2}, {33, 0.2}};
+  for (const auto& [cardinality, score] : tiers) {
+    SCOPED_TRACE(cardinality);
+    PayloadEntropyDetector d = trained(cardinality);
+    EXPECT_EQ(d.observe(frame(0x100, {0xF0, 0xAA}), ms(100)), score);
+    EXPECT_EQ(d.observe(frame(0x100, {0x00, 0xAA}), ms(101)), 0.0);  // seen
+    // 0xAA is known at position 1 only, 0x00 at position 0 only.
+    EXPECT_EQ(d.observe(frame(0x100, {0xAA, 0xAA}), ms(102)), score);
+    EXPECT_EQ(d.observe(frame(0x100, {0x00, 0x00}), ms(103)), 2.0);
+  }
 }
 
 TEST(SpecDetector, AllowlistAndDlc) {

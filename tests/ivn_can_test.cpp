@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ivn/can.hpp"
+#include "util/rng.hpp"
 
 namespace aseck::ivn {
 namespace {
@@ -90,6 +93,147 @@ TEST(CanFrame, StuffBitsWorstCase) {
   const std::size_t plain = f.stuff_region_bits().size();
   const std::size_t wired = f.wire_bits();
   EXPECT_GT(wired, plain + 13);  // must contain stuff bits beyond trailer
+  EXPECT_EQ(plain, 98u);
+  EXPECT_EQ(wired, 127u);
+}
+
+// Bit-by-bit reference encoder: one std::vector<bool> push per bit, a
+// bit-serial CRC over the region zero-padded to a byte boundary, and a
+// bit-serial stuff counter. The byte-wide encoder must match it exactly.
+std::vector<bool> ref_stuff_region_bits(const CanFrame& f) {
+  std::vector<bool> bits;
+  bits.push_back(false);  // SOF
+  auto push_field = [&bits](std::uint32_t v, int width) {
+    for (int i = width - 1; i >= 0; --i) bits.push_back((v >> i) & 1u);
+  };
+  if (!f.extended) {
+    push_field(f.id, 11);
+    bits.push_back(f.remote);
+    bits.push_back(false);
+    bits.push_back(f.format == CanFormat::kFd);
+  } else {
+    push_field(f.id >> 18, 11);
+    bits.push_back(true);
+    bits.push_back(true);
+    push_field(f.id & 0x3ffff, 18);
+    bits.push_back(f.remote);
+    bits.push_back(false);
+    bits.push_back(f.format == CanFormat::kFd);
+  }
+  std::uint32_t dlc = static_cast<std::uint32_t>(f.data.size());
+  if (f.format == CanFormat::kFd) {
+    static constexpr std::size_t kSizes[] = {0, 1,  2,  3,  4,  5,  6,  7,
+                                             8, 12, 16, 20, 24, 32, 48, 64};
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      if (kSizes[i] == f.data.size()) dlc = i;
+    }
+  }
+  push_field(dlc, 4);
+  for (std::uint8_t b : f.data) push_field(b, 8);
+  unsigned width = 15;
+  std::uint32_t poly = 0x4599;
+  if (f.format == CanFormat::kFd) {
+    width = f.data.size() <= 16 ? 17 : 21;
+    poly = f.data.size() <= 16 ? 0x3685B : 0x302899;
+  }
+  const std::uint32_t mask = (1u << width) - 1;
+  std::uint32_t crc = 0;
+  const std::size_t padded = (bits.size() + 7) / 8 * 8;
+  for (std::size_t i = 0; i < padded; ++i) {
+    const std::uint32_t in = i < bits.size() && bits[i];
+    const std::uint32_t top = (crc >> (width - 1)) & 1u;
+    crc = (crc << 1) & mask;
+    if (top ^ in) crc = (crc ^ poly) & mask;
+  }
+  push_field(crc, static_cast<int>(width));
+  return bits;
+}
+
+std::size_t ref_wire_bits(const CanFrame& f, std::size_t* arb) {
+  const std::vector<bool> bits = ref_stuff_region_bits(f);
+  std::size_t stuffed = bits.size();
+  int run = 1;
+  bool last = bits[0];
+  for (std::size_t i = 1; i < bits.size(); ++i) {
+    if (bits[i] == last) {
+      if (++run == 5) {
+        ++stuffed;
+        last = !last;
+        run = 1;
+      }
+    } else {
+      last = bits[i];
+      run = 1;
+    }
+  }
+  *arb = (f.extended ? 50 : 30) + 13;
+  return stuffed + 13;
+}
+
+/// A random legal frame. Payloads lean toward all-0x00 or all-0xFF so that
+/// 5-bit runs cross byte boundaries and the CRC field.
+CanFrame random_frame(util::Rng& rng) {
+  static constexpr std::size_t kFdSizes[] = {0, 1,  2,  3,  4,  5,  6,  7,
+                                             8, 12, 16, 20, 24, 32, 48, 64};
+  CanFrame f;
+  f.extended = rng.uniform(2) == 0;
+  const std::uint32_t max_id = f.extended ? 0x1fffffffu : 0x7ffu;
+  switch (rng.uniform(4)) {
+    case 0: f.id = 0; break;
+    case 1: f.id = max_id; break;
+    default: f.id = static_cast<std::uint32_t>(rng.next_u32() & max_id);
+  }
+  std::size_t len;
+  if (rng.uniform(2) == 0) {
+    f.format = CanFormat::kClassic;
+    f.remote = rng.uniform(5) == 0;
+    len = f.remote ? 0 : rng.uniform(9);
+  } else {
+    f.format = CanFormat::kFd;
+    f.brs = rng.uniform(2) == 0;
+    len = kFdSizes[rng.uniform(16)];
+  }
+  // Style 0: mostly 0x00, 1: mostly 0xFF, 2: 0x00/0xFF mix, 3: uniform.
+  const std::uint64_t style = rng.uniform(4);
+  f.data.resize(len);
+  for (auto& b : f.data) {
+    if (style == 3 || rng.uniform(16) == 0) {
+      b = static_cast<std::uint8_t>(rng.next_u32());
+    } else {
+      const bool ones = style == 1 || (style == 2 && rng.uniform(2) == 0);
+      b = ones ? 0xFF : 0x00;
+    }
+  }
+  return f;
+}
+
+TEST(CanFrame, WireEncodingMatchesBitSerialReference) {
+  util::Rng rng(0xCA11);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const CanFrame f = random_frame(rng);
+    ASSERT_TRUE(f.valid());
+    SCOPED_TRACE(util::to_hex(f.encode_wire()));
+    std::size_t arb = 0, ref_arb = 0;
+    ASSERT_EQ(f.wire_bits(&arb), ref_wire_bits(f, &ref_arb));
+    ASSERT_EQ(arb, ref_arb);
+    ASSERT_EQ(f.stuff_region_bits(), ref_stuff_region_bits(f));
+  }
+}
+
+TEST(CanFrame, InvalidFrameHasNoWireEncoding) {
+  sim::Scheduler sched;
+  const CanBus bus(sched, "can0", 500000);
+  CanFrame big = make_frame(1, {});
+  big.data.resize(9);
+  CanFrame fd = make_frame(1, {});
+  fd.format = CanFormat::kFd;
+  fd.data.resize(65);
+  for (const CanFrame& f : {make_frame(0x800, {}), big, fd}) {
+    ASSERT_FALSE(f.valid());
+    EXPECT_THROW(f.wire_bits(), std::invalid_argument);
+    EXPECT_THROW(f.stuff_region_bits(), std::invalid_argument);
+    EXPECT_THROW(bus.frame_time(f), std::invalid_argument);
+  }
 }
 
 TEST(CanBus, DeliversToAllOtherNodes) {

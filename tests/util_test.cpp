@@ -276,6 +276,69 @@ TEST(Crc, FlexRayCrcWidths) {
   EXPECT_LT(crc24_flexray(msg), 1u << 24);
 }
 
+TEST(Crc, CatalogueCheckValues) {
+  // Check values for "123456789" from the CRC catalogue.
+  const Bytes msg = from_string("123456789");
+  EXPECT_EQ(crc15_can(msg), 0x059Eu);
+  EXPECT_EQ(crc17_canfd(msg), 0x04F03u);
+  EXPECT_EQ(crc21_canfd(msg), 0x0ED841u);
+  EXPECT_EQ(crc11_flexray(msg), 0x5A3u);
+  EXPECT_EQ(crc24_flexray(msg), 0x7979BDu);
+}
+
+/// Bit-serial MSB-first CRC: the reference the table-driven kernels must
+/// reproduce bit for bit.
+std::uint32_t ref_crc_msb(BytesView data, unsigned width, std::uint32_t poly,
+                          std::uint32_t init, std::uint32_t xorout) {
+  const std::uint32_t mask = (width == 32) ? 0xffffffffu : ((1u << width) - 1);
+  std::uint32_t crc = init;
+  for (std::uint8_t byte : data) {
+    for (int bit = 7; bit >= 0; --bit) {
+      const std::uint32_t in = (byte >> bit) & 1u;
+      const std::uint32_t top = (crc >> (width - 1)) & 1u;
+      crc = (crc << 1) & mask;
+      if (top ^ in) crc ^= poly;
+    }
+  }
+  return (crc ^ xorout) & mask;
+}
+
+/// Bit-serial reflected CRC-32 reference.
+std::uint32_t ref_crc32(BytesView data) {
+  std::uint32_t crc = 0xffffffffu;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int i = 0; i < 8; ++i) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc, TablesMatchBitSerialReference) {
+  Rng rng(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    Bytes msg(rng.uniform(301));
+    // Style 0: uniform bytes; 1 and 2: long 0x00 or 0xFF runs.
+    const std::uint64_t style = rng.uniform(3);
+    for (auto& b : msg) {
+      if (style == 0 || rng.uniform(8) == 0) {
+        b = static_cast<std::uint8_t>(rng.next_u32());
+      } else {
+        b = style == 1 ? 0x00 : 0xFF;
+      }
+    }
+    SCOPED_TRACE(to_hex(msg));
+    EXPECT_EQ(crc15_can(msg), ref_crc_msb(msg, 15, 0x4599, 0, 0));
+    EXPECT_EQ(crc17_canfd(msg), ref_crc_msb(msg, 17, 0x3685B, 0, 0));
+    EXPECT_EQ(crc21_canfd(msg), ref_crc_msb(msg, 21, 0x302899, 0, 0));
+    EXPECT_EQ(crc11_flexray(msg), ref_crc_msb(msg, 11, 0x385, 0x01A, 0));
+    EXPECT_EQ(crc24_flexray(msg), ref_crc_msb(msg, 24, 0x5D6DCB, 0xFEDCBA, 0));
+    EXPECT_EQ(crc8_j1850(msg), ref_crc_msb(msg, 8, 0x1D, 0xFF, 0xFF));
+    EXPECT_EQ(crc32_ieee(msg), ref_crc32(msg));
+  }
+}
+
 TEST(Stats, RunningStatsBasics) {
   RunningStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
