@@ -25,7 +25,6 @@
 // are the floor the batch kernel amortizes against — see
 // bench_e22_batch_verify for the batched measurement.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -89,27 +88,23 @@ int main(int argc, char** argv) {
   const std::vector<SignedDigest> corpus = make_corpus(corpus_n, rng);
   crypto::p256::init_fixed_base_tables();  // exclude table build from timing
 
-  // Alternate slow/fast passes and keep the per-pass minimum: even process
-  // CPU time drifts by tens of percent on a steal-heavy host, and
-  // interleaving keeps a transient slowdown from landing on only one side
-  // of the ratio.
+  // Slow and fast verify alternate within each pass (benchutil::time_min_of),
+  // so both sides of the ratio see the same host conditions.
   std::vector<bool> slow_verdicts(corpus.size()), fast_verdicts(corpus.size());
-  const int reps = smoke ? 1 : 5;
-  double slow_s = 1e300, fast_s = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const double t_slow = benchutil::cpu_seconds();
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-      slow_verdicts[i] = crypto::ecdsa_verify_digest_slow(
-          corpus[i].key.public_key(), corpus[i].digest, corpus[i].sig);
-    }
-    slow_s = std::min(slow_s, benchutil::cpu_seconds() - t_slow);
-    const double t_fast = benchutil::cpu_seconds();
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-      fast_verdicts[i] = crypto::ecdsa_verify_digest(
-          corpus[i].key.public_key(), corpus[i].digest, corpus[i].sig);
-    }
-    fast_s = std::min(fast_s, benchutil::cpu_seconds() - t_fast);
-  }
+  const auto [slow_s, fast_s] = benchutil::time_min_of(
+      smoke ? 1 : 5,
+      [&] {
+        for (std::size_t i = 0; i < corpus.size(); ++i) {
+          slow_verdicts[i] = crypto::ecdsa_verify_digest_slow(
+              corpus[i].key.public_key(), corpus[i].digest, corpus[i].sig);
+        }
+      },
+      [&] {
+        for (std::size_t i = 0; i < corpus.size(); ++i) {
+          fast_verdicts[i] = crypto::ecdsa_verify_digest(
+              corpus[i].key.public_key(), corpus[i].digest, corpus[i].sig);
+        }
+      });
 
   std::size_t mismatches = 0;
   std::size_t valid = 0;

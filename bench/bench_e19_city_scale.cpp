@@ -24,8 +24,9 @@
 // reference. `--digest` prints the digest JSON alone, so CI can diff a
 // 1-thread run against a 4-thread run byte-for-byte.
 //
-// Flags: --vehicles N  --sim-s S  --seed U  --threads T (sweep 1,2,..,T)
-//        --smoke (small preset)  --digest (digest JSON only, no timing)
+// Flags: --vehicles N  --sim-s S (finite, > 0)  --seed U
+//        --threads T (sweep 1,2,..,T)  --smoke (small preset)
+//        --digest (digest JSON only, no timing)
 //        --modeled (cost-model crypto accounting instead of real ECDSA)
 
 #include <cmath>
@@ -92,13 +93,12 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   unsigned max_threads = 4;
   bool smoke = false, digest_only = false, modeled = false;
-  if (const int rc = benchutil::parse_args(
-          argc, argv,
-          {{"--vehicles", &vehicles}, {"--sim-s", &sim_s}, {"--seed", &seed},
-           {"--threads", &max_threads}, {"--smoke", &smoke},
-           {"--digest", &digest_only}, {"--modeled", &modeled}})) {
-    return rc;
-  }
+  const std::initializer_list<benchutil::Flag> flags = {
+      {"--vehicles", &vehicles}, {"--sim-s", &sim_s}, {"--seed", &seed},
+      {"--threads", &max_threads}, {"--smoke", &smoke},
+      {"--digest", &digest_only}, {"--modeled", &modeled}};
+  if (const int rc = benchutil::parse_args(argc, argv, flags)) return rc;
+  if (!(sim_s > 0)) return benchutil::usage_error(argv[0], flags);
   if (smoke) {
     vehicles = 5000;
     sim_s = 1.0;

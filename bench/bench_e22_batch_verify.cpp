@@ -24,7 +24,7 @@
 //      oracle — what ASIL is reachable through that window.
 //
 // Exit code = differential mismatches + thread-invariance diffs. `--smoke`
-// shrinks the corpus and suppresses wall-clock numbers so two smoke runs
+// shrinks the corpus and suppresses timing numbers so two smoke runs
 // with the same seed emit byte-identical output (`ctest -R determinism` compares them).
 //
 // Flags: --seed N  --smoke  --threads T  --digest
@@ -223,49 +223,39 @@ int main(int argc, char** argv) {
       items.push_back({&c.keys[i % c.keys.size()].public_key(), c.digests[i],
                        &c.sigs[i]});
     }
-    const int reps = smoke ? 1 : 5;
-    double single_s = 1e300;
+    // One pass verifies the corpus per signature, then at each batch size,
+    // so every column sees the same host conditions (benchutil::time_min_of).
     std::size_t wrong = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-      const double t0 = benchutil::cpu_seconds();
-      for (const auto& it : items) {
-        if (!crypto::ecdsa_verify_digest(*it.pub, it.digest, *it.sig)) ++wrong;
-      }
-      single_s = std::min(single_s, benchutil::cpu_seconds() - t0);
-    }
-    benchutil::Table table({"batch", "us/item", "vs per-sig", "throughput/s"});
-    if (!smoke) {
-      table.add_row({"1 (per-sig)",
-                     benchutil::fmt("%.1f", single_s / static_cast<double>(n) * 1e6),
-                     "1.00x",
-                     benchutil::fmt_u(static_cast<std::uint64_t>(
-                         static_cast<double>(n) / single_s))});
-    }
-    for (std::size_t bs : {8u, 32u, 64u, 128u}) {
-      double best = 1e300;
-      for (int rep = 0; rep < reps; ++rep) {
-        const double t0 = benchutil::cpu_seconds();
-        std::size_t done = 0;
-        while (done < items.size()) {
+    const auto verify_in_batches = [&](std::size_t bs) {
+      return [&, bs] {
+        for (std::size_t done = 0; done < items.size(); done += bs) {
           const std::size_t take = std::min(bs, items.size() - done);
           const std::vector<crypto::BatchVerifyItem> chunk(
               items.begin() + static_cast<std::ptrdiff_t>(done),
               items.begin() + static_cast<std::ptrdiff_t>(done + take));
-          const std::vector<bool> out = crypto::ecdsa_verify_batch(chunk);
-          for (bool ok : out) {
+          for (bool ok : crypto::ecdsa_verify_batch(chunk)) {
             if (!ok) ++wrong;
           }
-          done += take;
         }
-        best = std::min(best, benchutil::cpu_seconds() - t0);
-      }
-      if (!smoke) {
-        table.add_row({std::to_string(bs),
-                       benchutil::fmt("%.1f", best / static_cast<double>(n) * 1e6),
-                       benchutil::fmt("%.2fx", single_s / best),
-                       benchutil::fmt_u(static_cast<std::uint64_t>(
-                           static_cast<double>(n) / best))});
-      }
+      };
+    };
+    const std::array<std::size_t, 4> batch_sizes = {8, 32, 64, 128};
+    const auto secs = benchutil::time_min_of(
+        smoke ? 1 : 5,
+        [&] {
+          for (const auto& it : items) {
+            if (!crypto::ecdsa_verify_digest(*it.pub, it.digest, *it.sig)) ++wrong;
+          }
+        },
+        verify_in_batches(batch_sizes[0]), verify_in_batches(batch_sizes[1]),
+        verify_in_batches(batch_sizes[2]), verify_in_batches(batch_sizes[3]));
+    benchutil::Table table({"batch", "us/item", "vs per-sig", "throughput/s"});
+    for (std::size_t k = 0; k < secs.size(); ++k) {
+      table.add_row({k == 0 ? "1 (per-sig)" : std::to_string(batch_sizes[k - 1]),
+                     benchutil::fmt("%.1f", secs[k] / static_cast<double>(n) * 1e6),
+                     benchutil::fmt("%.2fx", secs[0] / secs[k]),
+                     benchutil::fmt_u(static_cast<std::uint64_t>(
+                         static_cast<double>(n) / secs[k]))});
     }
     std::printf("\n[2] throughput, %zu valid signatures (O2 bar: >=2x at batch >= 64)\n", n);
     if (smoke) {

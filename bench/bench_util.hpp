@@ -1,14 +1,18 @@
 #pragma once
-// Shared front door for the experiment benches (E1–E23): the flag parser,
-// the two host clocks, the exit status, and fixed-width table printing, so
-// every bench parses, times and reports the same way.
+// Shared front door for the experiment benches (E1–E23, calibration): the
+// flag parser, the two host clocks, the one timing harness, the exit status,
+// and fixed-width table printing, so every bench parses, times and reports
+// the same way.
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -25,11 +29,25 @@ struct Flag {
       target;
 };
 
+/// Prints the usage line generated from `flags` to stderr and returns 255,
+/// the exit status for a command line a bench refuses.
+inline int usage_error(const char* argv0, std::initializer_list<Flag> flags) {
+  std::string usage = std::string("usage: ") + argv0;
+  for (const Flag& g : flags) {
+    usage += std::string(" [") + g.name;
+    if (std::holds_alternative<double*>(g.target)) usage += " X";
+    else if (!std::holds_alternative<bool*>(g.target)) usage += " N";
+    usage += "]";
+  }
+  std::fprintf(stderr, "%s\n", usage.c_str());
+  return 255;
+}
+
 /// Parses argv against `flags`; a repeated flag keeps its last value. Values
-/// go through std::from_chars and must be consumed whole. An unknown flag, a
-/// missing value or a malformed value prints a usage line generated from
-/// `flags` to stderr and returns 255; success returns 0. Presets belong
-/// after the call, so they win regardless of argument order.
+/// go through std::from_chars and must be consumed whole; a double must also
+/// be finite. An unknown flag, a missing value or a malformed value returns
+/// usage_error(); success returns 0. Presets belong after the call, so they
+/// win regardless of argument order.
 inline int parse_args(int argc, char** argv, std::initializer_list<Flag> flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -45,21 +63,14 @@ inline int parse_args(int argc, char** argv, std::initializer_list<Flag> flags) 
             const std::string_view text = argv[++i];
             const char* end = text.data() + text.size();
             const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+            if constexpr (std::is_same_v<decltype(out), double*>) {
+              if (!std::isfinite(*out)) return false;
+            }
             return ec == std::errc() && stop == end;
           }
         },
         f->target);
-    if (!ok) {
-      std::string usage = std::string("usage: ") + argv[0];
-      for (const Flag& g : flags) {
-        usage += std::string(" [") + g.name;
-        if (std::holds_alternative<double*>(g.target)) usage += " X";
-        else if (!std::holds_alternative<bool*>(g.target)) usage += " N";
-        usage += "]";
-      }
-      std::fprintf(stderr, "%s\n", usage.c_str());
-      return 255;
-    }
+    if (!ok) return usage_error(argv[0], flags);
   }
   return 0;
 }
@@ -79,6 +90,27 @@ inline double wall_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// The one timing harness: process CPU seconds of each `fn`, minimum over
+/// `passes` passes. Each pass calls every `fn` once, in argument order, so
+/// a transient slowdown on a steal-heavy host cannot land on only one side
+/// of a ratio. One-time setup (tables, corpora) belongs before the call.
+template <typename... Fn>
+std::array<double, sizeof...(Fn)> time_min_of(int passes, Fn&&... fn) {
+  std::array<double, sizeof...(Fn)> best;
+  best.fill(std::numeric_limits<double>::infinity());
+  for (int p = 0; p < passes; ++p) {
+    std::size_t k = 0;
+    const auto time_one = [&](auto& f) {
+      const double t0 = cpu_seconds();
+      f();
+      best[k] = std::min(best[k], cpu_seconds() - t0);
+      ++k;
+    };
+    (time_one(fn), ...);
+  }
+  return best;
 }
 
 /// Process exit status for a violation count: 0 passes, and counts past 255

@@ -79,13 +79,6 @@ const TraceEvent& TraceBus::event(std::size_t i) const {
   return events_[i];
 }
 
-void TraceBus::clear() {
-  events_.clear();
-  head_ = 0;
-  evicted_ = 0;
-  total_recorded_ = 0;
-}
-
 std::size_t TraceBus::count(std::string_view component,
                             std::string_view kind) const {
   TraceId cid = 0, kid = 0;

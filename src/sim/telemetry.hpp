@@ -89,7 +89,6 @@ class TraceBus {
   std::uint64_t total_recorded() const { return total_recorded_; }
   /// Events lost to ring-buffer eviction.
   std::uint64_t evicted() const { return evicted_; }
-  void clear();
 
   /// Number of retained events matching component and/or kind ("" = any).
   std::size_t count(std::string_view component,
