@@ -13,10 +13,9 @@
 // simulated radio traffic), vehicle-sim-seconds/sec, cross-shard message
 // volume, and speedup vs the 1-thread run. After the sweep: modeled wire
 // bytes per vehicle per second, model memory per vehicle, and the crypto
-// cost — by default the REAL E22 batch pipeline (per-rotation beacon
-// signatures, shard-local admitted-cache dedup, RLC batch verification;
-// see v2x/citynet.hpp), with `--modeled` falling back to the E17-calibrated
-// 350 us/verify HSM accounting model this bench shipped with.
+// cost of the real E22 batch pipeline (per-rotation beacon signatures,
+// shard-local admitted-cache dedup, RLC batch verification; see
+// v2x/citynet.hpp).
 //
 // Determinism: every run's digest (config, totals, state hash, merged
 // metrics; no wall-clock content) must be byte-identical across thread
@@ -27,7 +26,6 @@
 // Flags: --vehicles N  --sim-s S (finite, > 0)  --seed U
 //        --threads T (sweep 1,2,..,T)  --smoke (small preset)
 //        --digest (digest JSON only, no timing)
-//        --modeled (cost-model crypto accounting instead of real ECDSA)
 
 #include <cmath>
 #include <cstdio>
@@ -43,12 +41,12 @@ using util::SimTime;
 namespace {
 
 v2x::MetroConfig make_config(std::size_t vehicles, std::uint64_t seed,
-                             unsigned threads, bool real_crypto) {
+                             unsigned threads) {
   v2x::MetroConfig cfg;
   cfg.vehicles = vehicles;
   cfg.seed = seed;
   cfg.threads = threads;
-  cfg.real_crypto = real_crypto;
+  cfg.real_crypto = true;
   // Keep metro density (~250 vehicles/km^2) as the fleet scales, so
   // per-vehicle neighborhood load is comparable at every size. Snap to the
   // 500 m shard cell.
@@ -67,7 +65,6 @@ struct RunResult {
   std::string digest;
   double bytes_per_vehicle = 0;
   std::uint32_t shards = 0;
-  double verify_cost_us = 0;
 };
 
 RunResult run_once(const v2x::MetroConfig& cfg, double sim_s) {
@@ -81,7 +78,6 @@ RunResult run_once(const v2x::MetroConfig& cfg, double sim_s) {
   r.digest = metro.digest_json();
   r.bytes_per_vehicle = metro.bytes_per_vehicle();
   r.shards = metro.world().shard_count();
-  r.verify_cost_us = cfg.verify_cost_us;
   return r;
 }
 
@@ -92,11 +88,11 @@ int main(int argc, char** argv) {
   double sim_s = 1.0;
   std::uint64_t seed = 42;
   unsigned max_threads = 4;
-  bool smoke = false, digest_only = false, modeled = false;
+  bool smoke = false, digest_only = false;
   const std::initializer_list<benchutil::Flag> flags = {
       {"--vehicles", &vehicles}, {"--sim-s", &sim_s}, {"--seed", &seed},
       {"--threads", &max_threads}, {"--smoke", &smoke},
-      {"--digest", &digest_only}, {"--modeled", &modeled}};
+      {"--digest", &digest_only}};
   if (const int rc = benchutil::parse_args(argc, argv, flags)) return rc;
   if (!(sim_s > 0)) return benchutil::usage_error(argv[0], flags);
   if (smoke) {
@@ -108,7 +104,7 @@ int main(int argc, char** argv) {
   if (digest_only) {
     // One run at exactly --threads; stdout is the digest and nothing else,
     // so CI can diff a 1-thread run against an N-thread run byte-for-byte.
-    const RunResult r = run_once(make_config(vehicles, seed, max_threads, !modeled), sim_s);
+    const RunResult r = run_once(make_config(vehicles, seed, max_threads), sim_s);
     std::printf("%s\n", r.digest.c_str());
     return 0;
   }
@@ -126,7 +122,7 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   int mismatches = 0;
   for (unsigned t : sweep) {
-    const RunResult r = run_once(make_config(vehicles, seed, t, !modeled), sim_s);
+    const RunResult r = run_once(make_config(vehicles, seed, t), sim_s);
     const bool match = results.empty() || r.digest == results.front().digest;
     if (!match) ++mismatches;
     const double msgs =
@@ -159,39 +155,26 @@ int main(int argc, char** argv) {
               static_cast<double>(ref.totals.bytes_tx) /
                   static_cast<double>(vehicles) / sim_seconds);
   std::printf("model memory: %.1f bytes/vehicle\n", ref.bytes_per_vehicle);
-  if (modeled) {
-    // Modeled HSM load: every delivered BSM costs one P-256 verify
-    // (E17-calibrated). >1.0 means a single per-vehicle HSM could not keep
-    // up and batching/sampling (paper §5 cost pressure) becomes mandatory.
-    const double verifies_per_vehicle_s =
-        static_cast<double>(ref.totals.rx) / static_cast<double>(vehicles) /
-        sim_seconds;
-    std::printf("modeled HSM verify utilization: %.2f (%.0f verifies/vehicle/s "
-                "x %.0f us)\n",
-                verifies_per_vehicle_s * ref.verify_cost_us / 1e6,
-                verifies_per_vehicle_s, ref.verify_cost_us);
-  } else {
-    // Real E22 pipeline: genuine P-256 signatures were produced and
-    // batch-verified. The amortization line is the whole O2 story — without
-    // the admitted-cache + batch kernel every reception would pay a full
-    // verify, with them only the first reception per (sender, rotation) per
-    // shard does.
-    const std::uint64_t checks = ref.totals.admit_hits + ref.totals.verify_enqueued;
-    std::printf("real crypto: %llu beacon signatures, %llu batch-verified "
-                "beacons, %llu admitted-cache hits (%llu failures)\n",
-                static_cast<unsigned long long>(ref.totals.beacon_signs),
-                static_cast<unsigned long long>(ref.totals.verify_enqueued),
-                static_cast<unsigned long long>(ref.totals.admit_hits),
-                static_cast<unsigned long long>(ref.totals.verify_fail));
-    std::printf("amortization: %.1f signature checks amortized per real "
-                "verify (%.3f verifies/reception vs 1.0 unbatched)\n",
-                checks ? static_cast<double>(checks) /
-                             static_cast<double>(ref.totals.verify_enqueued)
-                       : 0.0,
-                ref.totals.rx ? static_cast<double>(ref.totals.verify_enqueued) /
-                                    static_cast<double>(ref.totals.rx)
-                              : 0.0);
-  }
+  // Real E22 pipeline: genuine P-256 signatures were produced and
+  // batch-verified. The amortization line is the whole O2 story — without
+  // the admitted-cache + batch kernel every reception would pay a full
+  // verify, with them only the first reception per (sender, rotation) per
+  // shard does.
+  const std::uint64_t checks = ref.totals.admit_hits + ref.totals.verify_enqueued;
+  std::printf("real crypto: %llu beacon signatures, %llu batch-verified "
+              "beacons, %llu admitted-cache hits (%llu failures)\n",
+              static_cast<unsigned long long>(ref.totals.beacon_signs),
+              static_cast<unsigned long long>(ref.totals.verify_enqueued),
+              static_cast<unsigned long long>(ref.totals.admit_hits),
+              static_cast<unsigned long long>(ref.totals.verify_fail));
+  std::printf("amortization: %.1f signature checks amortized per real "
+              "verify (%.3f verifies/reception vs 1.0 unbatched)\n",
+              checks ? static_cast<double>(checks) /
+                           static_cast<double>(ref.totals.verify_enqueued)
+                     : 0.0,
+              ref.totals.rx ? static_cast<double>(ref.totals.verify_enqueued) /
+                                  static_cast<double>(ref.totals.rx)
+                            : 0.0);
   std::printf("\ndeterminism: %d digest mismatch(es) across %zu thread "
               "counts (state hash %s)\n",
               mismatches, sweep.size(),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 namespace aseck::crypto::p256 {
 
@@ -19,6 +18,9 @@ const U256 kGx = U256::from_hex(
 const U256 kGy = U256::from_hex(
     "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5");
 
+// Per thread, so shard workers never share (or race on) one counter.
+thread_local std::uint64_t g_fieldops = 0;
+
 }  // namespace
 
 const U256& P() { return kP; }
@@ -26,305 +28,26 @@ const U256& N() { return kN; }
 const U256& Gx() { return kGx; }
 const U256& Gy() { return kGy; }
 
-namespace {
-
-/// NIST fast-reduction core over the 16 32-bit words of a 512-bit product;
-/// shared by reduce_p (U512 API) and the fused multiply/square paths below.
-U256 reduce_words(const std::uint32_t* c) {
-  // NIST fast reduction for p256 (Hankerson-Menezes-Vanstone Alg. 2.29):
-  // r = T + 2*S1 + 2*S2 + S3 + S4 - D1 - D2 - D3 - D4 mod p, with the
-  // 32-bit word selections below (index 0 = least significant word).
-  std::int64_t acc[8];
-  auto set = [&](int i, std::int64_t v) { acc[i] = v; };
-  set(0, (std::int64_t)c[0] + c[8] + c[9] - c[11] - c[12] - c[13] - c[14]);
-  set(1, (std::int64_t)c[1] + c[9] + c[10] - c[12] - c[13] - c[14] - c[15]);
-  set(2, (std::int64_t)c[2] + c[10] + c[11] - c[13] - c[14] - c[15]);
-  set(3, (std::int64_t)c[3] + 2 * (std::int64_t)c[11] + 2 * (std::int64_t)c[12] +
-             c[13] - c[15] - c[8] - c[9]);
-  set(4, (std::int64_t)c[4] + 2 * (std::int64_t)c[12] + 2 * (std::int64_t)c[13] +
-             c[14] - c[9] - c[10]);
-  set(5, (std::int64_t)c[5] + 2 * (std::int64_t)c[13] + 2 * (std::int64_t)c[14] +
-             c[15] - c[10] - c[11]);
-  set(6, (std::int64_t)c[6] + 2 * (std::int64_t)c[14] + 2 * (std::int64_t)c[15] +
-             c[14] + c[13] - c[8] - c[9]);
-  set(7, (std::int64_t)c[7] + 2 * (std::int64_t)c[15] + c[15] + c[8] - c[10] -
-             c[11] - c[12] - c[13]);
-
-  // Carry-propagate the signed accumulators into a U256 plus signed overflow.
-  U256 r;
-  std::int64_t carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    const std::int64_t t = acc[i] + carry;
-    r.w[static_cast<std::size_t>(i)] =
-        static_cast<std::uint32_t>(t & 0xffffffffLL);
-    carry = t >> 32;  // arithmetic shift: floor division by 2^32
-  }
-  // Fold the +/- carry*2^256 term: 2^256 mod p == 2^256 - p.
-  while (carry < 0) {
-    carry += static_cast<std::int64_t>(add(r, r, kP));
-  }
-  while (carry > 0) {
-    U256 t;
-    const std::uint32_t borrow = sub(t, r, kP);
-    r = t;
-    carry -= static_cast<std::int64_t>(borrow);
-  }
-  while (cmp(r, kP) >= 0) {
-    U256 t;
-    sub(t, r, kP);
-    r = t;
-  }
-  return r;
-}
-
-/// Repacks a U256 into four 64-bit limbs (little-endian).
-inline void load_limbs(std::uint64_t out[4], const U256& a) {
-  for (std::size_t i = 0; i < 4; ++i) {
-    out[i] = std::uint64_t{a.w[2 * i]} | (std::uint64_t{a.w[2 * i + 1]} << 32);
-  }
-}
-
-/// Reduces an 8-limb (64-bit) product without the U512 round trip.
-inline U256 reduce_limbs(const std::uint64_t rl[8]) {
-  std::uint32_t c[16];
-  for (std::size_t i = 0; i < 8; ++i) {
-    c[2 * i] = static_cast<std::uint32_t>(rl[i]);
-    c[2 * i + 1] = static_cast<std::uint32_t>(rl[i] >> 32);
-  }
-  return reduce_words(c);
-}
-
-std::uint64_t g_fieldops = 0;
-
-}  // namespace
-
-U256 reduce_p(const U512& x) { return reduce_words(x.w.data()); }
-
 void reset_fieldop_count() { g_fieldops = 0; }
 std::uint64_t fieldop_count() { return g_fieldops; }
 
+// fadd/fsub stay on the generic U256 modular layer: the seed tier below runs
+// on them, and they must not share code with the Fe tier it checks.
 U256 fadd(const U256& a, const U256& b) { return add_mod(a, b, kP); }
 U256 fsub(const U256& a, const U256& b) { return sub_mod(a, b, kP); }
-
-U256 fmul(const U256& a, const U256& b) {
-  ++g_fieldops;
-  // Fused schoolbook multiply (4x4 64-bit limbs, 16 wide products) + NIST
-  // reduction, keeping the whole product in registers.
-  std::uint64_t al[4], bl[4], rl[8] = {};
-  load_limbs(al, a);
-  load_limbs(bl, b);
-  for (std::size_t i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      const __uint128_t t =
-          static_cast<__uint128_t>(al[i]) * bl[j] + rl[i + j] + carry;
-      rl[i + j] = static_cast<std::uint64_t>(t);
-      carry = static_cast<std::uint64_t>(t >> 64);
-    }
-    rl[i + 4] = carry;
-  }
-  return reduce_limbs(rl);
-}
-
-U256 fsqr(const U256& a) {
-  ++g_fieldops;
-  // Dedicated squaring: the 6 cross products a_i*a_j (i < j) are computed
-  // once and doubled, so only 10 wide multiplies instead of fmul's 16.
-  std::uint64_t al[4], rl[8] = {};
-  load_limbs(al, a);
-  for (std::size_t i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = i + 1; j < 4; ++j) {
-      const __uint128_t t =
-          static_cast<__uint128_t>(al[i]) * al[j] + rl[i + j] + carry;
-      rl[i + j] = static_cast<std::uint64_t>(t);
-      carry = static_cast<std::uint64_t>(t >> 64);
-    }
-    if (i < 3) rl[i + 4] = carry;
-  }
-  // Double the cross-term sum. It is at most the full square, so the shift
-  // cannot carry out of limb 7.
-  std::uint64_t carry = 0;
-  for (std::size_t k = 1; k < 8; ++k) {
-    const std::uint64_t hi = rl[k] >> 63;
-    rl[k] = (rl[k] << 1) | carry;
-    carry = hi;
-  }
-  // Add the diagonal squares a_i^2 at limb offset 2i.
-  std::uint64_t c2 = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const __uint128_t s = static_cast<__uint128_t>(al[i]) * al[i];
-    __uint128_t t = static_cast<__uint128_t>(rl[2 * i]) +
-                    static_cast<std::uint64_t>(s) + c2;
-    rl[2 * i] = static_cast<std::uint64_t>(t);
-    c2 = static_cast<std::uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(rl[2 * i + 1]) +
-        static_cast<std::uint64_t>(s >> 64) + c2;
-    rl[2 * i + 1] = static_cast<std::uint64_t>(t);
-    c2 = static_cast<std::uint64_t>(t >> 64);
-  }
-  return reduce_limbs(rl);
-}
-
 U256 finv(const U256& a) { return inv_mod_prime(a, kP); }
-
-JacobianPoint JacobianPoint::from_affine(const AffinePoint& p) {
-  if (p.infinity) return make_infinity();
-  return JacobianPoint{p.x, p.y, U256::one()};
-}
-
-AffinePoint to_affine(const JacobianPoint& p) {
-  if (p.is_infinity()) return AffinePoint::make_infinity();
-  const U256 zinv = finv(p.z);
-  const U256 zinv2 = fsqr(zinv);
-  const U256 zinv3 = fmul(zinv2, zinv);
-  return AffinePoint{fmul(p.x, zinv2), fmul(p.y, zinv3), false};
-}
-
-bool x_equals_mod_n(const JacobianPoint& pt, const U256& r) {
-  if (pt.is_infinity()) return false;
-  // x = X / Z^2, so x == r  <=>  X == r * Z^2 (mod p), with no inversion.
-  const U256 z2 = fsqr(pt.z);
-  if (fmul(r, z2) == pt.x) return true;
-  // p < 2n, so x = r + n is the only other field element with x mod n == r,
-  // and only when it is actually < p, i.e. r < p - n.
-  U256 p_minus_n;
-  sub(p_minus_n, kP, kN);
-  if (cmp(r, p_minus_n) < 0) {
-    U256 rn;
-    add(rn, r, kN);  // no carry: r + n < p < 2^256
-    return fmul(rn, z2) == pt.x;
-  }
-  return false;
-}
-
-std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& in) {
-  std::vector<AffinePoint> out(in.size(), AffinePoint::make_infinity());
-  // prefix[k] = product of the z's of the first k finite points; a z == 0
-  // (infinity) entry must never enter the chain or the whole batch degrades
-  // to garbage after the single inversion.
-  std::vector<U256> prefix;
-  prefix.reserve(in.size());
-  U256 acc = U256::one();
-  for (const JacobianPoint& p : in) {
-    if (p.is_infinity()) continue;
-    prefix.push_back(acc);
-    acc = fmul(acc, p.z);
-  }
-  if (prefix.empty()) return out;
-  U256 inv = finv(acc);  // 1 / (z_1 * ... * z_m)
-  std::size_t k = prefix.size();
-  for (std::size_t i = in.size(); i-- > 0;) {
-    const JacobianPoint& p = in[i];
-    if (p.is_infinity()) continue;
-    --k;
-    const U256 zinv = fmul(inv, prefix[k]);
-    inv = fmul(inv, p.z);
-    const U256 zinv2 = fsqr(zinv);
-    out[i] = AffinePoint{fmul(p.x, zinv2), fmul(p.y, fmul(zinv2, zinv)), false};
-  }
-  return out;
-}
-
-JacobianPoint dbl(const JacobianPoint& p) {
-  if (p.is_infinity() || p.y.is_zero()) return JacobianPoint::make_infinity();
-  // dbl-2001-b (a = -3):
-  const U256 delta = fsqr(p.z);
-  const U256 gamma = fsqr(p.y);
-  const U256 beta = fmul(p.x, gamma);
-  const U256 xmd = fsub(p.x, delta);
-  const U256 alpha =
-      fmul(fadd(fadd(xmd, xmd), xmd), fadd(p.x, delta));  // 3(x-d)(x+d)
-  const U256 beta2 = fadd(beta, beta);
-  const U256 beta4 = fadd(beta2, beta2);
-  const U256 beta8 = fadd(beta4, beta4);
-  JacobianPoint r;
-  r.x = fsub(fsqr(alpha), beta8);
-  r.z = fsub(fsub(fsqr(fadd(p.y, p.z)), gamma), delta);
-  const U256 gamma2 = fsqr(gamma);
-  const U256 gamma2_2 = fadd(gamma2, gamma2);
-  const U256 gamma2_4 = fadd(gamma2_2, gamma2_2);
-  const U256 gamma2_8 = fadd(gamma2_4, gamma2_4);
-  r.y = fsub(fmul(alpha, fsub(beta4, r.x)), gamma2_8);
-  return r;
-}
-
-JacobianPoint add_mixed(const JacobianPoint& p, const AffinePoint& q) {
-  if (q.infinity) return p;
-  if (p.is_infinity()) return JacobianPoint::from_affine(q);
-  const U256 z1z1 = fsqr(p.z);
-  const U256 u2 = fmul(q.x, z1z1);
-  const U256 s2 = fmul(fmul(q.y, p.z), z1z1);
-  const U256 h = fsub(u2, p.x);
-  const U256 r_ = fsub(s2, p.y);
-  if (h.is_zero()) {
-    if (r_.is_zero()) return dbl(p);
-    return JacobianPoint::make_infinity();
-  }
-  const U256 h2 = fsqr(h);
-  const U256 h3 = fmul(h2, h);
-  const U256 x1h2 = fmul(p.x, h2);
-  JacobianPoint out;
-  out.x = fsub(fsub(fsqr(r_), h3), fadd(x1h2, x1h2));
-  out.y = fsub(fmul(r_, fsub(x1h2, out.x)), fmul(p.y, h3));
-  out.z = fmul(p.z, h);
-  return out;
-}
-
-JacobianPoint add(const JacobianPoint& p, const JacobianPoint& q) {
-  if (p.is_infinity()) return q;
-  if (q.is_infinity()) return p;
-  return add_mixed(p, to_affine(q));
-}
-
-JacobianPoint scalar_mult(const U256& k, const AffinePoint& p) {
-  JacobianPoint r = JacobianPoint::make_infinity();
-  const int top = k.top_bit();
-  for (int i = top; i >= 0; --i) {
-    r = dbl(r);
-    if (k.bit(static_cast<unsigned>(i))) r = add_mixed(r, p);
-  }
-  return r;
-}
-
-JacobianPoint scalar_mult_ladder(const U256& k, const AffinePoint& p,
-                                 unsigned bits) {
-  // Classic X-then-add ladder over (R0, R1) with R1 - R0 = P invariant.
-  // Every iteration performs exactly one dbl and one add regardless of the
-  // key bit, so the op count (and thus time in a software model) is
-  // independent of k. Note: the *selection* below is still data-dependent
-  // branching at the C++ level; real hardened code uses constant-time swaps.
-  JacobianPoint r0 = JacobianPoint::make_infinity();
-  JacobianPoint r1 = JacobianPoint::from_affine(p);
-  for (int i = static_cast<int>(bits) - 1; i >= 0; --i) {
-    const bool bit = k.bit(static_cast<unsigned>(i));
-    if (bit) {
-      r0 = add(r0, r1);
-      r1 = dbl(r1);
-    } else {
-      r1 = add(r0, r1);
-      r0 = dbl(r0);
-    }
-  }
-  return r0;
-}
 
 namespace {
 
-// --- 64-bit limb field layer ------------------------------------------------
+// --- Montgomery field layer (the one working tier) --------------------------
 //
-// The scalar-mult hot loops run on a 4x64-bit limb representation (Fe): no
-// 32<->64 repacking per field op, fully inlined add/sub, and the same NIST
-// reduction working directly on the 8-limb product. Values are canonical
-// (< p). Conversions to/from U256 happen only at API boundaries.
-
-// Field elements in the scalar-mult hot path live in Montgomery form:
-// Fe holds x * 2^256 mod p on 64-bit limbs. p = -1 mod 2^64 makes the
-// per-word Montgomery quotient the low word itself (n0' = 1), so the
-// reduction needs no quotient multiply — it is ~1.5x faster than the
-// 32-bit-lane NIST reduction the U256-facing fmul/fsqr use.
+// Fe holds x * 2^256 mod p on four little-endian 64-bit limbs, always
+// canonical (< p). p = -1 mod 2^64 makes the per-word Montgomery quotient the
+// low word itself (n0' = 1), so the reduction needs no quotient multiply.
+// Every public entry point converts at the U256 boundary (fe_from / fe_to)
+// and runs its arithmetic here.
 struct Fe {
-  std::uint64_t l[4];  // little-endian 64-bit limbs, Montgomery domain
+  std::uint64_t l[4];
 };
 
 constexpr Fe kPFe{{0xffffffffffffffffULL, 0x00000000ffffffffULL, 0ULL,
@@ -336,6 +59,8 @@ constexpr Fe kMontOne{{0x0000000000000001ULL, 0xffffffff00000000ULL,
 // plain residue into the Montgomery domain.
 constexpr Fe kMontRR{{0x0000000000000003ULL, 0xfffffffbffffffffULL,
                       0xfffffffffffffffeULL, 0x00000004fffffffdULL}};
+// Plain 1: multiplying by it (with Montgomery reduction) leaves the domain.
+constexpr Fe kPlainOne{{1ULL, 0ULL, 0ULL, 0ULL}};
 
 inline Fe fe_zero() { return Fe{{0, 0, 0, 0}}; }
 inline Fe fe_one() { return kMontOne; }
@@ -400,52 +125,12 @@ inline Fe fe_sub(const Fe& a, const Fe& b) {
   return r;
 }
 
-/// Montgomery reduction of an 8-limb product: returns t / 2^256 mod p.
-/// Each round folds the low limb with quotient m = t[i] (n0' = 1) and adds
-/// m * p shifted by i limbs; p[2] == 0 skips one multiply per round. The
-/// input is bounded by p^2 < p * 2^256, so the pre-subtraction result is
-/// < 2p and a single conditional subtract normalises it.
-inline Fe mont_redc(const std::uint64_t rl[8]) {
-  std::uint64_t t[9];
-  std::memcpy(t, rl, sizeof(std::uint64_t) * 8);
-  t[8] = 0;
-  for (int i = 0; i < 4; ++i) {
-    const std::uint64_t m = t[i];
-    __uint128_t cc = static_cast<__uint128_t>(m) * kPFe.l[0] + t[i];
-    cc >>= 64;  // low limb annihilated by construction
-    cc += static_cast<__uint128_t>(m) * kPFe.l[1] + t[i + 1];
-    t[i + 1] = static_cast<std::uint64_t>(cc);
-    cc >>= 64;
-    cc += t[i + 2];  // p[2] == 0
-    t[i + 2] = static_cast<std::uint64_t>(cc);
-    cc >>= 64;
-    cc += static_cast<__uint128_t>(m) * kPFe.l[3] + t[i + 3];
-    t[i + 3] = static_cast<std::uint64_t>(cc);
-    cc >>= 64;
-    cc += t[i + 4];
-    t[i + 4] = static_cast<std::uint64_t>(cc);
-    std::uint64_t carry = static_cast<std::uint64_t>(cc >> 64);
-    for (int j = i + 5; carry && j < 9; ++j) {
-      const __uint128_t s = static_cast<__uint128_t>(t[j]) + carry;
-      t[j] = static_cast<std::uint64_t>(s);
-      carry = static_cast<std::uint64_t>(s >> 64);
-    }
-  }
-  Fe r{{t[4], t[5], t[6], t[7]}};
-  if (t[8] || fe_geq_p(r)) {
-    Fe s;
-    fe_sub_raw(s, r, kPFe);
-    r = s;
-  }
-  return r;
-}
-
-/// Fused Montgomery multiply (CIOS): each round adds a.l[i] * b into a
-/// six-limb accumulator and immediately folds with m = t0 (n0' = 1),
-/// shifting down one limb. Unlike a separate wide-product + mont_redc pass,
-/// the accumulator has no dynamically indexed carry ripple, so it lives
-/// entirely in registers — measured ~2x lower latency per multiply on the
-/// dependent chains that dominate scalar multiplication.
+/// Fused Montgomery multiply (CIOS): a * b / 2^256 mod p. Each round adds
+/// a.l[i] * b into a six-limb accumulator and immediately folds with m = t0
+/// (n0' = 1), shifting down one limb; p[2] == 0 skips one multiply per fold.
+/// The accumulator has no dynamically indexed carry ripple, so it lives
+/// entirely in registers. For a < 2^256 and b < p the result before the
+/// final conditional subtract is < 2p, so one subtract normalises it.
 inline Fe fe_mul(const Fe& a, const Fe& b) {
   ++g_fieldops;
   std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0, t5 = 0;
@@ -493,7 +178,8 @@ inline Fe fe_mul(const Fe& a, const Fe& b) {
 /// CIOS a*a 30 ns on the dependent chain).
 inline Fe fe_sqr(const Fe& a) { return fe_mul(a, a); }
 
-/// U256 -> Montgomery domain: one Montgomery multiply by 2^512 mod p.
+/// U256 -> Montgomery domain: one Montgomery multiply by 2^512 mod p. Any
+/// U256 is accepted; the result is reduced mod p.
 inline Fe fe_from(const U256& a) {
   Fe r;
   for (std::size_t i = 0; i < 4; ++i) {
@@ -502,16 +188,23 @@ inline Fe fe_from(const U256& a) {
   return fe_mul(r, kMontRR);
 }
 
-/// Montgomery domain -> U256: reduce [a, 0...] (i.e. multiply by 1/R).
+/// Montgomery domain -> U256: one Montgomery multiply by plain 1.
 inline U256 fe_to(const Fe& a) {
-  const std::uint64_t wide[8] = {a.l[0], a.l[1], a.l[2], a.l[3], 0, 0, 0, 0};
-  const Fe plain = mont_redc(wide);
+  const Fe plain = fe_mul(a, kPlainOne);
   U256 r;
   for (std::size_t i = 0; i < 4; ++i) {
     r.w[2 * i] = static_cast<std::uint32_t>(plain.l[i]);
     r.w[2 * i + 1] = static_cast<std::uint32_t>(plain.l[i] >> 32);
   }
   return r;
+}
+
+/// x^3 - 3x + b: the right-hand side of the curve equation.
+Fe curve_rhs(const Fe& x) {
+  static const Fe b = fe_from(kB);
+  const Fe x3 = fe_mul(fe_sqr(x), x);
+  const Fe three_x = fe_add(fe_add(x, x), x);
+  return fe_add(fe_sub(x3, three_x), b);
 }
 
 // --- point ops on Fe --------------------------------------------------------
@@ -528,12 +221,22 @@ struct JacFe {
 inline JacFe jacfe_infinity() { return JacFe{fe_zero(), fe_zero(), fe_zero()}; }
 inline bool jacfe_is_inf(const JacFe& p) { return fe_is_zero(p.z); }
 
+/// Finite affine point as Jacobian (z = 1); callers handle q.inf.
 inline JacFe jacfe_from_aff(const AffFe& q) {
   return JacFe{q.x, q.y, fe_one()};
 }
 
 inline AffFe afffe_from(const AffinePoint& p) {
   return AffFe{fe_from(p.x), fe_from(p.y), p.infinity};
+}
+
+inline AffinePoint afffe_to(const AffFe& p) {
+  if (p.inf) return AffinePoint::make_infinity();
+  return AffinePoint{fe_to(p.x), fe_to(p.y), false};
+}
+
+inline JacFe jacfe_from(const JacobianPoint& p) {
+  return JacFe{fe_from(p.x), fe_from(p.y), fe_from(p.z)};
 }
 
 inline JacobianPoint jacfe_to(const JacFe& p) {
@@ -546,7 +249,7 @@ inline AffFe afffe_neg(const AffFe& a) {
   return AffFe{a.x, fe_sub(fe_zero(), a.y), false};
 }
 
-/// dbl-2001-b (a = -3), mirroring dbl() above limb-for-limb.
+/// dbl-2001-b (a = -3).
 JacFe dbl_fe(const JacFe& p) {
   if (jacfe_is_inf(p) || fe_is_zero(p.y)) return jacfe_infinity();
   const Fe delta = fe_sqr(p.z);
@@ -568,7 +271,7 @@ JacFe dbl_fe(const JacFe& p) {
   return r;
 }
 
-/// Mixed addition, mirroring add_mixed() above limb-for-limb.
+/// Mixed addition: Jacobian + affine (8M + 3S).
 JacFe add_mixed_fe(const JacFe& p, const AffFe& q) {
   if (q.inf) return p;
   if (jacfe_is_inf(p)) return jacfe_from_aff(q);
@@ -591,8 +294,8 @@ JacFe add_mixed_fe(const JacFe& p, const AffFe& q) {
   return out;
 }
 
-/// General Jacobian + Jacobian addition (12M + 4S). Used to build odd-Q
-/// multiples without an affine (inversion) step per entry.
+/// General Jacobian + Jacobian addition (12M + 4S), with no affine
+/// (inversion) step: builds odd-Q multiples and backs add() and the ladder.
 JacFe add_fe(const JacFe& p, const JacFe& q) {
   if (jacfe_is_inf(p)) return q;
   if (jacfe_is_inf(q)) return p;
@@ -618,49 +321,25 @@ JacFe add_fe(const JacFe& p, const JacFe& q) {
   return out;
 }
 
-/// Montgomery batch conversion of up to kBatchMax Jacobian points to affine
-/// with a single field inversion; infinity entries are skipped (their z == 0
-/// would poison the product chain).
-constexpr int kBatchMax = 8;
-
-void jacfe_batch_affine(const JacFe* in, AffFe* out, int m) {
-  Fe prefix[kBatchMax];
-  Fe acc = fe_one();
-  for (int i = 0; i < m; ++i) {
-    prefix[i] = acc;
-    if (!jacfe_is_inf(in[i])) acc = fe_mul(acc, in[i].z);
-  }
-  Fe inv = fe_from(inv_mod_prime(fe_to(acc), kP));
-  for (int i = m; i-- > 0;) {
-    if (jacfe_is_inf(in[i])) {
-      out[i] = AffFe{fe_zero(), fe_zero(), true};
-      continue;
-    }
-    const Fe zinv = fe_mul(inv, prefix[i]);
-    inv = fe_mul(inv, in[i].z);
-    const Fe z2 = fe_sqr(zinv);
-    out[i] = AffFe{fe_mul(in[i].x, z2), fe_mul(in[i].y, fe_mul(z2, zinv)),
-                   false};
-  }
-}
-
-/// Heap-buffered variant for arbitrarily sized batches: multi_scalar_mult
-/// funnels the odd-multiple tables of every term in a verify set through
-/// this one inversion.
-void jacfe_batch_affine_n(const JacFe* in, AffFe* out, std::size_t m) {
-  std::vector<Fe> prefix(m);
+/// Converts m Jacobian points to affine with a single field inversion
+/// (Montgomery's trick: prefix products, one inversion, walk back). out[i].x
+/// holds the prefix product of the z's before entry i until the walk back
+/// overwrites it. Infinity entries are skipped — their z == 0 must never
+/// enter the product chain — and map to affine infinity.
+void batch_affine_fe(const JacFe* in, AffFe* out, std::size_t m) {
   Fe acc = fe_one();
   for (std::size_t i = 0; i < m; ++i) {
-    prefix[i] = acc;
+    out[i].x = acc;
     if (!jacfe_is_inf(in[i])) acc = fe_mul(acc, in[i].z);
   }
-  Fe inv = fe_from(inv_mod_prime(fe_to(acc), kP));
+  // 1 / (z_1 * ... * z_k) over the finite entries, by finv's binary GCD.
+  Fe inv = fe_from(finv(fe_to(acc)));
   for (std::size_t i = m; i-- > 0;) {
     if (jacfe_is_inf(in[i])) {
       out[i] = AffFe{fe_zero(), fe_zero(), true};
       continue;
     }
-    const Fe zinv = fe_mul(inv, prefix[i]);
+    const Fe zinv = fe_mul(inv, out[i].x);
     inv = fe_mul(inv, in[i].z);
     const Fe z2 = fe_sqr(zinv);
     out[i] = AffFe{fe_mul(in[i].x, z2), fe_mul(in[i].y, fe_mul(z2, zinv)),
@@ -668,9 +347,15 @@ void jacfe_batch_affine_n(const JacFe* in, AffFe* out, std::size_t m) {
   }
 }
 
+inline AffFe to_affine_fe(const JacFe& p) {
+  AffFe out;
+  batch_affine_fe(&p, &out, 1);
+  return out;
+}
+
 // --- Fixed-base tables for k*G ----------------------------------------------
 //
-// comb[i][j-1] = j * 2^(4i) * G (affine), i in [0, 64), j in [1, 16).
+// comb[i * 15 + j - 1] = j * 2^(4i) * G (affine), i in [0, 64), j in [1, 16).
 // Processing k one nibble at a time turns k*G into at most 64 mixed
 // additions with zero doublings. odd_g[m] = (2m+1) * G feeds the width-8
 // wNAF G-term of double_scalar_mult. ~100 KiB total, built lazily once.
@@ -680,57 +365,46 @@ constexpr int kCombEntries = 15;   // digits 1..15
 constexpr int kOddG = 64;          // 1G, 3G, ..., 127G (width-8 wNAF)
 
 struct FixedBaseTables {
-  AffFe comb[kCombWindows][kCombEntries];
+  AffFe comb[kCombWindows * kCombEntries];
   AffFe odd_g[kOddG];
 };
 
 const FixedBaseTables& fixed_base() {
   static const FixedBaseTables tables = [] {
     FixedBaseTables t;
+    const AffFe g = afffe_from(generator());
     // Window bases B_i = 2^(4i) * G, then one batch inversion.
-    std::vector<JacobianPoint> bases;
-    bases.reserve(kCombWindows);
-    JacobianPoint b = JacobianPoint::from_affine(generator());
+    JacFe bases[kCombWindows];
+    JacFe b = jacfe_from_aff(g);
     for (int i = 0; i < kCombWindows; ++i) {
-      bases.push_back(b);
+      bases[i] = b;
       if (i + 1 < kCombWindows) {
-        for (int d = 0; d < 4; ++d) b = dbl(b);
+        for (int d = 0; d < 4; ++d) b = dbl_fe(b);
       }
     }
-    const std::vector<AffinePoint> bases_aff = batch_to_affine(bases);
+    AffFe bases_aff[kCombWindows];
+    batch_affine_fe(bases, bases_aff, kCombWindows);
     // Entries j*B_i by chained mixed additions, then one batch inversion.
-    std::vector<JacobianPoint> entries;
+    std::vector<JacFe> entries;
     entries.reserve(kCombWindows * kCombEntries);
     for (int i = 0; i < kCombWindows; ++i) {
-      JacobianPoint acc = JacobianPoint::from_affine(bases_aff[i]);
+      JacFe acc = jacfe_from_aff(bases_aff[i]);
       for (int j = 1; j <= kCombEntries; ++j) {
         entries.push_back(acc);
-        if (j < kCombEntries) acc = add_mixed(acc, bases_aff[i]);
+        if (j < kCombEntries) acc = add_mixed_fe(acc, bases_aff[i]);
       }
     }
-    const std::vector<AffinePoint> entries_aff = batch_to_affine(entries);
-    for (int i = 0; i < kCombWindows; ++i) {
-      for (int j = 0; j < kCombEntries; ++j) {
-        t.comb[i][j] = afffe_from(
-            entries_aff[static_cast<std::size_t>(i) * kCombEntries +
-                        static_cast<std::size_t>(j)]);
-      }
-    }
-    // Odd multiples 1G..63G: chained mixed additions of the affine 2G, one
+    batch_affine_fe(entries.data(), t.comb, entries.size());
+    // Odd multiples 1G..127G: chained mixed additions of the affine 2G, one
     // batch inversion (all one-time build cost).
-    const AffinePoint g2 =
-        to_affine(dbl(JacobianPoint::from_affine(generator())));
-    std::vector<JacobianPoint> odd;
-    odd.reserve(kOddG);
-    JacobianPoint oacc = JacobianPoint::from_affine(generator());
+    const AffFe g2 = to_affine_fe(dbl_fe(jacfe_from_aff(g)));
+    JacFe odd[kOddG];
+    JacFe oacc = jacfe_from_aff(g);
     for (int m = 0; m < kOddG; ++m) {
-      odd.push_back(oacc);
-      if (m + 1 < kOddG) oacc = add_mixed(oacc, g2);
+      odd[m] = oacc;
+      if (m + 1 < kOddG) oacc = add_mixed_fe(oacc, g2);
     }
-    const std::vector<AffinePoint> odd_aff = batch_to_affine(odd);
-    for (int m = 0; m < kOddG; ++m) {
-      t.odd_g[m] = afffe_from(odd_aff[static_cast<std::size_t>(m)]);
-    }
+    batch_affine_fe(odd, t.odd_g, kOddG);
     return t;
   }();
   return tables;
@@ -775,6 +449,93 @@ int wnaf(const U256& k, int width, std::int8_t* digits) {
 
 }  // namespace
 
+U256 fmul(const U256& a, const U256& b) {
+  return fe_to(fe_mul(fe_from(a), fe_from(b)));
+}
+
+JacobianPoint JacobianPoint::from_affine(const AffinePoint& p) {
+  if (p.infinity) return make_infinity();
+  return JacobianPoint{p.x, p.y, U256::one()};
+}
+
+AffinePoint to_affine(const JacobianPoint& p) {
+  return afffe_to(to_affine_fe(jacfe_from(p)));
+}
+
+bool x_equals_mod_n(const JacobianPoint& pt, const U256& r) {
+  if (pt.is_infinity()) return false;
+  // x = X / Z^2, so x == r  <=>  X == r * Z^2 (mod p), with no inversion.
+  const Fe x = fe_from(pt.x);
+  const Fe z2 = fe_sqr(fe_from(pt.z));
+  if (fe_eq(fe_mul(fe_from(r), z2), x)) return true;
+  // p < 2n, so x = r + n is the only other field element with x mod n == r,
+  // and only when it is actually < p, i.e. r < p - n.
+  U256 p_minus_n;
+  sub(p_minus_n, kP, kN);
+  if (cmp(r, p_minus_n) < 0) {
+    U256 rn;
+    add(rn, r, kN);  // no carry: r + n < p < 2^256
+    return fe_eq(fe_mul(fe_from(rn), z2), x);
+  }
+  return false;
+}
+
+std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& in) {
+  std::vector<JacFe> jac;
+  jac.reserve(in.size());
+  for (const JacobianPoint& p : in) jac.push_back(jacfe_from(p));
+  std::vector<AffFe> aff(in.size());
+  batch_affine_fe(jac.data(), aff.data(), jac.size());
+  std::vector<AffinePoint> out;
+  out.reserve(in.size());
+  for (const AffFe& a : aff) out.push_back(afffe_to(a));
+  return out;
+}
+
+JacobianPoint dbl(const JacobianPoint& p) {
+  return jacfe_to(dbl_fe(jacfe_from(p)));
+}
+
+JacobianPoint add_mixed(const JacobianPoint& p, const AffinePoint& q) {
+  return jacfe_to(add_mixed_fe(jacfe_from(p), afffe_from(q)));
+}
+
+JacobianPoint add(const JacobianPoint& p, const JacobianPoint& q) {
+  return jacfe_to(add_fe(jacfe_from(p), jacfe_from(q)));
+}
+
+JacobianPoint scalar_mult(const U256& k, const AffinePoint& p) {
+  const AffFe pf = afffe_from(p);
+  JacFe r = jacfe_infinity();
+  for (int i = k.top_bit(); i >= 0; --i) {
+    r = dbl_fe(r);
+    if (k.bit(static_cast<unsigned>(i))) r = add_mixed_fe(r, pf);
+  }
+  return jacfe_to(r);
+}
+
+JacobianPoint scalar_mult_ladder(const U256& k, const AffinePoint& p,
+                                 unsigned bits) {
+  // Classic X-then-add ladder over (R0, R1) with R1 - R0 = P invariant.
+  // Every iteration performs exactly one dbl and one add regardless of the
+  // key bit, so the op count (and thus time in a software model) is
+  // independent of k. Note: the *selection* below is still data-dependent
+  // branching at the C++ level; real hardened code uses constant-time swaps.
+  JacFe r0 = jacfe_infinity();
+  JacFe r1 = jacfe_from(JacobianPoint::from_affine(p));
+  for (int i = static_cast<int>(bits) - 1; i >= 0; --i) {
+    const bool bit = k.bit(static_cast<unsigned>(i));
+    if (bit) {
+      r0 = add_fe(r0, r1);
+      r1 = dbl_fe(r1);
+    } else {
+      r1 = add_fe(r0, r1);
+      r0 = dbl_fe(r0);
+    }
+  }
+  return jacfe_to(r0);
+}
+
 void init_fixed_base_tables() { (void)fixed_base(); }
 
 JacobianPoint scalar_mult_base(const U256& k) {
@@ -784,7 +545,7 @@ JacobianPoint scalar_mult_base(const U256& k) {
     const unsigned d = (k.w[static_cast<std::size_t>(i / 8)] >>
                         (4u * static_cast<unsigned>(i % 8))) &
                        0xfu;
-    if (d) r = add_mixed_fe(r, t.comb[i][d - 1]);
+    if (d) r = add_mixed_fe(r, t.comb[i * kCombEntries + (d - 1)]);
   }
   return jacfe_to(r);
 }
@@ -806,16 +567,13 @@ JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
   AffFe odd_q[4];
   if (n2 > 0) {
     const AffFe qa = afffe_from(q);
-    const JacFe qj = jacfe_from_aff(qa);
-    const JacFe q2 = dbl_fe(qj);
+    const JacFe q2 = dbl_fe(jacfe_from_aff(qa));
     JacFe mults[3];
     mults[0] = add_mixed_fe(q2, qa);           // 3Q
     mults[1] = add_fe(mults[0], q2);           // 5Q
     mults[2] = add_fe(mults[1], q2);           // 7Q
-    AffFe aff[3];
-    jacfe_batch_affine(mults, aff, 3);
     odd_q[0] = qa;
-    for (int m = 0; m < 3; ++m) odd_q[m + 1] = aff[m];
+    batch_affine_fe(mults, odd_q + 1, 3);
   }
 
   const FixedBaseTables& t = fixed_base();
@@ -836,12 +594,7 @@ JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
 
 std::optional<AffinePoint> decompress(const U256& x, bool y_odd) {
   if (cmp(x, kP) >= 0) return std::nullopt;
-  const Fe xf = fe_from(x);
-  // rhs = x^3 - 3x + b.
-  static const Fe bf = fe_from(kB);
-  const Fe x3 = fe_mul(fe_sqr(xf), xf);
-  const Fe three_x = fe_add(fe_add(xf, xf), xf);
-  const Fe rhs = fe_add(fe_sub(x3, three_x), bf);
+  const Fe rhs = curve_rhs(fe_from(x));
   // p == 3 (mod 4): sqrt(a) = a^((p+1)/4) when a is a quadratic residue.
   static const U256 exp = [] {
     U256 e;
@@ -907,7 +660,7 @@ JacobianPoint multi_scalar_mult(const U256& g_scalar,
   }
   if (!jac.empty()) {
     std::vector<AffFe> aff(jac.size());
-    jacfe_batch_affine_n(jac.data(), aff.data(), jac.size());
+    batch_affine_fe(jac.data(), aff.data(), jac.size());
     for (std::size_t k = 0; k < jac.size(); ++k) table[jac_slot[k]] = aff[k];
   }
 
@@ -932,16 +685,74 @@ JacobianPoint multi_scalar_mult(const U256& g_scalar,
   return jacfe_to(r);
 }
 
-namespace {
+bool on_curve(const AffinePoint& p) {
+  if (p.infinity) return false;
+  if (cmp(p.x, kP) >= 0 || cmp(p.y, kP) >= 0) return false;
+  // y^2 == x^3 - 3x + b
+  return fe_eq(fe_sqr(fe_from(p.y)), curve_rhs(fe_from(p.x)));
+}
+
+AffinePoint generator() { return AffinePoint{kGx, kGy, false}; }
 
 // --- Seed reference kernel --------------------------------------------------
 //
 // double_scalar_mult_shamir is the *seed's* verify kernel, preserved
 // byte-for-byte in behaviour AND cost model: its field ops round-trip the
-// full product through U512 + reduce_p and square via a general multiply,
-// exactly as the seed did. It exists for bit-for-bit differential testing
-// and as the honest baseline in the E17 slow-vs-fast sweep; keeping it on
-// the modern fused field core would silently flatter the baseline.
+// full product through U512 + reduce_p (NIST fast reduction on 32-bit words)
+// and square via a general multiply, exactly as the seed did. It is the
+// independent oracle the Fe tier is tested against and the honest baseline
+// in the E17 slow-vs-fast sweep; running it on the Fe core would make the
+// oracle share the code it checks and silently flatter the baseline.
+
+U256 reduce_p(const U512& x) {
+  // NIST fast reduction for p256 (Hankerson-Menezes-Vanstone Alg. 2.29):
+  // r = T + 2*S1 + 2*S2 + S3 + S4 - D1 - D2 - D3 - D4 mod p, with the
+  // 32-bit word selections below (index 0 = least significant word).
+  const std::uint32_t* c = x.w.data();
+  std::int64_t acc[8];
+  auto set = [&](int i, std::int64_t v) { acc[i] = v; };
+  set(0, (std::int64_t)c[0] + c[8] + c[9] - c[11] - c[12] - c[13] - c[14]);
+  set(1, (std::int64_t)c[1] + c[9] + c[10] - c[12] - c[13] - c[14] - c[15]);
+  set(2, (std::int64_t)c[2] + c[10] + c[11] - c[13] - c[14] - c[15]);
+  set(3, (std::int64_t)c[3] + 2 * (std::int64_t)c[11] + 2 * (std::int64_t)c[12] +
+             c[13] - c[15] - c[8] - c[9]);
+  set(4, (std::int64_t)c[4] + 2 * (std::int64_t)c[12] + 2 * (std::int64_t)c[13] +
+             c[14] - c[9] - c[10]);
+  set(5, (std::int64_t)c[5] + 2 * (std::int64_t)c[13] + 2 * (std::int64_t)c[14] +
+             c[15] - c[10] - c[11]);
+  set(6, (std::int64_t)c[6] + 2 * (std::int64_t)c[14] + 2 * (std::int64_t)c[15] +
+             c[14] + c[13] - c[8] - c[9]);
+  set(7, (std::int64_t)c[7] + 2 * (std::int64_t)c[15] + c[15] + c[8] - c[10] -
+             c[11] - c[12] - c[13]);
+
+  // Carry-propagate the signed accumulators into a U256 plus signed overflow.
+  U256 r;
+  std::int64_t carry = 0;
+  for (int i = 0; i < 8; ++i) {
+    const std::int64_t t = acc[i] + carry;
+    r.w[static_cast<std::size_t>(i)] =
+        static_cast<std::uint32_t>(t & 0xffffffffLL);
+    carry = t >> 32;  // arithmetic shift: floor division by 2^32
+  }
+  // Fold the +/- carry*2^256 term: 2^256 mod p == 2^256 - p.
+  while (carry < 0) {
+    carry += static_cast<std::int64_t>(add(r, r, kP));
+  }
+  while (carry > 0) {
+    U256 t;
+    const std::uint32_t borrow = sub(t, r, kP);
+    r = t;
+    carry -= static_cast<std::int64_t>(borrow);
+  }
+  while (cmp(r, kP) >= 0) {
+    U256 t;
+    sub(t, r, kP);
+    r = t;
+  }
+  return r;
+}
+
+namespace {
 
 U256 ref_fmul(const U256& a, const U256& b) {
   ++g_fieldops;
@@ -1019,18 +830,5 @@ JacobianPoint double_scalar_mult_shamir(const U256& u1, const U256& u2,
   }
   return r;
 }
-
-bool on_curve(const AffinePoint& p) {
-  if (p.infinity) return false;
-  if (cmp(p.x, kP) >= 0 || cmp(p.y, kP) >= 0) return false;
-  // y^2 == x^3 - 3x + b
-  const U256 lhs = fsqr(p.y);
-  const U256 x3 = fmul(fsqr(p.x), p.x);
-  const U256 three_x = fadd(fadd(p.x, p.x), p.x);
-  const U256 rhs = fadd(fsub(x3, three_x), kB);
-  return lhs == rhs;
-}
-
-AffinePoint generator() { return AffinePoint{kGx, kGy, false}; }
 
 }  // namespace aseck::crypto::p256

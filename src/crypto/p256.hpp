@@ -1,15 +1,19 @@
 #pragma once
-// NIST P-256 (secp256r1) elliptic curve arithmetic: fast NIST modular
-// reduction for the field prime, Jacobian-coordinate point operations, and
-// scalar multiplication.
+// NIST P-256 (secp256r1) elliptic curve arithmetic: field operations mod p,
+// Jacobian-coordinate point operations, and scalar multiplication.
 //
-// Two multiplication tiers exist:
-//  * the generic double-and-add / Montgomery-ladder routines (reference and
-//    side-channel-model paths), and
-//  * the verification fast path — a fixed-base 4-bit comb for k*G (precomputed
-//    multiples of G built once, lazily, with Montgomery batch inversion) and a
-//    4-bit-window wNAF interleaving for u1*G + u2*Q. These are what
-//    ecdsa_verify/sign run on; the E17 bench measures the speedup.
+// One working tier runs every multiplication: a Montgomery-domain field core
+// on 64-bit limbs, entered by converting the U256 arguments at the boundary
+// (fadd/fsub/finv stay on the generic U256 layer). On that core sit the generic double-and-add / Montgomery-ladder routines
+// (reference and side-channel-model paths) and the verification fast path —
+// a fixed-base 4-bit comb for k*G (precomputed multiples of G built once,
+// lazily, with Montgomery batch inversion) and a wNAF interleaving for
+// u1*G + u2*Q. These are what ecdsa_verify/sign run on.
+//
+// The seed's kernel is the only second copy: reduce_p and
+// double_scalar_mult_shamir keep their own NIST-reduction field multiply,
+// doubling and mixed addition, as the independent oracle the tests check the
+// working tier against and as E17's honest baseline.
 //
 // NOTE: scalar multiplication here is *not* constant-time; timing leakage of
 // long-lived keys is exactly one of the side-channel classes the paper
@@ -34,11 +38,11 @@ const U256& Gy();
 
 U256 fadd(const U256& a, const U256& b);
 U256 fsub(const U256& a, const U256& b);
-/// Product with NIST P-256 fast reduction.
+/// Product mod p (Montgomery core; any U256 inputs).
 U256 fmul(const U256& a, const U256& b);
-U256 fsqr(const U256& a);
 U256 finv(const U256& a);
-/// Reduces an arbitrary 512-bit value mod p (the fast reduction kernel).
+/// Reduces an arbitrary 512-bit value mod p: the seed kernel's NIST fast
+/// reduction (Hankerson-Menezes-Vanstone Alg. 2.29).
 U256 reduce_p(const U512& x);
 
 // --- Points ------------------------------------------------------------------
@@ -83,7 +87,7 @@ JacobianPoint scalar_mult(const U256& k, const AffinePoint& p);
 JacobianPoint scalar_mult_ladder(const U256& k, const AffinePoint& p,
                                  unsigned bits = 256);
 /// Field-operation counters (mul+sqr) for the leakage demonstration; reset
-/// and read around a scalar multiplication.
+/// and read around a scalar multiplication. The count is per thread.
 void reset_fieldop_count();
 std::uint64_t fieldop_count();
 /// k * G via the fixed-base 4-bit comb table (64 windows x 15 odd/even

@@ -22,13 +22,12 @@
 // shard layouts and thread counts. Channel loss draws from the *receiving*
 // shard's RNG stream in scan order — deterministic for any thread count.
 //
-// Crypto comes in two modes. With `real_crypto` off (the struct default,
-// the modeled arm), crypto cost is pure accounting: E17's measured
-// per-verify latency (`verify_cost_us`) prices the reception counts after
-// the fact. `bench_e19_city_scale` (unless run with `--modeled`) and the
-// repo benchmark set `real_crypto`: every reception runs genuine ECDSA-P256
-// through the shard's batch verify pipeline (E22): each vehicle signs one
-// beacon per pseudonym rotation over (id, rotations, temp_id) with a key
+// Crypto comes in two modes. With `real_crypto` off (the struct default)
+// receptions carry no crypto at all; the substrate tests use it to stay
+// fast. `bench_e19_city_scale` and the repo benchmark set `real_crypto`:
+// every reception runs genuine ECDSA-P256 through the shard's batch verify
+// pipeline (E22): each vehicle signs one beacon per pseudonym rotation over
+// (id, rotations, temp_id) with a key
 // derived deterministically from (id, rotations); receivers verify each
 // (sender, rotation) beacon once — an `admitted` LRU dedups repeat
 // receptions, and misses accumulate into the shard's `VerifyEngine` RLC
@@ -74,9 +73,6 @@ struct MetroConfig {
   /// Modeled wire size of a signed BSM (payload + 1609.2 header + implicit
   /// cert + ECDSA signature) for bytes-per-vehicle accounting.
   std::size_t bsm_wire_bytes = 246;
-  /// Modeled HSM verify cost per received BSM (E17-calibrated). Used for
-  /// utilization accounting only, and only when `real_crypto` is false.
-  double verify_cost_us = 350.0;
   /// Run genuine ECDSA-P256 on the receive path: per-(vehicle, rotation)
   /// beacon signatures, shard-local admitted-cache dedup, and the E22 RLC
   /// batch kernel for the misses.

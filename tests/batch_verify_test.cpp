@@ -209,6 +209,12 @@ TEST(P256MultiScalar, MatchesNaiveSum) {
   want = p256::add(want, p256::scalar_mult(s1, k1.public_key().point));
   want = p256::add(want, p256::scalar_mult(s2, k2.public_key().point));
   EXPECT_EQ(got, p256::to_affine(want));
+  // Seed-tier oracle: (g*G + s1*Q1) + s2*Q2 from the 1-bit Shamir kernel,
+  // so the scalar multiplications share no formula with multi_scalar_mult.
+  const auto seed = p256::add(
+      p256::double_scalar_mult_shamir(g_coeff, s1, k1.public_key().point),
+      p256::double_scalar_mult_shamir(U256{}, s2, k2.public_key().point));
+  EXPECT_EQ(got, p256::to_affine(seed));
 }
 
 TEST(P256MultiScalar, HandlesZeroAndInfinityTerms) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crypto/ecdsa.hpp"
@@ -291,6 +293,11 @@ TEST(P256Ladder, MatchesDoubleAndAdd) {
     const auto b = p256::to_affine(
         p256::scalar_mult_ladder(k, p256::generator()));
     EXPECT_EQ(a, b);
+    // Seed-tier oracle: k*G from the 1-bit Shamir kernel, which shares no
+    // point formula with the two Montgomery-core paths above.
+    const auto seed = p256::to_affine(
+        p256::double_scalar_mult_shamir(k, U256::zero(), p256::generator()));
+    EXPECT_EQ(b, seed);
   }
   // Edge scalars.
   EXPECT_TRUE(p256::scalar_mult_ladder(U256::zero(), p256::generator())
@@ -332,6 +339,41 @@ TEST(P256Ladder, OpCountIndependentOfHammingWeight) {
   EXPECT_EQ(l_sparse, l_dense);
 }
 
+TEST(P256Ladder, FieldOpCountIsPerThread) {
+  // Shard workers run P-256 concurrently, so the counter is per thread:
+  // threads released together, each running the same ladders, must each
+  // read exactly the single-threaded count.
+  const p256::AffinePoint g = p256::generator();
+  const U256 k = mod_generic(
+      U256::from_hex(
+          "c0ffee0123456789abcdef0123456789abcdef0123456789abcdef0123456789"),
+      p256::N());
+  const auto count_ladders = [&] {
+    p256::reset_fieldop_count();
+    for (int i = 0; i < 4; ++i) (void)p256::scalar_mult_ladder(k, g);
+    return p256::fieldop_count();
+  };
+  const std::uint64_t want = count_ladders();
+  ASSERT_GT(want, 0u);
+
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<std::uint64_t> got(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = count_ladders();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)], want) << "thread " << t;
+  }
+  // The main thread's count is untouched by the workers.
+  EXPECT_EQ(p256::fieldop_count(), want);
+}
+
 // ---------------------------------------------------------------------------
 // Fast-path equivalence and crypto edge cases (PR: verification fast path).
 
@@ -361,9 +403,15 @@ TEST(P256FastPath, ScalarMultBaseMatchesGenericDoubleAndAdd) {
   for (const U256& k : cases) {
     const auto fast = p256::scalar_mult_base(k);
     const auto slow = p256::scalar_mult(k, p256::generator());
+    // Seed-tier oracle: the comb and scalar_mult share the Montgomery core's
+    // formulas; the 1-bit Shamir kernel does not.
+    const auto seed =
+        p256::double_scalar_mult_shamir(k, U256::zero(), p256::generator());
     ASSERT_EQ(fast.is_infinity(), slow.is_infinity()) << k.to_hex();
+    ASSERT_EQ(fast.is_infinity(), seed.is_infinity()) << k.to_hex();
     if (!fast.is_infinity()) {
       ASSERT_EQ(p256::to_affine(fast), p256::to_affine(slow)) << k.to_hex();
+      ASSERT_EQ(p256::to_affine(fast), p256::to_affine(seed)) << k.to_hex();
     }
   }
 }

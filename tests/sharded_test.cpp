@@ -285,9 +285,9 @@ v2x::MetroConfig metro_cfg(unsigned threads) {
   cfg.threads = threads;
   cfg.seed = 7;
   cfg.pseudonym_period = util::SimTime::from_ms(900);
-  // These tests exercise the sharded substrate at 3000 vehicles; modeled
-  // crypto keeps them fast. RealCryptoDigestMatchesAcrossThreads below runs
-  // the genuine pipeline on a smaller city.
+  // These tests exercise the sharded substrate at 3000 vehicles; with
+  // crypto off they stay fast. RealCryptoDigestMatchesAcrossThreads below
+  // runs the genuine pipeline on a smaller city.
   cfg.real_crypto = false;
   return cfg;
 }
