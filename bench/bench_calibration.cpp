@@ -156,15 +156,39 @@ int main(int argc, char** argv) {
         crypto::ecdsa_verify_digest(alice.public_key(), digest, sig));
   }
   {
+    // A new key every op, made before timing: every verify runs the wNAF
+    // path, since no key recurs and earns a comb.
+    const std::size_t n = ops(50, 2);
+    std::vector<std::pair<crypto::EcdsaPublicKey, crypto::EcdsaSignature>> keyed;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(passes) * n; ++i) {
+      const auto key = crypto::EcdsaPrivateKey::generate(rng);
+      keyed.emplace_back(key.public_key(), key.sign_digest(digest));
+    }
+    std::size_t next = 0;
+    bool ok = true;
+    const auto [s] = benchutil::time_min_of(passes, [&] {
+      for (std::size_t i = 0; i < n; ++i, ++next) {
+        const auto& [pub, sig] = keyed[next];
+        ok = crypto::ecdsa_verify_digest(pub, digest, sig) && ok;
+      }
+    });
+    row("ecdsa_verify_fresh_key", us_per_op(s, n), "us/op", ok);
+  }
+  {
+    // One key every op, past the comb threshold before timing: every timed
+    // verify walks the G and key combs.
     const std::size_t n = ops(50, 2);
     const crypto::EcdsaSignature sig = alice.sign_digest(digest);
     bool ok = true;
+    for (int i = 0; i < crypto::p256::kKeyCombBuildAfter; ++i) {
+      ok = crypto::ecdsa_verify_digest(alice.public_key(), digest, sig) && ok;
+    }
     const auto [s] = benchutil::time_min_of(passes, [&] {
       for (std::size_t i = 0; i < n; ++i) {
         ok = crypto::ecdsa_verify_digest(alice.public_key(), digest, sig) && ok;
       }
     });
-    row("ecdsa_verify", us_per_op(s, n), "us/op", ok);
+    row("ecdsa_verify_same_key", us_per_op(s, n), "us/op", ok);
   }
   {
     const std::size_t n = ops(50, 2);

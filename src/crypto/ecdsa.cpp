@@ -46,15 +46,15 @@ U256 nonce_candidate(const U256& d, const Digest& digest,
     util::append_be(msg, counter, 4);
   }
   const Digest h = hmac_sha256(key, msg);
-  return mod_generic(U256::from_bytes(util::BytesView(h.data(), h.size())),
-                     p256::N());
+  return p256::reduce_n(
+      U256::from_bytes(util::BytesView(h.data(), h.size())));
 }
 
 U256 digest_to_scalar(const Digest& d) {
   // Leftmost-bits rule; for SHA-256 and P-256 both are 256 bits, so this is
   // just a reduction mod n.
   const U256 z = U256::from_bytes(util::BytesView(d.data(), d.size()));
-  return mod_generic(z, p256::N());
+  return p256::reduce_n(z);
 }
 
 }  // namespace detail
@@ -100,13 +100,13 @@ EcdsaPrivateKey::EcdsaPrivateKey(U256 d) : d_(d) {
 EcdsaPrivateKey EcdsaPrivateKey::generate(Drbg& rng) {
   for (;;) {
     const util::Bytes raw = rng.bytes(32);
-    const U256 d = mod_generic(U256::from_bytes(raw), p256::N());
+    const U256 d = p256::reduce_n(U256::from_bytes(raw));
     if (!d.is_zero()) return EcdsaPrivateKey(d);
   }
 }
 
 EcdsaPrivateKey EcdsaPrivateKey::from_secret(util::BytesView secret32) {
-  const U256 d = mod_generic(U256::from_bytes(secret32), p256::N());
+  const U256 d = p256::reduce_n(U256::from_bytes(secret32));
   if (d.is_zero()) {
     throw std::invalid_argument("EcdsaPrivateKey: secret reduces to zero");
   }
@@ -124,7 +124,7 @@ EcdsaSignature EcdsaPrivateKey::sign_digest(const Digest& digest) const {
   for (;;) {
     const U256 k = derive_nonce(d_, attempt_digest);
     const p256::AffinePoint R = p256::to_affine(p256::scalar_mult_base(k));
-    const U256 r = mod_generic(R.x, n);
+    const U256 r = p256::reduce_n(R.x);
     if (r.is_zero()) {
       attempt_digest[0] ^= 0x5a;  // perturb and retry (never expected)
       continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 
 namespace aseck::crypto::p256 {
 
@@ -27,6 +28,13 @@ const U256& P() { return kP; }
 const U256& N() { return kN; }
 const U256& Gx() { return kGx; }
 const U256& Gy() { return kGy; }
+
+U256 reduce_n(const U256& x) {
+  if (cmp(x, kN) < 0) return x;
+  U256 r;
+  sub(r, x, kN);
+  return r;
+}
 
 void reset_fieldop_count() { g_fieldops = 0; }
 std::uint64_t fieldop_count() { return g_fieldops; }
@@ -353,19 +361,67 @@ inline AffFe to_affine_fe(const JacFe& p) {
   return out;
 }
 
-// --- Fixed-base tables for k*G ----------------------------------------------
+// --- Signed 4-bit combs -----------------------------------------------------
 //
-// comb[i * 15 + j - 1] = j * 2^(4i) * G (affine), i in [0, 64), j in [1, 16).
-// Processing k one nibble at a time turns k*G into at most 64 mixed
-// additions with zero doublings. odd_g[m] = (2m+1) * G feeds the width-8
-// wNAF G-term of double_scalar_mult. ~100 KiB total, built lazily once.
+// The comb of a base P holds comb[i * 8 + j - 1] = j * 16^i * P (affine) for
+// window i in [0, 64) and j in [1, 8], plus comb[512] = 2^256 * P for the
+// recoding's final carry. comb_digits recodes k into 64 digits in [-8, 7];
+// a negative digit adds the negated entry, so k*P is at most 65 mixed
+// additions with zero doublings. 513 entries of 72 B: ~36 KiB per comb.
 
-constexpr int kCombWindows = 64;   // 256 bits / 4-bit teeth
-constexpr int kCombEntries = 15;   // digits 1..15
-constexpr int kOddG = 64;          // 1G, 3G, ..., 127G (width-8 wNAF)
+constexpr int kCombEntries = 8;  // |digit| in 1..8
+constexpr std::size_t kCombSize = kCombWindows * kCombEntries + 1;
+using Comb = std::array<AffFe, kCombSize>;
+
+void build_comb(const AffFe& base, Comb& out) {
+  // Window bases B_i = 16^i * P for i in [0, 64], then one batch inversion;
+  // B_64 is the carry entry.
+  JacFe bases[kCombWindows + 1];
+  JacFe b = jacfe_from_aff(base);
+  for (int i = 0; i <= kCombWindows; ++i) {
+    bases[i] = b;
+    if (i < kCombWindows) {
+      for (int d = 0; d < 4; ++d) b = dbl_fe(b);
+    }
+  }
+  AffFe bases_aff[kCombWindows + 1];
+  batch_affine_fe(bases, bases_aff, kCombWindows + 1);
+  // Entries j*B_i by chained mixed additions, then one batch inversion.
+  std::vector<JacFe> entries;
+  entries.reserve(kCombSize - 1);
+  for (int i = 0; i < kCombWindows; ++i) {
+    JacFe acc = jacfe_from_aff(bases_aff[i]);
+    for (int j = 1; j <= kCombEntries; ++j) {
+      entries.push_back(acc);
+      if (j < kCombEntries) acc = add_mixed_fe(acc, bases_aff[i]);
+    }
+  }
+  batch_affine_fe(entries.data(), out.data(), entries.size());
+  out[kCombSize - 1] = bases_aff[kCombWindows];
+}
+
+/// r += k * P, with `digits` = comb_digits(k) and `comb` built for P.
+void comb_add(JacFe& r, const Comb& comb, const CombDigits& digits) {
+  for (int i = 0; i < kCombWindows; ++i) {
+    const int d = digits[static_cast<std::size_t>(i)];
+    if (d == 0) continue;
+    const AffFe& m = comb[static_cast<std::size_t>(
+        i * kCombEntries + (d > 0 ? d : -d) - 1)];
+    r = add_mixed_fe(r, d > 0 ? m : afffe_neg(m));
+  }
+  if (digits[kCombWindows]) r = add_mixed_fe(r, comb[kCombSize - 1]);
+}
+
+// --- Fixed-base tables for G ------------------------------------------------
+//
+// The comb of G serves scalar_mult_base and the G half of double_scalar_mult
+// once Q has a comb. odd_g[m] = (2m+1) * G feeds the width-8 wNAF G-term of
+// double_scalar_mult and multi_scalar_mult. ~41 KiB total, built lazily once.
+
+constexpr int kOddG = 64;  // 1G, 3G, ..., 127G (width-8 wNAF)
 
 struct FixedBaseTables {
-  AffFe comb[kCombWindows * kCombEntries];
+  Comb comb;
   AffFe odd_g[kOddG];
 };
 
@@ -373,28 +429,7 @@ const FixedBaseTables& fixed_base() {
   static const FixedBaseTables tables = [] {
     FixedBaseTables t;
     const AffFe g = afffe_from(generator());
-    // Window bases B_i = 2^(4i) * G, then one batch inversion.
-    JacFe bases[kCombWindows];
-    JacFe b = jacfe_from_aff(g);
-    for (int i = 0; i < kCombWindows; ++i) {
-      bases[i] = b;
-      if (i + 1 < kCombWindows) {
-        for (int d = 0; d < 4; ++d) b = dbl_fe(b);
-      }
-    }
-    AffFe bases_aff[kCombWindows];
-    batch_affine_fe(bases, bases_aff, kCombWindows);
-    // Entries j*B_i by chained mixed additions, then one batch inversion.
-    std::vector<JacFe> entries;
-    entries.reserve(kCombWindows * kCombEntries);
-    for (int i = 0; i < kCombWindows; ++i) {
-      JacFe acc = jacfe_from_aff(bases_aff[i]);
-      for (int j = 1; j <= kCombEntries; ++j) {
-        entries.push_back(acc);
-        if (j < kCombEntries) acc = add_mixed_fe(acc, bases_aff[i]);
-      }
-    }
-    batch_affine_fe(entries.data(), t.comb, entries.size());
+    build_comb(g, t.comb);
     // Odd multiples 1G..127G: chained mixed additions of the affine 2G, one
     // batch inversion (all one-time build cost).
     const AffFe g2 = to_affine_fe(dbl_fe(jacfe_from_aff(g)));
@@ -408,6 +443,87 @@ const FixedBaseTables& fixed_base() {
     return t;
   }();
   return tables;
+}
+
+// --- Per-thread combs for recurring keys ------------------------------------
+//
+// Each thread keeps combs for up to kKeyCombSlots verification keys. A key
+// earns one on its kKeyCombBuildAfter-th double_scalar_mult in the thread:
+// a build costs about 2.4 wNAF verifies, so the key has to recur first.
+// Until then its calls are counted in a FIFO of kKeyCombHorizon candidates
+// that one-off keys recycle among themselves, so they never evict a built
+// comb. A new comb takes a free slot, or else the least recently used comb
+// if that one has been idle for more than kKeyCombHorizon calls; with every
+// comb busier than that the key stays on the wNAF path, so a round-robin
+// over more recurring keys than slots cannot thrash the cache with builds.
+// Combs are built from public points only.
+
+struct KeySlot {
+  U256 x, y;
+  std::uint64_t last_use = 0;
+  std::unique_ptr<Comb> comb;  // null: free slot
+};
+
+struct Candidate {
+  U256 x, y;
+  int calls = 0;  // 0: free entry
+};
+
+class KeyCombCache {
+ public:
+  /// The comb for q (finite), or nullptr while q has none.
+  const Comb* find_or_count(const AffinePoint& q) {
+    ++tick_;
+    for (KeySlot& s : slots_) {
+      if (s.comb && s.x == q.x && s.y == q.y) {
+        s.last_use = tick_;
+        return s.comb.get();
+      }
+    }
+    Candidate* c = nullptr;
+    for (Candidate& e : candidates_) {
+      if (e.calls > 0 && e.x == q.x && e.y == q.y) {
+        c = &e;
+        break;
+      }
+    }
+    if (c == nullptr) {
+      c = &candidates_[next_candidate_];
+      next_candidate_ = (next_candidate_ + 1) % kKeyCombHorizon;
+      *c = Candidate{q.x, q.y, 0};
+    }
+    if (++c->calls < kKeyCombBuildAfter) return nullptr;
+    c->calls = 0;
+    KeySlot* victim = &slots_[0];
+    for (KeySlot& s : slots_) {
+      if (!s.comb) {
+        victim = &s;
+        break;
+      }
+      if (s.last_use < victim->last_use) victim = &s;
+    }
+    if (victim->comb) {
+      if (tick_ - victim->last_use <= kKeyCombHorizon) return nullptr;
+    } else {
+      victim->comb = std::make_unique<Comb>();
+    }
+    build_comb(afffe_from(q), *victim->comb);
+    victim->x = q.x;
+    victim->y = q.y;
+    victim->last_use = tick_;
+    return victim->comb.get();
+  }
+
+ private:
+  std::array<KeySlot, kKeyCombSlots> slots_;
+  std::array<Candidate, kKeyCombHorizon> candidates_;
+  std::size_t next_candidate_ = 0;
+  std::uint64_t tick_ = 0;
+};
+
+KeyCombCache& key_combs() {
+  thread_local KeyCombCache cache;
+  return cache;
 }
 
 // --- wNAF expansion ---------------------------------------------------------
@@ -538,20 +654,36 @@ JacobianPoint scalar_mult_ladder(const U256& k, const AffinePoint& p,
 
 void init_fixed_base_tables() { (void)fixed_base(); }
 
-JacobianPoint scalar_mult_base(const U256& k) {
-  const FixedBaseTables& t = fixed_base();
-  JacFe r = jacfe_infinity();
+CombDigits comb_digits(const U256& k) {
+  CombDigits d{};
+  int carry = 0;
   for (int i = 0; i < kCombWindows; ++i) {
-    const unsigned d = (k.w[static_cast<std::size_t>(i / 8)] >>
-                        (4u * static_cast<unsigned>(i % 8))) &
-                       0xfu;
-    if (d) r = add_mixed_fe(r, t.comb[i * kCombEntries + (d - 1)]);
+    const int nibble = static_cast<int>((k.w[static_cast<std::size_t>(i / 8)] >>
+                                         (4 * (i % 8))) & 0xfu) + carry;
+    carry = nibble >= 8 ? 1 : 0;
+    d[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(nibble - 16 * carry);
   }
+  d[kCombWindows] = static_cast<std::int8_t>(carry);
+  return d;
+}
+
+JacobianPoint scalar_mult_base(const U256& k) {
+  JacFe r = jacfe_infinity();
+  comb_add(r, fixed_base().comb, comb_digits(k));
   return jacfe_to(r);
 }
 
 JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
                                  const AffinePoint& q) {
+  // A recurring Q has a comb: two comb walks, no doublings, no inversion.
+  if (!q.infinity) {
+    if (const Comb* qc = key_combs().find_or_count(q)) {
+      JacFe r = jacfe_infinity();
+      comb_add(r, fixed_base().comb, comb_digits(u1));
+      comb_add(r, *qc, comb_digits(u2));
+      return jacfe_to(r);
+    }
+  }
   std::int8_t d1[kMaxWnafDigits], d2[kMaxWnafDigits];
   // G gets width 8 (static 64-entry table); Q gets width 4 (its 4-entry odd
   // table is built per call). An infinite Q contributes nothing; skip its

@@ -3,12 +3,14 @@
 // Jacobian-coordinate point operations, and scalar multiplication.
 //
 // One working tier runs every multiplication: a Montgomery-domain field core
-// on 64-bit limbs, entered by converting the U256 arguments at the boundary
-// (fadd/fsub/finv stay on the generic U256 layer). On that core sit the generic double-and-add / Montgomery-ladder routines
-// (reference and side-channel-model paths) and the verification fast path —
-// a fixed-base 4-bit comb for k*G (precomputed multiples of G built once,
-// lazily, with Montgomery batch inversion) and a wNAF interleaving for
-// u1*G + u2*Q. These are what ecdsa_verify/sign run on.
+// on 64-bit limbs, entered by converting the U256 arguments at the boundary.
+// fadd/fsub/finv stay on the generic U256 layer. On that core sit the
+// generic double-and-add and Montgomery-ladder routines (reference and
+// side-channel-model paths) and the fast paths that ecdsa_verify/sign run on:
+//  - one signed-digit 4-bit comb (64 windows x 8 entries plus a carry
+//    entry, no doublings per use), built once for G and per thread for each
+//    recurring verification key;
+//  - a wNAF interleaving for u1*G + u2*Q while Q has no comb yet.
 //
 // The seed's kernel is the only second copy: reduce_p and
 // double_scalar_mult_shamir keep their own NIST-reduction field multiply,
@@ -20,6 +22,9 @@
 // discusses, and src/sidechannel models it explicitly. Production silicon
 // would use a hardened ladder.
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -33,6 +38,9 @@ const U256& N();
 /// Base point (affine).
 const U256& Gx();
 const U256& Gy();
+/// x mod n for any 256-bit x: n > 2^255, so x < 2n and one conditional
+/// subtraction is exact.
+U256 reduce_n(const U256& x);
 
 // --- Field arithmetic mod p -------------------------------------------------
 
@@ -90,12 +98,29 @@ JacobianPoint scalar_mult_ladder(const U256& k, const AffinePoint& p,
 /// and read around a scalar multiplication. The count is per thread.
 void reset_fieldop_count();
 std::uint64_t fieldop_count();
-/// k * G via the fixed-base 4-bit comb table (64 windows x 15 odd/even
-/// multiples of G, built once on first use).
+/// Signed 4-bit comb recoding: k == sum_i d[i] * 16^i, with d[i] in [-8, 7]
+/// for the 64 windows and d[64] in {0, 1} the carry out of the top window.
+/// A comb of P holds j * 16^i * P for j in [1, 8] plus 2^256 * P, so a walk
+/// over these digits is at most 65 mixed additions and no doubling.
+constexpr int kCombWindows = 64;
+using CombDigits = std::array<std::int8_t, kCombWindows + 1>;
+CombDigits comb_digits(const U256& k);
+/// k * G by one walk of G's comb (built once on first use).
 JacobianPoint scalar_mult_base(const U256& k);
-/// u1*G + u2*Q, the ECDSA verification kernel: wNAF expansions of u1
-/// (width 8, static odd-G table) and u2 (width 4, per-call odd-Q table,
-/// batch-inverted to affine) interleaved over one shared doubling chain.
+/// Per-thread key combs of double_scalar_mult: Q gets a comb on its
+/// kKeyCombBuildAfter-th call within the last kKeyCombHorizon distinct
+/// keys of a thread, and a thread holds at most kKeyCombSlots of them. A
+/// full cache gives a new key the least recently used comb only once that
+/// comb has been idle for more than kKeyCombHorizon calls. Fixed constants,
+/// not settings; exposed so tests and benches can cross them.
+constexpr int kKeyCombBuildAfter = 4;
+constexpr std::size_t kKeyCombSlots = 16;
+constexpr std::size_t kKeyCombHorizon = 64;
+/// u1*G + u2*Q, the ECDSA verification kernel. Once Q has a comb in this
+/// thread: two comb walks (G's and Q's), ~130 mixed additions. Before: wNAF
+/// expansions of u1 (width 8, static odd-G table) and u2 (width 4, per-call
+/// odd-Q table, batch-inverted to affine) over one shared doubling chain.
+/// Both give the same point; only the Jacobian representation differs.
 JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
                                  const AffinePoint& q);
 /// True iff pt's affine x-coordinate reduced mod the curve order equals r

@@ -77,7 +77,8 @@ U256 sub_mod(const U256& a, const U256& b, const U256& m);
 U256 mul_mod(const U256& a, const U256& b, const U256& m);
 /// a^e mod m by square-and-multiply.
 U256 pow_mod(const U256& a, const U256& e, const U256& m);
-/// Modular inverse for prime modulus (Fermat). Precondition: a != 0 mod m.
+/// Modular inverse for odd prime modulus m by binary extended GCD.
+/// Precondition: a != 0 mod m.
 U256 inv_mod_prime(const U256& a, const U256& m);
 
 }  // namespace aseck::crypto

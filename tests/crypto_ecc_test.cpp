@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <latch>
 #include <set>
 #include <string>
@@ -122,6 +123,28 @@ TEST(P256, FastReductionMatchesGeneric) {
     U512 x;
     for (auto& w : x.w) w = rng.next_u32();
     EXPECT_EQ(p256::reduce_p(x), mod_generic(x, p256::P())) << "iter " << i;
+  }
+}
+
+TEST(P256, ReduceNMatchesGeneric) {
+  // Every value below 2^256 is < 2n, so one conditional subtraction must
+  // agree with the bit-serial generic reduction everywhere.
+  util::Rng rng(6);
+  std::vector<U256> cases;
+  for (int i = 0; i < 200; ++i) {
+    U256 x;
+    for (auto& w : x.w) w = rng.next_u32();
+    cases.push_back(x);
+  }
+  U256 n_minus_1, n_plus_1, all_ones;
+  sub(n_minus_1, p256::N(), U256::one());
+  add(n_plus_1, p256::N(), U256::one());
+  for (auto& w : all_ones.w) w = 0xffffffffu;
+  for (const U256& x : {U256::zero(), n_minus_1, p256::N(), n_plus_1, all_ones}) {
+    cases.push_back(x);
+  }
+  for (const U256& x : cases) {
+    EXPECT_EQ(p256::reduce_n(x), mod_generic(x, p256::N())) << x.to_hex();
   }
 }
 
@@ -494,6 +517,284 @@ TEST(P256FastPath, BatchToAffineSkipsInfinityEntries) {
     }
   }
   EXPECT_TRUE(p256::batch_to_affine({}).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Signed comb and the per-thread key combs of double_scalar_mult.
+
+/// sum_i d[i] * 16^i, by Horner from the carry down, in two's complement
+/// mod 2^320: the true sum is below 2^257 in magnitude, so equality mod
+/// 2^320 is equality.
+std::array<std::uint64_t, 5> comb_value(const p256::CombDigits& d) {
+  std::array<std::uint64_t, 5> acc{};
+  for (int i = p256::kCombWindows; i >= 0; --i) {
+    for (std::size_t l = acc.size(); l-- > 1;) {
+      acc[l] = (acc[l] << 4) | (acc[l - 1] >> 60);
+    }
+    acc[0] <<= 4;
+    const std::int64_t v = d[static_cast<std::size_t>(i)];
+    const std::uint64_t ext = v < 0 ? ~0ULL : 0ULL;
+    unsigned __int128 carry = 0;
+    for (std::size_t l = 0; l < acc.size(); ++l) {
+      const unsigned __int128 t = static_cast<unsigned __int128>(acc[l]) +
+                                  (l == 0 ? static_cast<std::uint64_t>(v) : ext) +
+                                  carry;
+      acc[l] = static_cast<std::uint64_t>(t);
+      carry = t >> 64;
+    }
+  }
+  return acc;
+}
+
+TEST(P256Comb, SignedRecodingSumsToScalar) {
+  util::Rng rng(0xc0b);
+  std::vector<U256> cases;
+  for (int i = 0; i < 200; ++i) cases.push_back(rand_u256(rng));
+  U256 all_ones, n_minus_1;
+  for (auto& w : all_ones.w) w = 0xffffffffu;
+  sub(n_minus_1, p256::N(), U256::one());
+  const U256 eights = U256::from_hex(std::string(64, '8'));
+  for (const U256& k : {U256::zero(), all_ones, p256::N(), n_minus_1, eights}) {
+    cases.push_back(k);
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const U256& k = cases[c];
+    const p256::CombDigits d = p256::comb_digits(k);
+    for (int i = 0; i < p256::kCombWindows; ++i) {
+      ASSERT_GE(d[static_cast<std::size_t>(i)], -8) << k.to_hex();
+      ASSERT_LE(d[static_cast<std::size_t>(i)], 7) << k.to_hex();
+    }
+    ASSERT_TRUE(d[p256::kCombWindows] == 0 || d[p256::kCombWindows] == 1);
+    const auto v = comb_value(d);
+    for (std::size_t l = 0; l < 4; ++l) {
+      const std::uint64_t want =
+          std::uint64_t{k.w[2 * l]} | (std::uint64_t{k.w[2 * l + 1]} << 32);
+      ASSERT_EQ(v[l], want) << k.to_hex() << " limb " << l;
+    }
+    ASSERT_EQ(v[4], 0u) << k.to_hex();
+    // The G comb walk against the seed kernel, on a sample of the randoms
+    // and every edge scalar.
+    if (c % 10 == 0 || c >= 200) {
+      const auto fast = p256::scalar_mult_base(k);
+      const auto seed =
+          p256::double_scalar_mult_shamir(k, U256::zero(), p256::generator());
+      ASSERT_EQ(fast.is_infinity(), seed.is_infinity()) << k.to_hex();
+      if (!fast.is_infinity()) {
+        ASSERT_EQ(p256::to_affine(fast), p256::to_affine(seed)) << k.to_hex();
+      }
+    }
+  }
+  // 0x88...8 recodes to all-negative digits and needs the carry.
+  EXPECT_EQ(p256::comb_digits(eights)[p256::kCombWindows], 1);
+}
+
+/// Field-op counts tell double_scalar_mult's paths apart: with random
+/// scalars a comb walk costs ~1300 mul+sqr, a wNAF call ~3000, and the call
+/// that builds a comb ~12400.
+constexpr std::uint64_t kCombWalkMaxOps = 2000;
+constexpr std::uint64_t kBuildMinOps = 10000;
+
+/// Field ops of one double_scalar_mult(u1, u2, q), checked against the seed
+/// kernel.
+std::uint64_t checked_dsm(const U256& u1, const U256& u2,
+                          const p256::AffinePoint& q) {
+  p256::reset_fieldop_count();
+  const auto fast = p256::double_scalar_mult(u1, u2, q);
+  const std::uint64_t ops = p256::fieldop_count();
+  const auto slow = p256::double_scalar_mult_shamir(u1, u2, q);
+  EXPECT_EQ(fast.is_infinity(), slow.is_infinity())
+      << u1.to_hex() << " " << u2.to_hex();
+  if (!fast.is_infinity() && !slow.is_infinity()) {
+    EXPECT_EQ(p256::to_affine(fast), p256::to_affine(slow))
+        << u1.to_hex() << " " << u2.to_hex();
+  }
+  return ops;
+}
+
+/// Runs fn on a new thread, whose key-comb cache starts empty.
+template <class Fn>
+void on_new_thread(Fn fn) {
+  std::thread(fn).join();
+}
+
+p256::AffinePoint random_key_point(util::Rng& rng) {
+  return p256::to_affine(
+      p256::scalar_mult_base(mod_generic(rand_u256(rng), p256::N())));
+}
+
+TEST(P256Comb, KeyedPathMatchesShamirOnEdgeScalars) {
+  util::Rng rng(0x5eed);
+  U256 n_minus_1, two_255;
+  sub(n_minus_1, p256::N(), U256::one());
+  two_255.w[7] = 0x80000000u;
+  const std::vector<U256> scalars = {
+      U256::zero(), U256::one(), n_minus_1, two_255,
+      U256::from_hex(std::string(64, '8')),  // every digit negative + carry
+      U256::from_hex(std::string(64, 'f')), mod_generic(rand_u256(rng), p256::N())};
+  // Q = G and Q = -G make G-comb and Q-comb entries coincide or cancel, so
+  // add_mixed_fe's doubling and infinity branches run.
+  p256::AffinePoint neg_g = p256::generator();
+  sub(neg_g.y, p256::P(), neg_g.y);
+  std::vector<p256::AffinePoint> keys = {p256::generator(), neg_g};
+  for (int i = 0; i < 3; ++i) keys.push_back(random_key_point(rng));
+
+  // Before the comb exists: each pair as the first call on a new thread.
+  for (const p256::AffinePoint& q : keys) {
+    for (const U256& u1 : scalars) {
+      for (const U256& u2 : scalars) {
+        on_new_thread([&] { (void)checked_dsm(u1, u2, q); });
+      }
+    }
+  }
+  // After: one thread takes every key well past the build threshold; G and
+  // -G share x, so a comb looked up by x alone would answer for the other.
+  on_new_thread([&] {
+    for (const p256::AffinePoint& q : keys) {
+      const U256 a = mod_generic(rand_u256(rng), p256::N());
+      const U256 b = mod_generic(rand_u256(rng), p256::N());
+      for (int call = 1; call <= p256::kKeyCombBuildAfter; ++call) {
+        const std::uint64_t ops = checked_dsm(a, b, q);
+        if (call < p256::kKeyCombBuildAfter) {
+          EXPECT_GT(ops, kCombWalkMaxOps) << "call " << call;
+          EXPECT_LT(ops, kBuildMinOps) << "call " << call;
+        } else {
+          EXPECT_GT(ops, kBuildMinOps) << "the building call";
+        }
+      }
+      EXPECT_LT(checked_dsm(b, a, q), kCombWalkMaxOps);
+    }
+    for (const p256::AffinePoint& q : keys) {
+      for (const U256& u1 : scalars) {
+        for (const U256& u2 : scalars) {
+          EXPECT_LT(checked_dsm(u1, u2, q), kCombWalkMaxOps);
+        }
+      }
+    }
+  });
+}
+
+TEST(P256Comb, EvictionSparesBusyCombsAndOneOffStreams) {
+  on_new_thread([] {
+    util::Rng rng(0xe71c);
+    const auto u = [&] { return mod_generic(rand_u256(rng), p256::N()); };
+    const auto wnaf_only = [](std::uint64_t ops) {
+      return ops > kCombWalkMaxOps && ops < kBuildMinOps;
+    };
+    std::vector<p256::AffinePoint> keys;
+    for (std::size_t i = 0; i < p256::kKeyCombSlots; ++i) {
+      keys.push_back(random_key_point(rng));
+      for (int call = 0; call < p256::kKeyCombBuildAfter; ++call) {
+        (void)checked_dsm(u(), u(), keys.back());
+      }
+    }
+    // One recurring key more than there are slots, round-robin: every comb
+    // stays busy, so the extra key stays on the wNAF path and nothing is
+    // rebuilt.
+    const p256::AffinePoint extra = random_key_point(rng);
+    for (int round = 0; round < 2 * p256::kKeyCombBuildAfter; ++round) {
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_LT(checked_dsm(u(), u(), keys[i]), kCombWalkMaxOps) << "key " << i;
+      }
+      EXPECT_TRUE(wnaf_only(checked_dsm(u(), u(), extra))) << "round " << round;
+    }
+    // keys[0] goes idle; once it has been idle for longer than the horizon,
+    // the extra key takes its slot.
+    const std::size_t rounds =
+        p256::kKeyCombHorizon / p256::kKeyCombSlots + 2 * p256::kKeyCombBuildAfter;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (std::size_t i = 1; i < keys.size(); ++i) {
+        EXPECT_LT(checked_dsm(u(), u(), keys[i]), kCombWalkMaxOps) << "key " << i;
+      }
+      (void)checked_dsm(u(), u(), extra);
+    }
+    EXPECT_LT(checked_dsm(u(), u(), extra), kCombWalkMaxOps);
+    EXPECT_TRUE(wnaf_only(checked_dsm(u(), u(), keys[0])));  // counted afresh
+    // A stream of one-off keys, each seen once, builds nothing and evicts
+    // no comb, however long the others sit idle meanwhile.
+    for (std::size_t i = 0; i < 3 * p256::kKeyCombHorizon; ++i) {
+      ASSERT_TRUE(wnaf_only(checked_dsm(u(), u(), random_key_point(rng))))
+          << "one-off " << i;
+    }
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+      EXPECT_LT(checked_dsm(u(), u(), keys[i]), kCombWalkMaxOps) << "key " << i;
+    }
+    EXPECT_LT(checked_dsm(u(), u(), extra), kCombWalkMaxOps);
+  });
+}
+
+/// Verdicts of a fixed workload that takes three keys well past the build
+/// threshold, with a mutated r, s, digest and key every fourth signature.
+std::vector<bool> keyed_verify_verdicts() {
+  Drbg rng(0x4c0b);
+  std::vector<EcdsaPrivateKey> keys;
+  for (int k = 0; k < 3; ++k) keys.push_back(EcdsaPrivateKey::generate(rng));
+  std::vector<bool> verdicts;
+  const auto verify = [&](const EcdsaPublicKey& pub, const Digest& digest,
+                          const EcdsaSignature& sig) {
+    const bool fast = ecdsa_verify_digest(pub, digest, sig);
+    EXPECT_EQ(fast, ecdsa_verify_digest_slow(pub, digest, sig));
+    verdicts.push_back(fast);
+  };
+  for (int i = 0; i < 12; ++i) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      const Digest digest =
+          sha256(util::from_string("msg " + std::to_string(i * 3 + k)));
+      const EcdsaSignature sig = keys[k].sign_digest(digest);
+      const EcdsaPublicKey& pub = keys[k].public_key();
+      verify(pub, digest, sig);
+      if (i % 4 != 3) continue;
+      EcdsaSignature bad = sig;
+      bad.r.w[0] ^= 1;
+      verify(pub, digest, bad);
+      bad = sig;
+      bad.s.w[3] ^= 0x100;
+      verify(pub, digest, bad);
+      Digest mutated = digest;
+      mutated[5] ^= 0x01;
+      verify(pub, mutated, sig);
+      verify(keys[(k + 1) % keys.size()].public_key(), digest, sig);
+    }
+  }
+  return verdicts;
+}
+
+TEST(Ecdsa, KeyedPathRejectsMutationsLikeSlowPath) {
+  std::vector<bool> verdicts;
+  on_new_thread([&] { verdicts = keyed_verify_verdicts(); });
+  // Per fourth round and key: genuine, then the four mutations.
+  ASSERT_EQ(verdicts.size(), 12u * 3 + 3u * 3 * 4);
+  std::size_t at = 0;
+  for (int i = 0; i < 12; ++i) {
+    for (int k = 0; k < 3; ++k) {
+      EXPECT_TRUE(verdicts[at++]) << "round " << i << " key " << k;
+      if (i % 4 != 3) continue;
+      for (int m = 0; m < 4; ++m) {
+        EXPECT_FALSE(verdicts[at++]) << "round " << i << " key " << k
+                                     << " mutation " << m;
+      }
+    }
+  }
+}
+
+TEST(Ecdsa, KeyedPathThreadsMatchSingleThreadedVerdicts) {
+  // Each thread has its own key combs; threads released together must each
+  // reach the single-threaded verdicts.
+  std::vector<bool> want;
+  on_new_thread([&] { want = keyed_verify_verdicts(); });
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<std::vector<bool>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = keyed_verify_verdicts();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)], want) << "thread " << t;
+  }
 }
 
 TEST(Ecdsa, RejectsOutOfRangeSignatureComponents) {
