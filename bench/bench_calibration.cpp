@@ -3,15 +3,16 @@
 // the CAN and Ethernet models, and the trace bus.
 //
 // Every figure is process CPU time, minimum of 5 passes
-// (benchutil::time_min_of). Each row checks what it timed: the signature
-// verifies, both ECDH sides agree, SecOC verify accepts every PDU, every CAN
-// and switch frame arrives, the ring holds its capacity, a disabled trace
-// site records nothing, and the AES, CMAC and GCM outputs round-trip. The
-// exit status counts failed checks, so a broken kernel cannot report a fast
-// number.
+// (benchutil::time_min_of). Each row checks what it timed: the AES, CMAC and
+// GCM outputs round-trip, the one-shot SHA-256 matches the streaming one, the
+// SHE KDF reproduces the spec example, the signature verifies, both ECDH
+// sides agree, a receiver accepts the SecOC PDUs, every CAN and switch frame
+// arrives, the ring holds its capacity, and a disabled trace site records
+// nothing. The exit status counts failed checks, so a broken kernel cannot
+// report a fast number.
 //
-// `--smoke` runs one pass on small inputs and prints only the row names and
-// check verdicts, so two smoke runs emit byte-identical output
+// `--smoke` runs one pass on small inputs and omits the host columns (figure,
+// unit), so two smoke runs emit byte-identical output
 // (`ctest -R determinism.calibration` compares them).
 //
 // Flags: --smoke
@@ -58,7 +59,7 @@ inline void clobber() { asm volatile("" ::: "memory"); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
+  bool& smoke = benchutil::smoke;
   if (const int rc = benchutil::parse_args(argc, argv, {{"--smoke", &smoke}})) {
     return rc;
   }
@@ -68,21 +69,11 @@ int main(int argc, char** argv) {
     return smoke ? small : full;
   };
 
-  benchutil::Table table(smoke ? std::vector<std::string>{"row", "check"}
-                               : std::vector<std::string>{"row", "figure",
-                                                          "unit", "check"});
-  std::size_t failed = 0;
-  // One row; `ok` is empty for a row with nothing to check.
-  const auto row = [&](const char* name, double figure, const char* unit,
-                       std::optional<bool> ok) {
-    const std::string verdict = !ok ? "-" : *ok ? "ok" : "FAIL";
-    if (ok && !*ok) ++failed;
-    if (smoke) {
-      table.add_row({name, verdict});
-    } else {
-      table.add_row({name, benchutil::fmt(figure >= 1000 ? "%.0f" : "%.3g", figure),
-                     unit, verdict});
-    }
+  benchutil::Table table({"row", {"figure", benchutil::host}, {"unit", benchutil::host},
+                          {"check", benchutil::verdict}});
+  const auto row = [&](const char* name, double figure, const char* unit, bool ok) {
+    table.add_row({name, benchutil::fmt(figure >= 1000 ? "%.0f" : "%.3g", figure),
+                   unit, ok});
   };
   const auto us_per_op = [](double s, std::size_t n) {
     return s * 1e6 / static_cast<double>(n);
@@ -104,10 +95,17 @@ int main(int argc, char** argv) {
   {
     const std::size_t n = ops(2000, 4);
     const Bytes msg(1024, 0xEF);
+    crypto::Digest d{};
     const auto [s] = benchutil::time_min_of(passes, [&] {
-      for (std::size_t i = 0; i < n; ++i) (void)crypto::sha256(msg);
+      for (std::size_t i = 0; i < n; ++i) d = crypto::sha256(msg);
     });
-    row("sha256_1KiB", static_cast<double>(n) * 1024 / s / 1e6, "MB/s", {});
+    // The same buffer streamed in odd-sized pieces (1, 3, 5, ... bytes).
+    crypto::Sha256 streamed;
+    for (std::size_t at = 0, piece = 1; at < msg.size(); at += piece, piece += 2) {
+      streamed.update(util::BytesView(msg).subspan(at, std::min(piece, msg.size() - at)));
+    }
+    row("sha256_1KiB", static_cast<double>(n) * 1024 / s / 1e6, "MB/s",
+        d == streamed.finalize());
   }
   {
     const std::size_t n = ops(20000, 16);
@@ -130,15 +128,18 @@ int main(int argc, char** argv) {
         crypto::aes_gcm_decrypt(aes, iv, {}, sealed.ciphertext, sealed.tag) == pt);
   }
   {
+    // The SHE memory-update spec example: AuthKey 000102..0f gives
+    // K1 = KDF(AuthKey, KEY_UPDATE_ENC_C) = 118a4644...e2d17e.
     const std::size_t n = ops(2000, 4);
-    crypto::Block key{};
-    key.fill(0x5A);
+    crypto::Block key{}, k1{};
+    for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i);
     const auto [s] = benchutil::time_min_of(passes, [&] {
       for (std::size_t i = 0; i < n; ++i) {
-        (void)crypto::she_kdf(key, crypto::she_key_update_enc_c());
+        k1 = crypto::she_kdf(key, crypto::she_key_update_enc_c());
       }
     });
-    row("she_kdf", us_per_op(s, n), "us/op", {});
+    row("she_kdf", us_per_op(s, n), "us/op",
+        util::to_hex(k1) == "118a46447a770d87828a69c222e2d17e");
   }
 
   crypto::p256::init_fixed_base_tables();  // exclude table build from timing
@@ -208,10 +209,17 @@ int main(int argc, char** argv) {
   {
     const std::size_t n = ops(20000, 16);
     ivn::FreshnessManager fm;
+    Bytes pdu;
     const auto [s] = benchutil::time_min_of(passes, [&] {
-      for (std::size_t i = 0; i < n; ++i) (void)secoc.protect(0x100, payload, fm);
+      for (std::size_t i = 0; i < n; ++i) pdu = secoc.protect(0x100, payload, fm);
     });
-    row("secoc_protect", us_per_op(s, n), "us/op", {});
+    // time_min_of calls the loop once per pass, so the last PDU carries
+    // freshness value passes * n; a new receiver that last accepted the value
+    // before it must accept it.
+    ivn::FreshnessManager rx;
+    rx.accept_rx(0x100, static_cast<std::uint64_t>(passes) * n - 1);
+    row("secoc_protect", us_per_op(s, n), "us/op",
+        secoc.verify(0x100, pdu, rx).status == ivn::SecOcStatus::kOk);
   }
   {
     // Consecutive freshness values, so a fresh receiver accepts every PDU.
@@ -324,6 +332,6 @@ int main(int argc, char** argv) {
               smoke ? " (smoke: one pass, timing suppressed)"
                     : " (process CPU, min of 5 passes)");
   table.print();
-  std::printf("\nfailed checks: %zu\n", failed);
-  return benchutil::exit_status(failed);
+  std::printf("\nfailed checks: %zu\n", table.failed());
+  return benchutil::exit_status(table.failed());
 }

@@ -73,7 +73,8 @@ Totals run_dynamic(TradeoffController& ctl) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E10: dynamic security-mode controller over a drive cycle\n");
   std::printf("(40 min: parked/highway/urban/intersection, one threat spike)\n\n");
 

@@ -21,7 +21,8 @@ using namespace aseck;
 using namespace aseck::safety;
 using util::Bytes;
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E11: safety/security interplay\n\n");
 
   // --- Part A: hazards and attack criticality --------------------------------

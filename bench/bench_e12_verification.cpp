@@ -14,7 +14,8 @@
 
 using namespace aseck::core;
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E12: verification campaign size vs configuration-space growth\n\n");
 
   // The full parameter set of this library's security stack. `reducible`
@@ -31,7 +32,8 @@ int main() {
   };
 
   benchutil::Table table({"params", "exhaustive", "pairwise_rows",
-                          "pairwise_valid", "reduced", "pairwise_gen_ms"});
+                          "pairwise_valid", "reduced",
+                          {"pairwise_gen_ms", benchutil::host}});
   for (std::size_t n = 4; n <= all_params.size(); n += 3) {
     ConfigSpace space;
     for (std::size_t i = 0; i < n; ++i) space.add(all_params[i]);

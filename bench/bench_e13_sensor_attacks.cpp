@@ -60,7 +60,8 @@ Outcome run(bool fusion_voting, bool ghost_radar, bool ghost_lidar,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E13: ADAS sensor-attack resilience (1000 AEB frames each)\n\n");
   benchutil::Table table({"scenario", "consumer", "phantom_brakes",
                           "missed_threats", "ghosts_outvoted"});

@@ -17,7 +17,8 @@
 using namespace aseck;
 using namespace aseck::v2x;
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E14: V2X channel congestion / DCC soft-DoS\n");
   std::printf("(20 honest vehicles, 500 us per beacon, 10 s per point)\n\n");
 

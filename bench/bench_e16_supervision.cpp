@@ -241,7 +241,7 @@ std::string rows_to_json(std::uint64_t seed, const std::vector<RowResult>& rows)
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
-  bool smoke = false;
+  bool& smoke = benchutil::smoke;
   if (const int rc = benchutil::parse_args(
           argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
     return rc;

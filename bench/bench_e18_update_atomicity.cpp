@@ -300,7 +300,7 @@ WatchdogResult run_watchdog() {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
-  bool smoke = false;
+  bool& smoke = benchutil::smoke;
   if (const int rc = benchutil::parse_args(
           argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
     return rc;

@@ -19,12 +19,13 @@
 //
 // Determinism: every run's digest (config, totals, state hash, merged
 // metrics; no wall-clock content) must be byte-identical across thread
-// counts. Exit code = number of digests differing from the 1-thread
-// reference. `--digest` prints the digest JSON alone, so CI can diff a
-// 1-thread run against a 4-thread run byte-for-byte.
+// counts. The sweep table's same_digest verdict column compares each run
+// with the 1-thread reference; exit code = number of failed verdicts.
+// `--digest` prints the digest JSON alone, so CI can diff a 1-thread run
+// against a 4-thread run byte-for-byte.
 //
-// Flags: --vehicles N  --sim-s S (finite, > 0)  --seed U
-//        --threads T (sweep 1,2,..,T)  --smoke (small preset)
+// Flags: --vehicles N (> 0)  --sim-s S (finite, > 0)  --seed U
+//        --threads T (> 0; sweep 1,2,..,T)  --smoke (small preset)
 //        --digest (digest JSON only, no timing)
 
 #include <cmath>
@@ -88,18 +89,20 @@ int main(int argc, char** argv) {
   double sim_s = 1.0;
   std::uint64_t seed = 42;
   unsigned max_threads = 4;
-  bool smoke = false, digest_only = false;
+  bool& smoke = benchutil::smoke;
+  bool digest_only = false;
   const std::initializer_list<benchutil::Flag> flags = {
       {"--vehicles", &vehicles}, {"--sim-s", &sim_s}, {"--seed", &seed},
       {"--threads", &max_threads}, {"--smoke", &smoke},
       {"--digest", &digest_only}};
   if (const int rc = benchutil::parse_args(argc, argv, flags)) return rc;
-  if (!(sim_s > 0)) return benchutil::usage_error(argv[0], flags);
+  if (!(sim_s > 0) || vehicles == 0 || max_threads == 0) {
+    return benchutil::usage_error(argv[0], flags);
+  }
   if (smoke) {
     vehicles = 5000;
     sim_s = 1.0;
   }
-  if (max_threads == 0) max_threads = 1;
 
   if (digest_only) {
     // One run at exactly --threads; stdout is the digest and nothing else,
@@ -117,14 +120,13 @@ int main(int argc, char** argv) {
   for (unsigned t = 2; t <= max_threads; t *= 2) sweep.push_back(t);
   if (sweep.back() != max_threads) sweep.push_back(max_threads);
 
-  benchutil::Table table({"threads", "wall_s", "bsm_msgs/s", "veh_sim_s/s",
-                          "cross_msgs", "speedup", "digest"});
+  benchutil::Table table({"threads", {"wall_s", benchutil::host},
+                          {"bsm_msgs/s", benchutil::host}, {"veh_sim_s/s", benchutil::host},
+                          "cross_msgs", {"speedup", benchutil::host},
+                          {"same_digest", benchutil::verdict}});
   std::vector<RunResult> results;
-  int mismatches = 0;
   for (unsigned t : sweep) {
     const RunResult r = run_once(make_config(vehicles, seed, t), sim_s);
-    const bool match = results.empty() || r.digest == results.front().digest;
-    if (!match) ++mismatches;
     const double msgs =
         static_cast<double>(r.totals.bsm_tx + r.totals.rx + r.totals.lost);
     table.add_row({std::to_string(t), benchutil::fmt("%.2f", r.wall_s),
@@ -135,7 +137,7 @@ int main(int argc, char** argv) {
                benchutil::fmt("%.2fx", results.empty()
                                            ? 1.0
                                            : results.front().wall_s / r.wall_s),
-               match ? "match" : "MISMATCH"});
+               results.empty() || r.digest == results.front().digest});
     results.push_back(r);
   }
   table.print();
@@ -175,7 +177,8 @@ int main(int argc, char** argv) {
               ref.totals.rx ? static_cast<double>(ref.totals.verify_enqueued) /
                                   static_cast<double>(ref.totals.rx)
                             : 0.0);
-  std::printf("\ndeterminism: %d digest mismatch(es) across %zu thread "
+  const std::size_t mismatches = table.failed();
+  std::printf("\ndeterminism: %zu digest mismatch(es) across %zu thread "
               "counts (state hash %s)\n",
               mismatches, sweep.size(),
               mismatches == 0 ? "byte-identical" : "DIVERGED");

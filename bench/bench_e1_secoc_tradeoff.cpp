@@ -101,7 +101,8 @@ RunResult run(std::size_t mac_bytes, std::size_t freshness_bytes) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E1: SecOC MAC truncation vs bus load / latency / forgery\n");
   std::printf("(10 streams @ 10 ms, 4-byte signals, CAN 500 kbit/s, 5 ms deadline)\n\n");
 

@@ -285,7 +285,7 @@ std::size_t run_replay(std::uint64_t seed) {
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   std::uint64_t iters = 4000;
-  bool smoke = false;
+  bool& smoke = benchutil::smoke;
   if (const int rc = benchutil::parse_args(
           argc, argv,
           {{"--seed", &seed}, {"--iters", &iters}, {"--smoke", &smoke}})) {

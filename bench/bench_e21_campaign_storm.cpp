@@ -30,8 +30,8 @@
 //
 // Preamble: measures the satellite win of Repository::snapshot() (one
 // copy-on-write MetadataBundle shared per generation) against a full bundle
-// copy per request. Its timing (process CPU, min of 5 passes) is printed
-// only outside --smoke; the JSON report carries only deterministic facts.
+// copy per request. Its timing (process CPU, min of 5 passes) is host
+// columns; the JSON report carries only deterministic facts.
 //
 // Exit code = invariant violations, capped at 255:
 //   * any ON arm with unrecovered vehicles, an unfinished campaign, an
@@ -101,8 +101,8 @@ struct SnapshotResult {
   std::size_t iters = 0;
   bool shared = false;        // every snapshot() of one generation aliases
   bool generation_stable = false;
-  double copy_us = 0.0;       // process CPU, min of 5; printed only when !smoke
-  double snapshot_us = 0.0;
+  double us_per_copy = 0.0;   // process CPU, min of 5
+  double us_per_snapshot = 0.0;
   int violations = 0;
 };
 
@@ -141,8 +141,8 @@ SnapshotResult run_snapshot_preamble(std::uint64_t seed, bool smoke) {
 
   r.shared = shared;
   r.generation_stable = repo.generation() == gen0;
-  r.copy_us = copy_s * 1e6;
-  r.snapshot_us = snapshot_s * 1e6;
+  r.us_per_copy = copy_s * 1e6 / static_cast<double>(r.iters);
+  r.us_per_snapshot = snapshot_s * 1e6 / static_cast<double>(r.iters);
   if (!r.shared) ++r.violations;
   if (!r.generation_stable) ++r.violations;
   return r;
@@ -405,7 +405,7 @@ FrontendRow run_frontend(std::uint64_t seed, bool smoke) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
-  bool smoke = false;
+  bool& smoke = benchutil::smoke;
   if (const int rc = benchutil::parse_args(
           argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
     return rc;
@@ -427,14 +427,11 @@ int main(int argc, char** argv) {
   std::printf("  one shared generation per wave: %s; generation stable: %s\n",
               snap.shared ? "yes" : "NO",
               snap.generation_stable ? "yes" : "NO");
-  if (!smoke) {
-    std::printf("  full bundle copies: %.1f us total (%.2f us/copy); "
-                "snapshot(): %.1f us total (%.3f us/acquire)\n",
-                snap.copy_us,
-                snap.copy_us / static_cast<double>(snap.iters),
-                snap.snapshot_us,
-                snap.snapshot_us / static_cast<double>(snap.iters));
-  }
+  benchutil::Table snap_table({{"us_per_copy", benchutil::host},
+                               {"us_per_snapshot", benchutil::host}});
+  snap_table.add_row({benchutil::fmt("%.2f", snap.us_per_copy),
+                      benchutil::fmt("%.3f", snap.us_per_snapshot)});
+  snap_table.print();
   std::printf("\n");
 
   // Storm matrix — each shape, admission ON vs OFF.

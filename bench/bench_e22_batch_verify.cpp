@@ -24,7 +24,7 @@
 //      oracle — what ASIL is reachable through that window.
 //
 // Exit code = differential mismatches + thread-invariance diffs. `--smoke`
-// shrinks the corpus and suppresses timing numbers so two smoke runs
+// shrinks the corpus and omits the host (timing) columns, so two smoke runs
 // with the same seed emit byte-identical output (`ctest -R determinism` compares them).
 //
 // Flags: --seed N  --smoke  --threads T  --digest
@@ -128,7 +128,8 @@ std::string pool_digest(const Corpus& c, unsigned threads) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
-  bool smoke = false, digest_only = false;
+  bool& smoke = benchutil::smoke;
+  bool digest_only = false;
   unsigned threads = 4;
   if (const int rc = benchutil::parse_args(
           argc, argv,
@@ -249,7 +250,9 @@ int main(int argc, char** argv) {
         },
         verify_in_batches(batch_sizes[0]), verify_in_batches(batch_sizes[1]),
         verify_in_batches(batch_sizes[2]), verify_in_batches(batch_sizes[3]));
-    benchutil::Table table({"batch", "us/item", "vs per-sig", "throughput/s"});
+    benchutil::Table table({"batch", {"us/item", benchutil::host},
+                            {"vs per-sig", benchutil::host},
+                            {"throughput/s", benchutil::host}});
     for (std::size_t k = 0; k < secs.size(); ++k) {
       table.add_row({k == 0 ? "1 (per-sig)" : std::to_string(batch_sizes[k - 1]),
                      benchutil::fmt("%.1f", secs[k] / static_cast<double>(n) * 1e6),
@@ -258,11 +261,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(n) / secs[k]))});
     }
     std::printf("\n[2] throughput, %zu valid signatures (O2 bar: >=2x at batch >= 64)\n", n);
-    if (smoke) {
-      std::printf("    (timing suppressed in smoke mode)\n");
-    } else {
-      table.print();
-    }
+    table.print();
     std::printf("    unexpected-invalid verdicts: %zu\n", wrong);
     exit_count += wrong;
   }

@@ -28,8 +28,8 @@
 //
 //   C. Fleet attestation: every vehicle's evidence serializes, parses, and
 //      verifies (nonce freshness + PCR replay + ECDSA); one forged blob per
-//      category is rejected. Verify throughput is wall-clock and therefore
-//      suppressed under --smoke.
+//      category is rejected. Verify throughput is wall-clock, a host column
+//      that --smoke omits.
 //
 // Exit code = invariant violations, capped at 255. Output is
 // bit-deterministic per seed: the `determinism.e23` ctest compares two
@@ -360,7 +360,7 @@ BudgetRow run_budget(std::uint64_t seed, std::size_t app_pages) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
-  bool smoke = false;
+  bool& smoke = benchutil::smoke;
   if (const int rc = benchutil::parse_args(
           argc, argv, {{"--seed", &seed}, {"--smoke", &smoke}})) {
     return rc;
@@ -477,12 +477,11 @@ int main(int argc, char** argv) {
               "forgeries_rejected=%zu/3 evidence_bytes=%zu\n",
               fleet, verified, rejected,
               blobs.empty() ? 0 : blobs[0].size());
-  if (smoke) {
-    std::printf("  (verify throughput suppressed in smoke mode)\n\n");
-  } else {
-    std::printf("  verify throughput: %.0f evidence/s (wall-clock)\n\n",
-                secs > 0 ? static_cast<double>(verified) / secs : 0.0);
-  }
+  benchutil::Table throughput({{"verify_evidence_per_s", benchutil::host}});
+  throughput.add_row({benchutil::fmt("%.0f", secs > 0 ? static_cast<double>(verified) / secs
+                                                      : 0.0)});
+  throughput.print();
+  std::printf("\n");
 
   // Deterministic JSON report (`ctest -R determinism` compares two seeded runs).
   std::string json = "{\"experiment\":\"e23_boot_attest\",\"seed\":" +

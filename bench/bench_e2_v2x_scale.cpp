@@ -77,13 +77,14 @@ DiscoveryCost discovery_run(int n, bool use_grid) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E2: V2X verification load vs vehicles in range\n");
   std::printf("(10 Hz BSMs, 300 m range, ECDSA P-256, HSM verify = 350 us)\n\n");
 
   benchutil::Table table({"vehicles", "rx_per_s", "verify_per_s",
                           "hsm_util_%", "verified_ok", "rejected",
-                          "wallclock_sign+verify_ms"});
+                          {"wallclock_sign+verify_ms", benchutil::host}});
 
   for (const int n : {2, 5, 10, 20, 40}) {
     sim::Scheduler sched;
@@ -147,7 +148,8 @@ int main() {
   std::printf("\nNeighbor discovery cost: linear scan vs uniform-grid index\n");
   std::printf("(one broadcast per radio, metro density, no crypto)\n\n");
   benchutil::Table disc({"radios", "checks_linear", "checks_grid", "ratio",
-                         "wall_linear_ms", "wall_grid_ms", "delivered"});
+                         {"wall_linear_ms", benchutil::host},
+                         {"wall_grid_ms", benchutil::host}, "delivered"});
   for (const int n : {200, 800, 3200, 12800}) {
     const DiscoveryCost lin = discovery_run(n, false);
     const DiscoveryCost grid = discovery_run(n, true);

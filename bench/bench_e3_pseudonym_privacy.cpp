@@ -109,7 +109,8 @@ Scenario run(int n_vehicles, std::uint64_t rotation_s, bool silent_period,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E3: pseudonym rotation vs adversary tracking success\n");
   std::printf("(10 vehicles, 4 pseudonyms each, city-wide passive adversary)\n\n");
 

@@ -33,7 +33,8 @@ const char* cm_name(Countermeasure c) {
 }
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E4: CPA key recovery vs noise and countermeasures\n");
   std::printf("(AES-128 first-round HW leakage, 16 samples/trace)\n\n");
 

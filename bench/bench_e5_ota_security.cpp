@@ -81,7 +81,8 @@ std::string attempt_partial(World& w) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E5: Uptane single-key compromise matrix\n\n");
   benchutil::Table table({"compromised_key", "attack", "full_verification",
                           "partial_verification"});

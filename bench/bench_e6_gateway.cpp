@@ -158,7 +158,8 @@ Outcome run(Arch arch) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E6: gateway containment of a compromised infotainment domain\n");
   std::printf("(1 kHz brake-command injection for 5 s; legit telltale @10 Hz)\n\n");
 

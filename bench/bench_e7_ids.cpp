@@ -112,7 +112,8 @@ EvalResult evaluate(const std::string& attack, double intensity_hz,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E7: IDS precision/recall vs attack type and intensity\n");
   std::printf("(6 benign streams, 60 s training, 30 s evaluation)\n\n");
 

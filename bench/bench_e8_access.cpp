@@ -24,7 +24,8 @@ crypto::Block key_of(std::uint8_t b) {
 }
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E8 part A: PKES relay success vs distance-bounding budget\n");
   std::printf("(fob at 40 m via relay; fob processing 300 us)\n\n");
 
@@ -45,7 +46,7 @@ int main() {
     for (int i = 0; i < 200; ++i) {
       if (car.try_unlock(fob, 1.0).unlocked) ++legit_ok;
     }
-    std::vector<std::string> row{
+    std::vector<benchutil::Cell> row{
         limit == 0 ? "none" : benchutil::fmt("%.0f", limit),
         benchutil::fmt("%.1f", legit_ok / 2.0)};
     for (const auto& r : relays) {
@@ -63,8 +64,9 @@ int main() {
   pkes_table.print();
 
   std::printf("\nE8 part B: DST key cracking (exhaustive search)\n\n");
-  benchutil::Table crack_table({"key_bits", "keys_tried", "wallclock_s",
-                                "extrapolated_2^40"});
+  benchutil::Table crack_table({"key_bits", "keys_tried",
+                                {"wallclock_s", benchutil::host},
+                                {"extrapolated_2^40_h", benchutil::host}});
   const std::uint64_t true_key = 0x00a5f17c33ULL & crypto::Dst40::kKeyMask;
   Transponder victim(true_key);
   util::Rng rng(3);
@@ -83,7 +85,7 @@ int main() {
     crack_table.add_row({std::to_string(bits),
                          benchutil::fmt_u(r.keys_tried),
                          benchutil::fmt("%.3f", secs),
-                         benchutil::fmt("%.1f h (1 core)", full_space_s / 3600)});
+                         benchutil::fmt("%.1f", full_space_s / 3600)});
     if (!r.found) std::printf("WARNING: crack failed at %u bits\n", bits);
   }
   crack_table.print();

@@ -21,7 +21,8 @@
 using namespace aseck;
 using util::Bytes;
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = benchutil::parse_args(argc, argv, {})) return rc;
   std::printf("E9: in-field crypto migration — policy-driven vs firmware\n\n");
 
   // --- per-vehicle migration cost model ------------------------------------
@@ -67,8 +68,8 @@ int main() {
 
   // --- runtime cost of the suite indirection --------------------------------
   std::printf("\nRuntime cost of the registry indirection (1e5 MAC ops):\n\n");
-  benchutil::Table rt({"suite", "tag_us_per_op", "verify_us_per_op",
-                       "relative_cost"});
+  benchutil::Table rt({"suite", {"tag_us_per_op", benchutil::host},
+                       {"verify_us_per_op", benchutil::host}, "relative_cost"});
   core::SuiteRegistry reg = core::SuiteRegistry::with_builtins();
   const Bytes key(16, 0x42);
   const Bytes msg(32, 0xAB);

@@ -1,8 +1,8 @@
 #pragma once
 // Shared front door for the experiment benches (E1–E23, calibration): the
 // flag parser, the two host clocks, the one timing harness, the exit status,
-// and fixed-width table printing, so every bench parses, times and reports
-// the same way.
+// and typed fixed-width tables, so every bench parses, times and reports the
+// same way.
 
 #include <algorithm>
 #include <array>
@@ -13,6 +13,7 @@
 #include <ctime>
 #include <initializer_list>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -120,38 +121,82 @@ constexpr int exit_status(std::size_t violations) {
 }
 static_assert(exit_status(256) == 255);
 
+/// The mode `--smoke` binds to (`bool& smoke = benchutil::smoke;`): while it
+/// is set, Table omits host columns, so smoke reports repeat byte for byte.
+inline bool smoke = false;
+
+/// What a column holds. The kind alone decides what --smoke omits and which
+/// cells count as failed claims.
+enum Kind {
+  plain,    // text, or a figure two runs with the same flags reproduce
+  host,     // a time_min_of / wall_seconds figure, unit in the header
+  verdict,  // a claim check: bool cells, printed "ok" / "FAIL"
+};
+
+struct Column {
+  Column(const char* header, Kind kind = plain) : header(header), kind(kind) {}
+  std::string header;
+  Kind kind;
+};
+
+/// Text, or a bool in a verdict column.
+using Cell = std::variant<std::string, bool>;
+
 class Table {
  public:
-  explicit Table(std::vector<std::string> headers)
-      : headers_(std::move(headers)) {}
+  explicit Table(std::vector<Column> columns) : columns_(std::move(columns)) {}
 
-  void add_row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
-
-  void print() const {
-    std::vector<std::size_t> width(headers_.size());
-    for (std::size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();
-    for (const auto& row : rows_) {
-      for (std::size_t c = 0; c < row.size() && c < width.size(); ++c) {
-        width[c] = std::max(width[c], row[c].size());
-      }
+  /// Throws std::invalid_argument unless the row has one cell per column and
+  /// its bools sit exactly in the verdict columns.
+  void add_row(std::vector<Cell> cells) {
+    bool fits = cells.size() == columns_.size();
+    for (std::size_t c = 0; fits && c < cells.size(); ++c) {
+      fits = std::holds_alternative<bool>(cells[c]) == (columns_[c].kind == verdict);
     }
-    auto print_row = [&](const std::vector<std::string>& cells) {
-      for (std::size_t c = 0; c < headers_.size(); ++c) {
-        const std::string& s = c < cells.size() ? cells[c] : std::string();
-        std::printf("%-*s  ", static_cast<int>(width[c]), s.c_str());
-      }
-      std::printf("\n");
-    };
-    print_row(headers_);
-    std::size_t total = 0;
-    for (auto w : width) total += w + 2;
-    std::printf("%s\n", std::string(total, '-').c_str());
-    for (const auto& row : rows_) print_row(row);
+    if (!fits) throw std::invalid_argument("benchutil::Table: row does not fit the columns");
+    failed_ += std::count(cells.begin(), cells.end(), Cell(false));
+    rows_.push_back(std::move(cells));
   }
 
+  /// Failed verdict cells, for exit_status().
+  std::size_t failed() const { return failed_; }
+
+  /// What print() writes. A table that --smoke leaves with at most one column
+  /// renders as "": labels alone report nothing.
+  std::string render() const {
+    std::vector<std::vector<std::string>> lines(rows_.size() + 1);  // header first
+    std::vector<std::size_t> width;
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      if (smoke && columns_[c].kind == host) continue;
+      lines[0].push_back(columns_[c].header);
+      for (std::size_t r = 0; r < rows_.size(); ++r) {
+        const bool* ok = std::get_if<bool>(&rows_[r][c]);
+        lines[r + 1].push_back(ok ? (*ok ? "ok" : "FAIL") : std::get<std::string>(rows_[r][c]));
+      }
+      width.push_back(0);
+      for (const auto& line : lines) width.back() = std::max(width.back(), line.back().size());
+    }
+    if (width.size() < columns_.size() && width.size() <= 1) return {};
+    std::string out;
+    for (std::size_t r = 0; r < lines.size(); ++r) {
+      for (std::size_t k = 0; k < width.size(); ++k) {
+        out += lines[r][k] + std::string(width[k] + 2 - lines[r][k].size(), ' ');
+      }
+      out += '\n';
+      if (r == 0) {
+        for (const std::size_t w : width) out.append(w + 2, '-');
+        out += '\n';
+      }
+    }
+    return out;
+  }
+
+  void print() const { std::fputs(render().c_str(), stdout); }
+
  private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
+  std::vector<Column> columns_;
+  std::vector<std::vector<Cell>> rows_;
+  std::size_t failed_ = 0;
 };
 
 inline std::string fmt(const char* f, double v) {
