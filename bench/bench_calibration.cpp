@@ -1,12 +1,13 @@
 // Calibration — host cost of the primitives that the experiment benches'
-// cost models, DESIGN.md and EXPERIMENTS.md cite: the crypto kernels, SecOC,
-// the CAN and Ethernet models, and the trace bus.
+// cost models, DESIGN.md and EXPERIMENTS.md cite: the crypto kernels, the
+// flash page CRC, SecOC, the CAN and Ethernet models, and the trace bus.
 //
 // Every figure is process CPU time, minimum of 5 passes
 // (benchutil::time_min_of). Each row checks what it timed: the AES, CMAC and
-// GCM outputs round-trip, the one-shot SHA-256 matches the streaming one, the
-// SHE KDF reproduces the spec example, the signature verifies, both ECDH
-// sides agree, a receiver accepts the SecOC PDUs, every CAN and switch frame
+// GCM outputs round-trip, the one-shot SHA-256 matches the streaming one, a
+// page with its CRC-32 appended leaves the CRC-32 residue, the SHE KDF
+// reproduces the spec example, the signature verifies, both ECDH sides
+// agree, a receiver accepts the SecOC PDUs, every CAN and switch frame
 // arrives, the ring holds its capacity, and a disabled trace site records
 // nothing. The exit status counts failed checks, so a broken kernel cannot
 // report a fast number.
@@ -35,6 +36,7 @@
 #include "ivn/ethernet.hpp"
 #include "ivn/secoc.hpp"
 #include "sim/telemetry.hpp"
+#include "util/crc.hpp"
 
 using namespace aseck;
 using util::Bytes;
@@ -106,6 +108,21 @@ int main(int argc, char** argv) {
     }
     row("sha256_1KiB", static_cast<double>(n) * 1024 / s / 1e6, "MB/s",
         d == streamed.finalize());
+  }
+  {
+    // One flash page. CRC-32 residue: the page followed by its own CRC,
+    // little-endian, has CRC 0x2144DF1C.
+    const std::size_t n = ops(2000, 4);
+    Bytes page(4096 + 4);
+    for (std::size_t i = 0; i < 4096; ++i) page[i] = static_cast<std::uint8_t>(i * 7);
+    const util::BytesView body = util::BytesView(page).first(4096);
+    std::uint32_t crc = 0;
+    const auto [s] = benchutil::time_min_of(passes, [&] {
+      for (std::size_t i = 0; i < n; ++i) crc = util::crc32_ieee(body);
+    });
+    util::store_le32(page.data() + 4096, crc);
+    row("crc32_4KiB", static_cast<double>(n) * 4096 / s / 1e6, "MB/s",
+        util::crc32_ieee(page) == 0x2144DF1Cu);
   }
   {
     const std::size_t n = ops(20000, 16);

@@ -131,13 +131,11 @@ int main(int argc, char** argv) {
   bool& smoke = benchutil::smoke;
   bool digest_only = false;
   unsigned threads = 4;
-  if (const int rc = benchutil::parse_args(
-          argc, argv,
-          {{"--seed", &seed}, {"--smoke", &smoke}, {"--threads", &threads},
-           {"--digest", &digest_only}})) {
-    return rc;
-  }
-  if (threads == 0) threads = 1;
+  const std::initializer_list<benchutil::Flag> flags = {
+      {"--seed", &seed}, {"--smoke", &smoke}, {"--threads", &threads},
+      {"--digest", &digest_only}};
+  if (const int rc = benchutil::parse_args(argc, argv, flags)) return rc;
+  if (threads == 0) return benchutil::usage_error(argv[0], flags);
   util::Rng rng(seed);
 
   if (digest_only) {

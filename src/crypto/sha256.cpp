@@ -1,6 +1,11 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace aseck::crypto {
 
@@ -26,46 +31,141 @@ void Sha256::reset() {
   total_len_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* p) {
+namespace detail {
+
+void sha256_blocks_portable(Sha256State& state, const std::uint8_t* p,
+                            std::size_t blocks) {
   using util::rotr32;
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = util::load_be32(p + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  for (; blocks > 0; --blocks, p += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = util::load_be32(p + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+
+bool sha256_shani_available() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha");
+}
+
+// The x86 SHA extensions keep the working variables as two vectors, ABEF
+// and CDGH. Each SHA256RNDS2 runs two rounds on the low two words of its
+// message-plus-constant operand; SHA256MSG1/MSG2 extend the schedule four
+// words at a time.
+__attribute__((target("sha,sse4.1"))) void sha256_blocks_shani(
+    Sha256State& state, const std::uint8_t* p, std::size_t blocks) {
+  // Byte swap within each 32-bit word: the message words are big-endian.
+  const __m128i kBswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, p += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // msg[r % 4] holds schedule words 4r..4r+3 while round group r runs.
+    __m128i msg[4];
+    for (int i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * i)), kBswap);
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < 16; ++r) {
+      const __m128i wk = _mm_add_epi32(
+          msg[r % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * r])));
+      // Two rounds leave the new ABEF in cdgh's register and make the old
+      // ABEF the new CDGH; the next two rounds swap them back.
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (r < 12) {
+        // W[t] = W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]) for t = 4r+16..
+        const __m128i w7 =
+            _mm_alignr_epi8(msg[(r + 3) % 4], msg[(r + 2) % 4], 4);
+        msg[r % 4] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(msg[r % 4], msg[(r + 1) % 4]), w7),
+            msg[(r + 3) % 4]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else
+
+bool sha256_shani_available() { return false; }
+
+// Never chosen off x86; kept so the tests link on every host.
+void sha256_blocks_shani(Sha256State& state, const std::uint8_t* p,
+                         std::size_t blocks) {
+  sha256_blocks_portable(state, p, blocks);
+}
+
+#endif
+
+}  // namespace detail
+
+namespace {
+
+using BlocksFn = void (*)(detail::Sha256State&, const std::uint8_t*, std::size_t);
+
+/// The kernel for this process, picked on first use.
+BlocksFn blocks_kernel() {
+  static const BlocksFn kernel = detail::sha256_shani_available()
+                                     ? detail::sha256_blocks_shani
+                                     : detail::sha256_blocks_portable;
+  return kernel;
+}
+
+}  // namespace
+
 void Sha256::update(util::BytesView data) {
+  const BlocksFn blocks = blocks_kernel();
   total_len_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {
@@ -74,13 +174,13 @@ void Sha256::update(util::BytesView data) {
     buf_len_ += take;
     off += take;
     if (buf_len_ == 64) {
-      process_block(buf_.data());
+      blocks(h_, buf_.data(), 1);
       buf_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    process_block(data.data() + off);
-    off += 64;
+  if (const std::size_t whole = (data.size() - off) / 64) {
+    blocks(h_, data.data() + off, whole);
+    off += 64 * whole;
   }
   if (off < data.size()) {
     std::memcpy(buf_.data(), data.data() + off, data.size() - off);

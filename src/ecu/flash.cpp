@@ -91,12 +91,11 @@ bool Flash::content_valid(const Slot& s) const {
     bytes += p.data.size();
   }
   if (bytes != s.header.total_bytes) return false;
-  util::Bytes code;
-  code.reserve(static_cast<std::size_t>(bytes));
-  for (const Page& p : s.pages) {
-    code.insert(code.end(), p.data.begin(), p.data.end());
-  }
-  return crypto::sha256_bytes(code) == s.header.sha256;
+  crypto::Sha256 h;
+  for (const Page& p : s.pages) h.update(p.data);
+  const crypto::Digest d = h.finalize();
+  return std::equal(d.begin(), d.end(), s.header.sha256.begin(),
+                    s.header.sha256.end());
 }
 
 void Flash::materialize(int slot) {

@@ -1,6 +1,7 @@
 #include "util/crc.hpp"
 
 #include <array>
+#include <cstddef>
 
 namespace aseck::util {
 
@@ -56,6 +57,20 @@ consteval std::array<std::uint32_t, 256> crc32_table() {
   return table;
 }
 
+/// Slicing-by-8 tables: row 0 is crc32_table(), and row k maps a byte to
+/// its row-0 entry advanced through k more zero bytes, so one step folds
+/// eight input bytes with eight independent lookups.
+consteval std::array<std::array<std::uint32_t, 256>, 8> crc32_slice8_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  t[0] = crc32_table();
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
+}
+
 }  // namespace
 
 std::uint16_t crc15_can(BytesView data) {
@@ -79,11 +94,18 @@ std::uint32_t crc24_flexray(BytesView data) {
 }
 
 std::uint32_t crc32_ieee(BytesView data) {
-  static constexpr std::array<std::uint32_t, 256> kTable = crc32_table();
+  static constexpr auto kT = crc32_slice8_tables();
   std::uint32_t crc = 0xffffffffu;
-  for (std::uint8_t byte : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ byte) & 0xffu];
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    crc ^= std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+    crc = kT[7][crc & 0xffu] ^ kT[6][(crc >> 8) & 0xffu] ^
+          kT[5][(crc >> 16) & 0xffu] ^ kT[4][crc >> 24] ^ kT[3][p[4]] ^
+          kT[2][p[5]] ^ kT[1][p[6]] ^ kT[0][p[7]];
   }
+  for (; n > 0; ++p, --n) crc = (crc >> 8) ^ kT[0][(crc ^ *p) & 0xffu];
   return crc ^ 0xffffffffu;
 }
 

@@ -33,7 +33,10 @@ std::uint16_t crc11_flexray(BytesView data);
 /// FlexRay frame CRC-24 (poly 0x5D6DCB, init 0xFEDCBA).
 std::uint32_t crc24_flexray(BytesView data);
 
-/// IEEE 802.3 CRC-32 (reflected, init/final 0xFFFFFFFF).
+/// IEEE 802.3 CRC-32 (reflected, init/final 0xFFFFFFFF). Flash pages are
+/// checked with it, so it runs slicing-by-8: eight bytes per step through
+/// eight compile-time tables, the tail one byte at a time through the first.
+/// util_test checks it against a bit-serial reference.
 std::uint32_t crc32_ieee(BytesView data);
 
 /// AUTOSAR E2E Profile CRC-8 (SAE J1850, poly 0x1D, init 0xFF, xorout 0xFF).

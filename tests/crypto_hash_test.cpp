@@ -1,6 +1,10 @@
-// Known-answer tests for SHA-256, HMAC, HKDF, ChaCha20 DRBG, and DST40.
+// Known-answer tests for SHA-256 (and its two block kernels), HMAC, HKDF,
+// ChaCha20 DRBG, and DST40.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
 
 #include "crypto/drbg.hpp"
 #include "crypto/dst40.hpp"
@@ -56,6 +60,103 @@ TEST(Sha256, BoundaryLengths) {
     h.update(data);
     EXPECT_EQ(hex(h.finalize()), hex(sha256(data))) << len;
   }
+}
+
+// The two compression kernels behind Sha256, called directly on whole
+// messages: each must match the FIPS 180-4 vectors and the other, on every
+// length 0-300, on random lengths up to 64 KiB, and at misaligned starts.
+
+using BlocksFn = void (*)(detail::Sha256State&, const std::uint8_t*, std::size_t);
+
+/// SHA-256 of `data` with every compression done by `blocks`: one call for
+/// the whole blocks, read in place, and one for the padded tail.
+Digest digest_with(BlocksFn blocks, util::BytesView data) {
+  detail::Sha256State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                               0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  const std::size_t whole = data.size() / 64;
+  blocks(state, data.data(), whole);
+  std::uint8_t tail[128] = {};
+  const std::size_t rest = data.size() - 64 * whole;
+  if (rest > 0) std::memcpy(tail, data.data() + 64 * whole, rest);
+  tail[rest] = 0x80;
+  const std::size_t tail_len = rest < 56 ? 64 : 128;
+  util::store_be64(tail + tail_len - 8, std::uint64_t{data.size()} * 8);
+  blocks(state, tail, tail_len / 64);
+  Digest out;
+  for (std::size_t i = 0; i < 8; ++i) util::store_be32(&out[4 * i], state[i]);
+  return out;
+}
+
+void expect_fips_vectors(BlocksFn blocks) {
+  EXPECT_EQ(hex(digest_with(blocks, Bytes{})),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex(digest_with(blocks, from_string("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex(digest_with(blocks, from_string(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex(digest_with(blocks, from_string(
+                "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"))),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(hex(digest_with(blocks, Bytes(1000000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+/// Runs `check(data)` on every length 0-300 and on 100 random lengths up to
+/// 64 KiB, each at start offsets 0-15 of one random buffer (the random
+/// lengths at one random offset each).
+template <typename Check>
+void for_each_test_message(Check check) {
+  util::Rng rng(22);
+  const Bytes buf = rng.bytes(65536 + 16);
+  const util::BytesView all(buf);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t off = 0; off < 16; ++off) check(all.subspan(off, len));
+  }
+  for (int i = 0; i < 100; ++i) {
+    check(all.subspan(rng.uniform(16), rng.uniform(65536 + 1)));
+  }
+}
+
+TEST(Sha256Kernels, PortableMatchesFips180Vectors) {
+  expect_fips_vectors(detail::sha256_blocks_portable);
+}
+
+TEST(Sha256Kernels, ShaNiMatchesFips180Vectors) {
+  if (!detail::sha256_shani_available()) {
+    GTEST_SKIP() << "SHA-NI kernel not tested: this CPU lacks the SHA extensions";
+  }
+  expect_fips_vectors(detail::sha256_blocks_shani);
+}
+
+TEST(Sha256Kernels, ShaNiMatchesPortable) {
+  if (!detail::sha256_shani_available()) {
+    GTEST_SKIP() << "SHA-NI kernel not tested: this CPU lacks the SHA extensions";
+  }
+  for_each_test_message([](util::BytesView m) {
+    ASSERT_EQ(hex(digest_with(detail::sha256_blocks_shani, m)),
+              hex(digest_with(detail::sha256_blocks_portable, m)))
+        << "length " << m.size();
+  });
+}
+
+TEST(Sha256Kernels, StreamingMatchesPortable) {
+  // Sha256 on whichever kernel this host picked, fed in random pieces, so
+  // buffered blocks and runs of whole blocks both reach it.
+  util::Rng rng(23);
+  for_each_test_message([&](util::BytesView m) {
+    Sha256 h;
+    for (std::size_t at = 0; at < m.size();) {
+      const std::size_t piece = std::min<std::size_t>(
+          m.size() - at, 1 + rng.uniform(rng.uniform(2) ? 70 : 300));
+      h.update(m.subspan(at, piece));
+      at += piece;
+    }
+    ASSERT_EQ(hex(h.finalize()),
+              hex(digest_with(detail::sha256_blocks_portable, m)))
+        << "length " << m.size();
+  });
 }
 
 TEST(Hmac, Rfc4231Case1) {

@@ -339,6 +339,31 @@ TEST(Crc, TablesMatchBitSerialReference) {
   }
 }
 
+TEST(Crc, Crc32SlicingMatchesBitSerialReference) {
+  // crc32_ieee folds eight bytes per step and the rest one at a time: every
+  // length 0-300 covers each tail, start offsets 0-7 each alignment, and
+  // random lengths up to 64 KiB the long runs a flash page takes.
+  Rng rng(18);
+  const Bytes buf = rng.bytes(65536 + 8);
+  const BytesView all(buf);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      ASSERT_EQ(crc32_ieee(all.subspan(off, len)), ref_crc32(all.subspan(off, len)))
+          << "length " << len << " offset " << off;
+    }
+  }
+  for (int i = 0; i < 100; ++i) {
+    const BytesView msg = all.subspan(rng.uniform(8), rng.uniform(65536 + 1));
+    ASSERT_EQ(crc32_ieee(msg), ref_crc32(msg)) << "length " << msg.size();
+  }
+  const Bytes check = from_string("123456789");
+  for (std::size_t off = 0; off < 8; ++off) {
+    Bytes shifted(off, 0xA5);
+    shifted.insert(shifted.end(), check.begin(), check.end());
+    EXPECT_EQ(crc32_ieee(BytesView(shifted).subspan(off)), 0xCBF43926u) << off;
+  }
+}
+
 TEST(Stats, RunningStatsBasics) {
   RunningStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
