@@ -15,7 +15,7 @@
 // detection and block rates. The replay runs twice; differing TraceBus
 // timeline digests count as a violation.
 //
-// Flags: --seed U  --iters N  --smoke (small preset)
+// Flags: --seed U  --iters N (N >= 1)  --smoke (small preset)
 // Exit code = number of violations (0 = fully deterministic, no findings).
 
 #include <cinttypes>
@@ -286,11 +286,10 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   std::uint64_t iters = 4000;
   bool& smoke = benchutil::smoke;
-  if (const int rc = benchutil::parse_args(
-          argc, argv,
-          {{"--seed", &seed}, {"--iters", &iters}, {"--smoke", &smoke}})) {
-    return rc;
-  }
+  const std::initializer_list<benchutil::Flag> flags = {
+      {"--seed", &seed}, {"--iters", &iters}, {"--smoke", &smoke}};
+  if (const int rc = benchutil::parse_args(argc, argv, flags)) return rc;
+  if (iters == 0) return benchutil::usage_error(argv[0], flags);
   if (smoke) iters = 500;
 
   std::printf("E20: deterministic fuzzing + replayable attack corpus\n\n");

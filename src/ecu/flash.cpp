@@ -25,87 +25,54 @@ FlashWrite Flash::write_header(int slot, Header h) {
   return FlashWrite::kOk;
 }
 
-void Flash::erase_slot(int slot) {
-  Slot& s = slots_[slot];
-  s.header = Header{};
-  s.torn_spare = false;
-  s.pages.clear();
-  s.durable_bytes = 0;
-  img_[slot].reset();
-}
+void Flash::erase_slot(int slot) { slots_[slot] = Slot{}; }
 
-FlashWrite Flash::program_page(Slot& s, util::Bytes full_page) {
+FlashWrite Flash::program_page(Slot& s, util::BytesView bytes) {
   if (consume_power()) {
     // Torn page: a prefix of the data lands, the CRC never programs.
-    Page p;
-    const std::size_t cut = full_page.empty() ? 0 : (full_page.size() + 1) / 2;
-    p.data.assign(full_page.begin(),
-                  full_page.begin() + static_cast<std::ptrdiff_t>(cut));
-    p.programmed = true;
-    p.torn = true;
-    s.pages.push_back(std::move(p));
+    // Recovery only drops that prefix, so only the tear is recorded.
+    s.torn_page = true;
     return FlashWrite::kPowerLoss;
   }
-  Page p;
-  p.crc = util::crc32_ieee(full_page);
-  p.data = std::move(full_page);
-  p.programmed = true;
-  s.pages.push_back(std::move(p));
-  s.durable_bytes += s.pages.back().data.size();
+  s.page_crc.push_back(util::crc32_ieee(bytes));
+  s.image.code.insert(s.image.code.end(), bytes.begin(), bytes.end());
   return FlashWrite::kOk;
 }
 
-std::uint64_t Flash::scan_watermark(Slot& s, bool discard_torn,
-                                    std::size_t* torn_pages) {
-  std::uint64_t bytes = 0;
-  std::size_t valid = 0;
-  for (const Page& p : s.pages) {
-    const std::uint64_t remaining = s.header.total_bytes - bytes;
-    const std::size_t expect =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kPageSize, remaining));
-    if (!p.programmed || p.torn || p.data.size() != expect ||
-        util::crc32_ieee(p.data) != p.crc) {
-      break;
-    }
-    bytes += p.data.size();
-    ++valid;
-  }
-  if (torn_pages) *torn_pages = s.pages.size() - valid;
-  if (discard_torn && valid < s.pages.size()) {
-    s.pages.resize(valid);
-  }
-  s.durable_bytes = bytes;
-  return bytes;
+util::BytesView Flash::page(const Slot& s, std::size_t i) {
+  const std::size_t off = i * kPageSize;
+  return util::BytesView(s.image.code)
+      .subspan(off, std::min(kPageSize, s.image.code.size() - off));
 }
 
-bool Flash::content_valid(const Slot& s) const {
-  std::uint64_t bytes = 0;
-  for (const Page& p : s.pages) {
-    const std::uint64_t remaining = s.header.total_bytes - bytes;
-    const std::size_t expect =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kPageSize, remaining));
-    if (!p.programmed || p.torn || p.data.size() != expect ||
-        util::crc32_ieee(p.data) != p.crc) {
-      return false;
-    }
-    bytes += p.data.size();
+std::size_t Flash::valid_pages(const Slot& s) {
+  std::size_t n = 0;
+  while (n < s.page_crc.size() &&
+         util::crc32_ieee(page(s, n)) == s.page_crc[n]) {
+    ++n;
   }
-  if (bytes != s.header.total_bytes) return false;
-  crypto::Sha256 h;
-  for (const Page& p : s.pages) h.update(p.data);
-  const crypto::Digest d = h.finalize();
+  return n;
+}
+
+std::size_t Flash::trim_journal(Slot& s) {
+  const std::size_t valid = valid_pages(s);
+  const std::size_t dropped =
+      s.page_crc.size() - valid + (s.torn_page ? 1 : 0);
+  s.page_crc.resize(valid);
+  s.image.code.resize(std::min(s.image.code.size(), valid * kPageSize));
+  s.torn_page = false;
+  return dropped;
+}
+
+bool Flash::digest_valid(const Slot& s) {
+  const crypto::Digest d = crypto::sha256(s.image.code);
   return std::equal(d.begin(), d.end(), s.header.sha256.begin(),
                     s.header.sha256.end());
 }
 
-void Flash::materialize(int slot) {
-  Slot& s = slots_[slot];
-  util::Bytes code;
-  code.reserve(static_cast<std::size_t>(s.header.total_bytes));
-  for (const Page& p : s.pages) {
-    code.insert(code.end(), p.data.begin(), p.data.end());
-  }
-  img_[slot] = FirmwareImage{s.header.name, s.header.version, std::move(code)};
+bool Flash::content_valid(const Slot& s) {
+  return !s.torn_page && s.image.code.size() == s.header.total_bytes &&
+         valid_pages(s) == s.page_crc.size() && digest_valid(s);
 }
 
 void Flash::provision(FirmwareImage img) {
@@ -118,18 +85,11 @@ void Flash::provision(FirmwareImage img) {
   s.header.version = img.version;
   s.header.total_bytes = img.code.size();
   s.header.sha256 = crypto::sha256_bytes(img.code);
-  for (std::size_t off = 0; off < img.code.size(); off += kPageSize) {
-    Page p;
-    const std::size_t n = std::min(kPageSize, img.code.size() - off);
-    p.data.assign(img.code.begin() + static_cast<std::ptrdiff_t>(off),
-                  img.code.begin() + static_cast<std::ptrdiff_t>(off + n));
-    p.crc = util::crc32_ieee(p.data);
-    p.programmed = true;
-    s.pages.push_back(std::move(p));
+  s.image = std::move(img);
+  for (std::size_t i = 0; i * kPageSize < s.image.code.size(); ++i) {
+    s.page_crc.push_back(util::crc32_ieee(page(s, i)));
   }
-  s.durable_bytes = img.code.size();
-  rollback_floor_ = img.version;
-  img_[0] = std::move(img);
+  rollback_floor_ = s.header.version;
   active_slot_ = 0;
   staging_slot_ = -1;
   pending_.clear();
@@ -151,9 +111,7 @@ bool Flash::stage_begin(const StageRequest& req) {
   if (resumable) {
     // Same content digest: keep the journal, resume at the watermark.
     staging_slot_ = target;
-    if (s.header.state == SlotState::kStaging) {
-      scan_watermark(s, /*discard_torn=*/true, nullptr);
-    }
+    if (s.header.state == SlotState::kStaging) trim_journal(s);
     return true;
   }
   // Different image (or no journal): reset. No stale-watermark resume.
@@ -166,6 +124,8 @@ bool Flash::stage_begin(const StageRequest& req) {
   h.total_bytes = req.total_bytes;
   h.sha256 = req.sha256;
   if (write_header(target, std::move(h)) != FlashWrite::kOk) return false;
+  s.image.name = req.name;
+  s.image.version = req.version;
   staging_slot_ = target;
   return true;
 }
@@ -175,7 +135,8 @@ FlashWrite Flash::stage_write(util::BytesView chunk) {
   if (staging_slot_ < 0) return FlashWrite::kRejected;
   Slot& s = slots_[staging_slot_];
   if (s.header.state != SlotState::kStaging) return FlashWrite::kRejected;
-  if (s.durable_bytes + pending_.size() + chunk.size() > s.header.total_bytes) {
+  const util::Bytes& code = s.image.code;
+  if (code.size() + pending_.size() + chunk.size() > s.header.total_bytes) {
     return FlashWrite::kRejected;  // overflow past the declared image length
   }
   std::size_t off = 0;
@@ -185,12 +146,10 @@ FlashWrite Flash::stage_write(util::BytesView chunk) {
     pending_.insert(pending_.end(), chunk.begin() + static_cast<std::ptrdiff_t>(off),
                     chunk.begin() + static_cast<std::ptrdiff_t>(off + take));
     off += take;
-    const bool image_complete =
-        s.durable_bytes + pending_.size() == s.header.total_bytes;
-    if (pending_.size() == kPageSize || (image_complete && !pending_.empty())) {
-      util::Bytes page = std::move(pending_);
+    if (pending_.size() == kPageSize ||
+        code.size() + pending_.size() == s.header.total_bytes) {
+      const FlashWrite w = program_page(s, pending_);
       pending_.clear();
-      const FlashWrite w = program_page(s, std::move(page));
       if (w != FlashWrite::kOk) return w;
     }
   }
@@ -203,10 +162,13 @@ FlashWrite Flash::stage_finish() {
   Slot& s = slots_[staging_slot_];
   if (s.header.state == SlotState::kStaged) return FlashWrite::kOk;  // idempotent
   if (s.header.state != SlotState::kStaging) return FlashWrite::kRejected;
-  if (s.durable_bytes != s.header.total_bytes || !pending_.empty()) {
+  if (s.image.code.size() != s.header.total_bytes || !pending_.empty()) {
     return FlashWrite::kRejected;  // journal incomplete
   }
-  if (!content_valid(s)) {
+  // With power on, every journal page got its CRC from its own bytes in
+  // program_page() or passed the CRC scan in boot() or on resume, and
+  // nothing else writes page bytes: the seal checks only the digest.
+  if (!digest_valid(s)) {
     // Bytes in flash do not match the declared digest: poisoned journal.
     const int slot = staging_slot_;
     staging_slot_ = -1;
@@ -216,10 +178,7 @@ FlashWrite Flash::stage_finish() {
   Header h = s.header;
   h.state = SlotState::kStaged;
   h.seq = ++seq_counter_;
-  const FlashWrite w = write_header(staging_slot_, std::move(h));
-  if (w != FlashWrite::kOk) return w;
-  materialize(staging_slot_);
-  return FlashWrite::kOk;
+  return write_header(staging_slot_, std::move(h));
 }
 
 std::uint64_t Flash::staging_watermark() const {
@@ -227,7 +186,7 @@ std::uint64_t Flash::staging_watermark() const {
   const Slot& s = slots_[staging_slot_];
   if (s.header.state == SlotState::kStaged) return s.header.total_bytes;
   if (s.header.state != SlotState::kStaging) return 0;
-  return s.durable_bytes;
+  return s.image.code.size();
 }
 
 bool Flash::stage(FirmwareImage img) {
@@ -286,12 +245,11 @@ void Flash::commit() {
 bool Flash::revert() {
   if (lost_power_ || active_slot_ < 0) return false;
   const int o = other_slot(active_slot_);
-  if (!img_[o]) return false;
-  if (img_[o]->version < rollback_floor_) return false;
-  const SlotState ostate = slots_[o].header.state;
-  if (ostate != SlotState::kConfirmed && ostate != SlotState::kActive) {
+  const Header& oh = slots_[o].header;
+  if (oh.state != SlotState::kConfirmed && oh.state != SlotState::kActive) {
     return false;
   }
+  if (oh.version < rollback_floor_) return false;
   erase_slot(active_slot_);
   active_slot_ = o;
   staging_slot_ = -1;
@@ -299,16 +257,18 @@ bool Flash::revert() {
 }
 
 const FirmwareImage* Flash::active() const {
-  if (active_slot_ < 0 || !img_[active_slot_]) return nullptr;
-  const SlotState st = slots_[active_slot_].header.state;
+  if (active_slot_ < 0) return nullptr;
+  const Slot& s = slots_[active_slot_];
+  const SlotState st = s.header.state;
   if (st != SlotState::kActive && st != SlotState::kConfirmed) return nullptr;
-  return &*img_[active_slot_];
+  return &s.image;
 }
 
 const FirmwareImage* Flash::staged() const {
-  if (staging_slot_ < 0 || !img_[staging_slot_]) return nullptr;
-  if (slots_[staging_slot_].header.state != SlotState::kStaged) return nullptr;
-  return &*img_[staging_slot_];
+  if (staging_slot_ < 0) return nullptr;
+  const Slot& s = slots_[staging_slot_];
+  if (s.header.state != SlotState::kStaged) return nullptr;
+  return &s.image;
 }
 
 bool Flash::confirm_pending() const {
@@ -330,7 +290,7 @@ Flash::BootReport Flash::boot(util::SimTime now) {
 
   std::size_t scanned_pages = 0;
   for (int i = 0; i < 2; ++i) {
-    scanned_pages += slots_[i].pages.size();
+    scanned_pages += slots_[i].page_crc.size() + (slots_[i].torn_page ? 1 : 0);
     if (slots_[i].torn_spare) {
       ++rep.torn_headers_discarded;
       slots_[i].torn_spare = false;
@@ -346,7 +306,6 @@ Flash::BootReport Flash::boot(util::SimTime now) {
     if (st != SlotState::kActive && st != SlotState::kConfirmed) continue;
     if (content_valid(slots_[i])) {
       valid[i] = true;
-      if (!img_[i]) materialize(i);
     } else {
       rep.fell_back_torn = true;  // resolved below if nothing else boots
       erase_slot(i);
@@ -367,7 +326,7 @@ Flash::BootReport Flash::boot(util::SimTime now) {
       slots_[best].header.confirm_deadline_ns != 0 &&
       now.ns > slots_[best].header.confirm_deadline_ns) {
     const int o = other_slot(best);
-    if (valid[o] && img_[o] && img_[o]->version >= rollback_floor_) {
+    if (valid[o] && slots_[o].header.version >= rollback_floor_) {
       erase_slot(best);
       best = o;
       rep.auto_reverted = true;
@@ -390,14 +349,12 @@ Flash::BootReport Flash::boot(util::SimTime now) {
     if (i == active_slot_) continue;
     Slot& s = slots_[i];
     if (s.header.state == SlotState::kStaging) {
-      std::size_t torn = 0;
-      rep.resume_watermark = scan_watermark(s, /*discard_torn=*/true, &torn);
-      rep.torn_pages_discarded += torn;
+      rep.torn_pages_discarded += trim_journal(s);
+      rep.resume_watermark = s.image.code.size();
       rep.staging_resumable = true;
       staging_slot_ = i;
     } else if (s.header.state == SlotState::kStaged) {
       if (content_valid(s)) {
-        if (!img_[i]) materialize(i);
         staging_slot_ = i;
         rep.resume_watermark = s.header.total_bytes;
         rep.staging_resumable = true;

@@ -8,7 +8,9 @@
 //
 //   * data is programmed in 4 KiB pages, each with its own CRC-32; a write
 //     interrupted by power loss leaves a *detectably torn* page (prefix of
-//     the data, CRC never programmed);
+//     the data, CRC never programmed). A slot keeps its bytes once: the
+//     programmed pages, back to back, are the slot's image, and a tear is
+//     recorded as a flag because the torn prefix is never read;
 //   * each slot carries a header with a state machine
 //     EMPTY -> STAGING -> STAGED -> ACTIVE -> CONFIRMED and a monotonic
 //     sequence number; header updates are dual-copy (write the new copy,
@@ -18,7 +20,9 @@
 //     journal pages, derives the staging journal watermark (contiguous
 //     CRC-valid bytes, the download resume point), picks the
 //     highest-sequence valid ACTIVE/CONFIRMED slot, and auto-reverts an
-//     ACTIVE-but-unconfirmed slot whose confirmation deadline lapsed.
+//     ACTIVE-but-unconfirmed slot whose confirmation deadline lapsed;
+//   * page CRCs are checked at boot and when a journal resumes; sealing a
+//     journal checks its length and content digest.
 //
 // Power loss is injected through a `sim::FaultPort` (FaultKind::kPowerLoss):
 // every persistent write operation — page program or header write, including
@@ -30,7 +34,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,12 +49,15 @@ struct FirmwareImage {
   std::uint32_t version = 0;
   util::Bytes code;
 
+  /// SHA-256 over name, big-endian version and code.
   crypto::Digest digest() const {
-    util::Bytes blob;
-    blob.insert(blob.end(), name.begin(), name.end());
-    util::append_be(blob, version, 4);
-    blob.insert(blob.end(), code.begin(), code.end());
-    return crypto::sha256(blob);
+    crypto::Sha256 h;
+    h.update({reinterpret_cast<const std::uint8_t*>(name.data()), name.size()});
+    std::array<std::uint8_t, 4> ver;
+    util::store_be32(ver.data(), version);
+    h.update(ver);
+    h.update(code);
+    return h.finalize();
   }
 };
 
@@ -150,8 +156,8 @@ class Flash : public sim::FaultHook {
   /// injectable write op per page); bytes of a partially-filled page are
   /// volatile until that page programs.
   FlashWrite stage_write(util::BytesView chunk);
-  /// Seals the journal: verifies every page CRC and the content digest, then
-  /// writes the STAGED header. kRejected erases the journal (bad bytes).
+  /// Seals the journal: checks its length and content digest, then writes
+  /// the STAGED header. kRejected erases the journal (bad bytes).
   FlashWrite stage_finish();
   /// Contiguous durable journal bytes (the download resume offset).
   std::uint64_t staging_watermark() const;
@@ -169,7 +175,7 @@ class Flash : public sim::FaultHook {
   /// Absolute confirm-or-revert deadline (zero = none armed).
   util::SimTime confirm_deadline() const;
 
-  /// Flash write latency model: ~50 us per 1 KiB page.
+  /// Flash write latency model: 50 us per started KiB (200 us per full page).
   static double write_latency_us(std::size_t bytes) {
     return 50.0 * static_cast<double>((bytes + 1023) / 1024);
   }
@@ -189,12 +195,6 @@ class Flash : public sim::FaultHook {
   }
 
  private:
-  struct Page {
-    util::Bytes data;
-    std::uint32_t crc = 0;
-    bool programmed = false;
-    bool torn = false;  // power cut mid-program: prefix only, CRC missing
-  };
   struct Header {
     SlotState state = SlotState::kEmpty;
     std::uint64_t seq = 0;  // monotonic across all header writes
@@ -207,23 +207,26 @@ class Flash : public sim::FaultHook {
   struct Slot {
     Header header;  // last durable header copy
     bool torn_spare = false;  // a cut left a torn (ignored) header copy
-    std::vector<Page> pages;
-    std::uint64_t durable_bytes = 0;  // bytes in fully-programmed pages
+    FirmwareImage image;  // code = the programmed pages, back to back
+    std::vector<std::uint32_t> page_crc;  // one per programmed page
+    bool torn_page = false;  // a cut tore the page after the last one
   };
 
   bool consume_power();            // one write op; true = the cut hits now
   FlashWrite write_header(int slot, Header h);
   void erase_slot(int slot);
-  FlashWrite program_page(Slot& s, util::Bytes full_page);
-  /// Contiguous valid journal bytes; optionally counts/clears torn pages.
-  std::uint64_t scan_watermark(Slot& s, bool discard_torn,
-                               std::size_t* torn_pages);
-  bool content_valid(const Slot& s) const;
-  void materialize(int slot);
+  FlashWrite program_page(Slot& s, util::BytesView bytes);
+  static util::BytesView page(const Slot& s, std::size_t i);
+  /// Leading pages whose bytes match their CRC.
+  static std::size_t valid_pages(const Slot& s);
+  /// Drops the torn page and every page from the first CRC mismatch on;
+  /// returns how many pages it dropped.
+  static std::size_t trim_journal(Slot& s);
+  static bool digest_valid(const Slot& s);
+  static bool content_valid(const Slot& s);
   int other_slot(int slot) const { return slot == 0 ? 1 : 0; }
 
   std::array<Slot, 2> slots_;
-  std::optional<FirmwareImage> img_[2];  // materialized complete images
   int active_slot_ = -1;   // -1 = unprovisioned
   int staging_slot_ = -1;  // slot with an open journal or a STAGED image
   util::Bytes pending_;    // volatile partial-page write buffer

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "crypto/sha256.hpp"
 #include "ecu/flash.hpp"
 #include "sim/faultplan.hpp"
 #include "sim/scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace aseck::ecu {
 namespace {
@@ -353,6 +357,89 @@ TEST(FlashPowerLoss, PoissonPerWriteCutsAreSurvivable) {
       }
     }
     ASSERT_NE(flash.active(), nullptr) << "seed=" << seed;
+  }
+}
+
+// Seeded streaming installs in chunks that are not page-aligned, with up to
+// three power cuts per trial at random write ops, each followed by boot()
+// and a resume. Besides old-or-new at every step, this pins what lets the
+// seal skip the page-CRC scan: a journal sealed with power on survives the
+// next boot() as staged(), never discarded.
+TEST(FlashPowerLoss, RandomStreamingCutsResumeAndSealedJournalSurvivesBoot) {
+  const FirmwareImage oldf = image(1, 2 * Flash::kPageSize + 11, 0x01);
+  const FirmwareImage next = image(2, 5 * Flash::kPageSize + 777, 0x02);
+  const Flash::StageRequest req = request_for(next);
+  const SimTime t0 = SimTime::from_s(1);
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    util::Rng rng(seed);
+    Flash flash;
+    flash.provision(oldf);
+    // Write ops of one install: staging header, 6 pages, seal, activate,
+    // commit. Cutting within the next 12 ops hits all of them.
+    const auto next_cut = [&] {
+      return static_cast<std::int64_t>(rng.uniform(12));
+    };
+    auto rig = std::make_unique<CutRig>();
+    flash.set_fault_port(rig->arm(next_cut()));
+    int cuts = 0;
+    bool sealed = false;  // stage_finish returned kOk, not yet activated
+    const auto watermark_ok = [&] {
+      const std::uint64_t wm = flash.staging_watermark();
+      return wm % Flash::kPageSize == 0 || wm == next.code.size();
+    };
+    for (int step = 0; step < 200; ++step) {
+      const FirmwareImage* a = flash.active();
+      ASSERT_NE(a, nullptr) << "seed=" << seed;
+      ASSERT_TRUE(a->code == oldf.code || a->code == next.code)
+          << "seed=" << seed;
+      ASSERT_TRUE(watermark_ok()) << "seed=" << seed;
+      if (a->version == 2 && !flash.confirm_pending()) break;
+
+      // A cut forces a boot; a sealed journal sometimes gets a clean reboot.
+      if (flash.lost_power() || (sealed && rng.chance(0.5))) {
+        const bool was_cut = flash.lost_power();
+        const Flash::BootReport rep = flash.boot(t0);
+        ASSERT_TRUE(rep.bootable) << "seed=" << seed;
+        EXPECT_FALSE(rep.staging_discarded) << "seed=" << seed;
+        if (sealed) {
+          ASSERT_NE(flash.staged(), nullptr) << "seed=" << seed;
+          EXPECT_EQ(flash.staged()->code, next.code) << "seed=" << seed;
+        }
+        if (was_cut) {
+          auto fresh = std::make_unique<CutRig>();
+          flash.set_fault_port(++cuts < 3 ? fresh->arm(next_cut()) : nullptr);
+          rig = std::move(fresh);
+        }
+        continue;
+      }
+      if (flash.confirm_pending()) {
+        flash.commit();
+      } else if (flash.staged()) {
+        if (flash.activate(t0, SimTime::from_s(30))) sealed = false;
+      } else if (flash.stage_begin(req)) {
+        ASSERT_TRUE(watermark_ok()) << "seed=" << seed;
+        FlashWrite w = FlashWrite::kOk;
+        for (std::uint64_t off = flash.staging_watermark();
+             w == FlashWrite::kOk && off < next.code.size();) {
+          std::size_t n = 1 + rng.uniform(2 * Flash::kPageSize - 1);
+          if (n % Flash::kPageSize == 0) --n;
+          n = std::min<std::size_t>(n, next.code.size() - off);
+          w = flash.stage_write(util::BytesView(next.code).subspan(off, n));
+          ASSERT_NE(w, FlashWrite::kRejected) << "seed=" << seed;
+          ASSERT_TRUE(watermark_ok()) << "seed=" << seed;
+          off += n;
+        }
+        if (w == FlashWrite::kOk) {
+          w = flash.stage_finish();
+          ASSERT_NE(w, FlashWrite::kRejected) << "seed=" << seed;
+          sealed = w == FlashWrite::kOk;
+        }
+      }
+    }
+    ASSERT_NE(flash.active(), nullptr) << "seed=" << seed;
+    EXPECT_EQ(flash.active()->code, next.code) << "seed=" << seed;
+    EXPECT_FALSE(flash.confirm_pending()) << "seed=" << seed;
+    EXPECT_EQ(flash.rollback_floor(), 2u) << "seed=" << seed;
   }
 }
 
