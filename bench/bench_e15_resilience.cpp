@@ -97,14 +97,12 @@ constexpr SimTime kFaultDuration = SimTime::from_ms(100);
 RowResult run_can(double rate_hz, std::uint64_t seed, SimTime horizon) {
   Scheduler sched;
   Telemetry t;
-  ivn::CanBus bus(sched, "can0", 500'000);
-  bus.bind_telemetry(t);
+  ivn::CanBus bus(sched, "can0", 500'000, 0, t);
   bus.set_auto_recovery(SimTime::from_ms(50));
   Sink tx_node("tx"), rx_node("rx");
   bus.attach(&tx_node);
   bus.attach(&rx_node);
-  FaultPlan plan(sched, seed);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, seed, t);
   bus.set_fault_port(&plan.port("can0"));
   plan.random_campaign(kCampaignStart, horizon, rate_hz, kFaultDuration,
                        {{"can0", FaultKind::kFrameDrop, 1.0},
@@ -143,8 +141,7 @@ RowResult run_can(double rate_hz, std::uint64_t seed, SimTime horizon) {
 RowResult run_lin(double rate_hz, std::uint64_t seed, SimTime horizon) {
   Scheduler sched;
   Telemetry t;
-  ivn::LinMaster master(sched, "lin0");
-  master.bind_telemetry(t);
+  ivn::LinMaster master(sched, "lin0", 19200, t);
   struct Slave final : ivn::LinSlave {
     std::optional<Bytes> respond(std::uint8_t) override {
       return Bytes{0xAA, 0xBB};
@@ -152,8 +149,7 @@ RowResult run_lin(double rate_hz, std::uint64_t seed, SimTime horizon) {
   } slave;
   master.attach(&slave);
   master.set_schedule({{0x10, SimTime::from_ms(10)}});
-  FaultPlan plan(sched, seed);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, seed, t);
   master.set_fault_port(&plan.port("lin0"));
   plan.random_campaign(kCampaignStart, horizon, rate_hz, kFaultDuration,
                        {{"lin0", FaultKind::kFrameDrop, 1.0},
@@ -172,8 +168,7 @@ RowResult run_lin(double rate_hz, std::uint64_t seed, SimTime horizon) {
 RowResult run_flexray(double rate_hz, std::uint64_t seed, SimTime horizon) {
   Scheduler sched;
   Telemetry t;
-  ivn::FlexRayBus bus(sched, "fr0");
-  bus.bind_telemetry(t);
+  ivn::FlexRayBus bus(sched, "fr0", {}, t);
   struct Owner final : ivn::FlexRayNode {
     std::optional<Bytes> static_payload(std::uint16_t, std::uint8_t) override {
       return Bytes{0x01, 0x02};
@@ -188,8 +183,7 @@ RowResult run_flexray(double rate_hz, std::uint64_t seed, SimTime horizon) {
   } listener;
   bus.assign_static_slot(1, &owner);
   bus.attach_listener(&listener);
-  FaultPlan plan(sched, seed);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, seed, t);
   bus.set_fault_port(&plan.port("fr0"));
   plan.random_campaign(kCampaignStart, horizon, rate_hz, kFaultDuration,
                        {{"fr0", FaultKind::kFrameDrop, 1.0}});
@@ -207,8 +201,7 @@ RowResult run_flexray(double rate_hz, std::uint64_t seed, SimTime horizon) {
 RowResult run_ethernet(double rate_hz, std::uint64_t seed, SimTime horizon) {
   Scheduler sched;
   Telemetry t;
-  ivn::EthernetSwitch sw(sched, "sw0");
-  sw.bind_telemetry(t);
+  ivn::EthernetSwitch sw(sched, "sw0", 100'000'000, SimTime::from_us(5), t);
   struct Ep final : ivn::EthernetEndpoint {
     using ivn::EthernetEndpoint::EthernetEndpoint;
     void on_frame(const ivn::EthernetFrame&, SimTime) override { ++rx; }
@@ -216,8 +209,7 @@ RowResult run_ethernet(double rate_hz, std::uint64_t seed, SimTime horizon) {
   } a("a", ivn::mac_from_u64(1)), b("b", ivn::mac_from_u64(2));
   const std::size_t pa = sw.connect(&a);
   const std::size_t pb = sw.connect(&b);
-  FaultPlan plan(sched, seed);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, seed, t);
   sw.set_fault_port(&plan.port("sw0"));
   plan.random_campaign(kCampaignStart, horizon, rate_hz, kFaultDuration,
                        {{"sw0", FaultKind::kFrameDrop, 1.0},
@@ -255,14 +247,12 @@ RowResult run_ethernet(double rate_hz, std::uint64_t seed, SimTime horizon) {
 RowResult run_gateway(double rate_hz, std::uint64_t seed, SimTime horizon) {
   Scheduler sched;
   Telemetry t;
-  ivn::CanBus body(sched, "can.body", 500'000);
-  ivn::CanBus chassis(sched, "can.chassis", 500'000);
-  body.bind_telemetry(t);
-  chassis.bind_telemetry(t);
+  ivn::CanBus body(sched, "can.body", 500'000, 0, t);
+  ivn::CanBus chassis(sched, "can.chassis", 500'000, 0, t);
   body.set_auto_recovery(SimTime::from_ms(50));
   chassis.set_auto_recovery(SimTime::from_ms(50));
-  gateway::SecurityGateway gw(sched, "gw");
-  gw.bind_telemetry(t);
+  gateway::SecurityGateway gw(
+      sched, "gw", gateway::SecurityGateway::kDefaultProcessingDelay, t);
   gw.add_domain("body", &body);
   gw.add_domain("chassis", &chassis);
   gw.add_route(0x100, "body", "chassis", /*safety_critical=*/true);
@@ -277,8 +267,7 @@ RowResult run_gateway(double rate_hz, std::uint64_t seed, SimTime horizon) {
   body.attach(&sender);
   chassis.attach(&receiver);
 
-  FaultPlan plan(sched, seed);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, seed, t);
   body.set_fault_port(&plan.port("can.body"));
   // Partition windows toggle the gateway link; the handler reports recovery
   // back to the plan the moment the link returns.
@@ -362,8 +351,7 @@ RowResult run_ota(double rate_hz, std::uint64_t seed, SimTime horizon) {
   images.add_target("brake-fw", fw, 2, "brake-hw");
   director.publish(SimTime::from_ms(1));
   images.publish(SimTime::from_ms(1));
-  FaultPlan plan(sched, seed);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, seed, t);
   // Both repos share one fault target: an outage takes down the backend, not
   // a single mirror (the client falls back across mirrors otherwise).
   director.set_fault_port(&plan.port("ota"));
@@ -372,8 +360,7 @@ RowResult run_ota(double rate_hz, std::uint64_t seed, SimTime horizon) {
                        {{"ota", FaultKind::kOutage}});
 
   ota::FullVerificationClient client("primary", director.trusted_root(),
-                                     images.trusted_root());
-  client.bind_telemetry(t);
+                                     images.trusted_root(), t);
   ota::FullVerificationClient::RetryPolicy policy;
   policy.max_attempts = 50;
   policy.initial_backoff = SimTime::from_ms(50);

@@ -104,12 +104,10 @@ RunOutcome run_once(SimTime hb_period, double crash_rate_hz, std::uint64_t seed,
                     SimTime horizon, bool supervised) {
   Scheduler sched;
   Telemetry t;
-  ivn::CanBus body(sched, "can.body", 500'000);
-  ivn::CanBus chassis(sched, "can.chassis", 500'000);
-  body.bind_telemetry(t);
-  chassis.bind_telemetry(t);
-  gateway::RedundantGateway rgw(sched, "gw");
-  rgw.bind_telemetry(t);
+  ivn::CanBus body(sched, "can.body", 500'000, 0, t);
+  ivn::CanBus chassis(sched, "can.chassis", 500'000, 0, t);
+  gateway::RedundantGateway rgw(
+      sched, "gw", gateway::SecurityGateway::kDefaultProcessingDelay, t);
   rgw.add_domain("body", &body);
   rgw.add_domain("chassis", &chassis);
   rgw.add_route(0x100, "body", "chassis", /*safety_critical=*/true);
@@ -118,8 +116,7 @@ RunOutcome run_once(SimTime hb_period, double crash_rate_hz, std::uint64_t seed,
   body.attach(&sender);
   chassis.attach(&receiver);
 
-  FaultPlan plan(sched, seed);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, seed, t);
   // Crash semantics: a dead unit stays dead until something restarts it.
   // With supervision, the watchdog failover restores service and the window
   // end models the repaired unit rebooting and rejoining as standby (which
@@ -136,8 +133,7 @@ RunOutcome run_once(SimTime hb_period, double crash_rate_hz, std::uint64_t seed,
                        {{"gw.active", FaultKind::kCrash}});
 
   RunOutcome out;
-  HealthSupervisor sup(sched, "e16");
-  sup.bind_telemetry(t);
+  HealthSupervisor sup(sched, "e16", t);
   HeartbeatEmitter hb(sched, sup, "gw.active", hb_period,
                       [&] { return !rgw.active().offline(); });
   if (supervised) {

@@ -175,10 +175,8 @@ ClassResult replay_class(const attacks::ScenarioCorpus& corpus,
                          attacks::AttackClass cls, std::uint64_t seed) {
   sim::Scheduler sched;
   sim::Telemetry tel;
-  ivn::CanBus diag(sched, "diag", 500000);
-  ivn::CanBus body(sched, "body", 500000);
-  diag.bind_telemetry(tel);
-  body.bind_telemetry(tel);
+  ivn::CanBus diag(sched, "diag", 500000, 0, tel);
+  ivn::CanBus body(sched, "body", 500000, 0, tel);
 
   // Whitelist gateway: benign streams are safety-critical routes; the
   // diagnostic carrier is routed but rate-limited. Everything else has no
@@ -208,8 +206,7 @@ ClassResult replay_class(const attacks::ScenarioCorpus& corpus,
 
   // Benign background traffic on the diag bus for the replay horizon.
   util::Rng rng(seed ^ 0xBE9197);
-  attacks::CorpusReplayer rep(sched, diag, "corpus");
-  rep.bind_telemetry(tel);
+  attacks::CorpusReplayer rep(sched, diag, "corpus", tel);
   sim::SimTime end = sim::SimTime::from_ms(50);
   ClassResult r;
   for (const attacks::ScenarioEntry* e : corpus.by_class(cls)) {

@@ -55,18 +55,17 @@ Outcome run(Arch arch) {
   Outcome out;
   const bool flat = arch == Arch::kFlatBus;
 
-  ivn::CanBus chassis(sched, "chassis", 500000);
-  chassis.bind_telemetry(telemetry);
+  ivn::CanBus chassis(sched, "chassis", 500000, 0, telemetry);
   std::unique_ptr<ivn::CanBus> infotainment;
   std::unique_ptr<gateway::SecurityGateway> gw;
   ivn::CanBus* attacker_bus = &chassis;
 
   if (!flat) {
-    infotainment = std::make_unique<ivn::CanBus>(sched, "infotainment", 500000);
-    infotainment->bind_telemetry(telemetry);
+    infotainment =
+        std::make_unique<ivn::CanBus>(sched, "infotainment", 500000, 0, telemetry);
     attacker_bus = infotainment.get();
-    gw = std::make_unique<gateway::SecurityGateway>(sched, "cgw");
-    gw->bind_telemetry(telemetry);
+    gw = std::make_unique<gateway::SecurityGateway>(
+        sched, "cgw", gateway::SecurityGateway::kDefaultProcessingDelay, telemetry);
     gw->add_domain("chassis", &chassis);
     gw->add_domain("infotainment", infotainment.get());
     // Legit route: media telltale 0x300; the attacker abuses it plus tries

@@ -154,7 +154,10 @@ class Table {
       fits = std::holds_alternative<bool>(cells[c]) == (columns_[c].kind == verdict);
     }
     if (!fits) throw std::invalid_argument("benchutil::Table: row does not fit the columns");
-    failed_ += std::count(cells.begin(), cells.end(), Cell(false));
+    failed_ += std::count_if(cells.begin(), cells.end(), [](const Cell& cell) {
+      const bool* ok = std::get_if<bool>(&cell);
+      return ok && !*ok;
+    });
     rows_.push_back(std::move(cells));
   }
 

@@ -35,16 +35,14 @@ struct Counter final : ivn::CanNode {
 struct Rig {
   Scheduler sched;
   sim::Telemetry t;
-  ivn::CanBus body{sched, "can.body", 500'000};
-  ivn::CanBus chassis{sched, "can.chassis", 500'000};
-  gateway::RedundantGateway rgw{sched, "gw"};
+  ivn::CanBus body{sched, "can.body", 500'000, 0, t};
+  ivn::CanBus chassis{sched, "can.chassis", 500'000, 0, t};
+  gateway::RedundantGateway rgw{
+      sched, "gw", gateway::SecurityGateway::kDefaultProcessingDelay, t};
   Counter sender{"brake-pedal"};
   Counter receiver{"brake-actuator"};
 
   Rig() {
-    body.bind_telemetry(t);
-    chassis.bind_telemetry(t);
-    rgw.bind_telemetry(t);
     rgw.add_domain("body", &body);
     rgw.add_domain("chassis", &chassis);
     rgw.add_route(0x100, "body", "chassis", /*safety_critical=*/true);
@@ -68,8 +66,7 @@ int main() {
 
   // ---- act 1: supervised crash -> detect -> failover -> rejoin -------------
   Rig rig;
-  safety::HealthSupervisor sup(rig.sched, "demo");
-  sup.bind_telemetry(rig.t);
+  safety::HealthSupervisor sup(rig.sched, "demo", rig.t);
 
   safety::AliveSupervision alive;
   alive.period = SimTime::from_ms(10);  // reference cycle

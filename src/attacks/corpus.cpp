@@ -333,19 +333,11 @@ ScenarioCorpus ScenarioCorpus::builtin() {
 }
 
 CorpusReplayer::CorpusReplayer(sim::Scheduler& sched, ivn::CanBus& bus,
-                               std::string name)
+                               std::string name,
+                               const sim::Telemetry& telemetry)
     : ivn::CanNode(std::move(name)), sched_(sched), bus_(bus),
-      trace_(this->name()) {
+      trace_(this->name(), {}, telemetry) {
   bus_.attach(this);
-  wire_telemetry();
-}
-
-void CorpusReplayer::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
-}
-
-void CorpusReplayer::wire_telemetry() {
   k_schedule_ = trace_.kind("corpus_schedule");
   k_tx_ = trace_.kind("corpus_tx");
   k_reject_ = trace_.kind("corpus_reject");

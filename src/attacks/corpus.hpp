@@ -95,7 +95,8 @@ class ScenarioCorpus {
 /// TraceBus ("corpus" component), making replay timelines diffable.
 class CorpusReplayer : public ivn::CanNode {
  public:
-  CorpusReplayer(sim::Scheduler& sched, ivn::CanBus& bus, std::string name);
+  CorpusReplayer(sim::Scheduler& sched, ivn::CanBus& bus, std::string name,
+                 const sim::Telemetry& telemetry = {});
 
   /// Schedules all frames of `entry` starting at `start`; returns the time
   /// just after the last scheduled frame.
@@ -110,11 +111,8 @@ class CorpusReplayer : public ivn::CanNode {
   void on_frame(const ivn::CanFrame& frame, sim::SimTime at) override;
 
   sim::TraceScope& trace() { return trace_; }
-  void bind_telemetry(const sim::Telemetry& t);
 
  private:
-  void wire_telemetry();
-
   sim::Scheduler& sched_;
   ivn::CanBus& bus_;
   std::uint64_t frames_sent_ = 0;

@@ -5,14 +5,20 @@ namespace aseck::cloud {
 SessionFrontend::SessionFrontend(ServerCredential cred,
                                  crypto::EcdsaPrivateKey identity,
                                  crypto::EcdsaPublicKey authority,
-                                 crypto::Drbg& rng, FrontendConfig cfg)
+                                 crypto::Drbg& rng, FrontendConfig cfg,
+                                 const sim::Telemetry& telemetry)
     : cfg_(cfg),
       server_(std::move(cred), std::move(identity), rng),
       authority_(std::move(authority)),
       rng_(rng),
       tickets_(cfg.ticket_cache_entries),
-      trace_("cloud.front", "cloud.front.") {
-  wire_telemetry();
+      trace_("cloud.front", "cloud.front.", telemetry) {
+  c_handshakes_ = &trace_.counter("handshakes");
+  c_resumed_ = &trace_.counter("resumed");
+  c_failures_ = &trace_.counter("failures");
+  k_handshake_ = trace_.kind("handshake");
+  k_resume_ = trace_.kind("resume");
+  k_fail_ = trace_.kind("handshake_fail");
 }
 
 SessionFrontend SessionFrontend::create(const std::string& name,
@@ -23,20 +29,6 @@ SessionFrontend SessionFrontend::create(const std::string& name,
       ServerCredential::issue(name, identity.public_key(), authority);
   return SessionFrontend(std::move(cred), std::move(identity),
                          authority.public_key(), rng, cfg);
-}
-
-void SessionFrontend::wire_telemetry() {
-  c_handshakes_ = &trace_.counter("handshakes");
-  c_resumed_ = &trace_.counter("resumed");
-  c_failures_ = &trace_.counter("failures");
-  k_handshake_ = trace_.kind("handshake");
-  k_resume_ = trace_.kind("resume");
-  k_fail_ = trace_.kind("handshake_fail");
-}
-
-void SessionFrontend::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 ConnectResult SessionFrontend::connect(const std::string& vehicle_id,

@@ -42,7 +42,8 @@ class SessionFrontend {
  public:
   SessionFrontend(ServerCredential cred, crypto::EcdsaPrivateKey identity,
                   crypto::EcdsaPublicKey authority, crypto::Drbg& rng,
-                  FrontendConfig cfg = {});
+                  FrontendConfig cfg = {},
+                  const sim::Telemetry& telemetry = {});
 
   /// Generates a server identity, has `authority` certify it, and pins the
   /// matching authority key client-side — the one-call setup used by tests
@@ -64,15 +65,11 @@ class SessionFrontend {
                       : static_cast<double>(r) / static_cast<double>(h + r);
   }
 
-  /// Rebinds trace events and cloud.front.* counters onto a shared plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
   struct Ticket {
     std::uint64_t id = 0;
     util::SimTime expires = util::SimTime::zero();
   };
-  void wire_telemetry();
 
   FrontendConfig cfg_;
   ChannelServer server_;

@@ -31,13 +31,13 @@ VehiclePlatform::VehiclePlatform(sim::Scheduler& sched, VehicleSpec spec,
                                  SecurityPolicy initial_policy,
                                  std::uint64_t seed)
     : sched_(sched), spec_(std::move(spec)) {
-  gateway_ = std::make_unique<gateway::SecurityGateway>(sched_,
-                                                        spec_.name + "-cgw");
-  gateway_->bind_telemetry(telemetry_);
+  gateway_ = std::make_unique<gateway::SecurityGateway>(
+      sched_, spec_.name + "-cgw",
+      gateway::SecurityGateway::kDefaultProcessingDelay, telemetry_);
   std::vector<std::string> external;
   for (const auto& d : spec_.domains) {
-    auto bus = std::make_unique<ivn::CanBus>(sched_, d.name, d.bitrate_bps);
-    bus->bind_telemetry(telemetry_);
+    auto bus = std::make_unique<ivn::CanBus>(sched_, d.name, d.bitrate_bps, 0,
+                                             telemetry_);
     gateway_->add_domain(d.name, bus.get());
     if (d.external) external.push_back(d.name);
     buses_[d.name] = std::move(bus);

@@ -13,28 +13,26 @@ Digest VerifyEngine::cache_key(const EcdsaPublicKey& pub, const Digest& digest,
   return h.finalize();
 }
 
-void VerifyEngine::sync_evictions() {
-  if (c_evictions_ && cache_.evictions() != synced_evictions_) {
-    c_evictions_->inc(cache_.evictions() - synced_evictions_);
-    synced_evictions_ = cache_.evictions();
-  }
+void VerifyEngine::remember(const Digest& key, bool ok) {
+  const std::uint64_t evicted = cache_.evictions();
+  cache_.put(key, ok);
+  c_evictions_.inc(cache_.evictions() - evicted);
 }
 
 bool VerifyEngine::verify_digest(const EcdsaPublicKey& pub,
                                  const Digest& digest,
                                  const EcdsaSignature& sig) {
   ++calls_;
-  if (c_calls_) c_calls_->inc();
+  c_calls_.inc();
   const Digest key = cache_key(pub, digest, sig);
   if (const bool* cached = cache_.find(key)) {
-    if (c_hits_) c_hits_->inc();
+    c_hits_.inc();
     return *cached;
   }
   const bool ok = ecdsa_verify_digest(pub, digest, sig);
   ++primitive_;
-  if (c_primitive_) c_primitive_->inc();
-  cache_.put(key, ok);
-  sync_evictions();
+  c_primitive_.inc();
+  remember(key, ok);
   return ok;
 }
 
@@ -49,7 +47,7 @@ std::vector<bool> VerifyEngine::verify_batch(
   // Every item is a call — malformed (null-pointer) ones included, so call
   // and verdict counts always agree.
   calls_ += items.size();
-  if (c_calls_) c_calls_->inc(items.size());
+  c_calls_.inc(items.size());
 
   // Cache probe pass. Duplicate triples inside one burst (the V2X flood
   // case: one beacon heard by many receivers) resolve against the first
@@ -66,14 +64,14 @@ std::vector<bool> VerifyEngine::verify_batch(
     if (!it.pub || !it.sig) continue;  // verdict stays false
     const Digest key = cache_key(*it.pub, it.digest, *it.sig);
     if (const bool* cached = cache_.find(key)) {
-      if (c_hits_) c_hits_->inc();
+      c_hits_.inc();
       verdicts[i] = *cached;
       continue;
     }
     const auto [at, inserted] = pending.emplace(key, i);
     if (!inserted) {
       ++alias_hits_;
-      if (c_hits_) c_hits_->inc();
+      c_hits_.inc();
       aliases.emplace_back(i, at->second);
       continue;
     }
@@ -84,7 +82,7 @@ std::vector<bool> VerifyEngine::verify_batch(
   // burst is big enough to amortize, per-item otherwise. Verdicts are
   // bit-identical either way (the kernel is differentially tested).
   primitive_ += misses.size();
-  if (c_primitive_) c_primitive_->inc(misses.size());
+  c_primitive_.inc(misses.size());
   if (batch_kernel_ && misses.size() >= batch_min_) {
     std::vector<BatchVerifyItem> work;
     work.reserve(misses.size());
@@ -92,10 +90,8 @@ std::vector<bool> VerifyEngine::verify_batch(
     const std::vector<bool> ok =
         ecdsa_verify_batch(work, util::BytesView(salt_.data(), salt_.size()));
     batched_ += misses.size();
-    if (c_batched_) c_batched_->inc(misses.size());
-    if (h_batch_items_) {
-      h_batch_items_->record(static_cast<double>(misses.size()));
-    }
+    c_batched_.inc(misses.size());
+    h_batch_items_.record(static_cast<double>(misses.size()));
     for (std::size_t k = 0; k < misses.size(); ++k) {
       verdicts[misses[k].slot] = ok[k];
     }
@@ -105,35 +101,15 @@ std::vector<bool> VerifyEngine::verify_batch(
       verdicts[m.slot] = ecdsa_verify_digest(*it.pub, it.digest, *it.sig);
     }
   }
-  for (const Miss& m : misses) cache_.put(m.key, verdicts[m.slot]);
-  sync_evictions();
+  for (const Miss& m : misses) remember(m.key, verdicts[m.slot]);
   for (const auto& [slot, first] : aliases) verdicts[slot] = verdicts[first];
   return verdicts;
 }
 
-void VerifyEngine::bind_metrics(sim::MetricsRegistry& reg) {
-  if (&reg == bound_) return;
-  bound_ = &reg;
-  c_calls_ = &reg.counter("crypto.verify.calls");
-  c_hits_ = &reg.counter("crypto.verify.cache_hits");
-  c_evictions_ = &reg.counter("crypto.verify.evictions");
-  c_primitive_ = &reg.counter("crypto.verify.primitive");
-  c_batched_ = &reg.counter("crypto.verify.batched");
-  h_batch_items_ =
-      &reg.histogram("crypto.verify.batch_items", 0.0, 256.0, 32);
-  // Add the pre-binding totals, the sim::TraceScope::bind carry rule: engines
-  // sharing one registry sum, and a fresh registry matches the engine's view.
-  c_calls_->inc(calls_);
-  c_hits_->inc(cache_hits());
-  c_evictions_->inc(cache_.evictions());
-  c_primitive_->inc(primitive_);
-  c_batched_->inc(batched_);
-  synced_evictions_ = cache_.evictions();
-}
-
 void VerifyEngine::set_cache_capacity(std::size_t cap) {
+  const std::uint64_t evicted = cache_.evictions();
   cache_.set_capacity(cap);
-  sync_evictions();
+  c_evictions_.inc(cache_.evictions() - evicted);
 }
 
 }  // namespace aseck::crypto

@@ -13,9 +13,10 @@
 //    (ecdsa_verify_batch): one random-linear-combination check and one
 //    shared Montgomery batch inversion per burst instead of a full
 //    double-scalar-mult per item;
-//  * shared MetricsRegistry export: crypto.verify.{calls,cache_hits,
-//    evictions,primitive,batched} counters and a crypto.verify.batch_items
-//    histogram of kernel batch sizes.
+//  * MetricsRegistry export: crypto.verify.{calls,cache_hits,evictions,
+//    primitive,batched} counters and a crypto.verify.batch_items histogram
+//    of kernel batch sizes, on the registry the engine is built on (engines
+//    sharing one registry sum) or on a private one.
 //
 // Every exported instrument is a deterministic function of the verify
 // workload — no wall-clock content — so merged registries can feed digest
@@ -26,6 +27,7 @@
 // that want parallelism run one engine per VerifyPool lane.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "crypto/batch_verify.hpp"
@@ -40,8 +42,15 @@ class VerifyEngine {
  public:
   static constexpr std::size_t kDefaultCacheCapacity = 4096;
 
+  /// Exports onto a private registry.
   explicit VerifyEngine(std::size_t cache_capacity = kDefaultCacheCapacity)
-      : cache_(cache_capacity) {}
+      : own_(std::make_unique<sim::MetricsRegistry>()),
+        metrics_(*own_),
+        cache_(cache_capacity) {}
+  /// Exports onto `metrics`, which must outlive the engine.
+  explicit VerifyEngine(sim::MetricsRegistry& metrics,
+                        std::size_t cache_capacity = kDefaultCacheCapacity)
+      : metrics_(metrics), cache_(cache_capacity) {}
 
   /// Verifies a precomputed digest; consults/fills the result cache.
   bool verify_digest(const EcdsaPublicKey& pub, const Digest& digest,
@@ -67,13 +76,6 @@ class VerifyEngine {
   /// Extra entropy folded into the kernel's randomizer transcript.
   void set_batch_salt(util::Bytes salt) { salt_ = std::move(salt); }
 
-  /// Exports counters onto a shared registry (later verifications also tick
-  /// the registry instruments). Binding adds the engine's totals so far to
-  /// every counter, so engines bound onto one registry sum and a fresh
-  /// registry matches the engine's own view. Binding again to the registry
-  /// the engine is already on is a no-op.
-  void bind_metrics(sim::MetricsRegistry& reg);
-
   std::uint64_t calls() const { return calls_; }
   /// LRU hits plus in-burst duplicate resolutions.
   std::uint64_t cache_hits() const { return cache_.hits() + alias_hits_; }
@@ -88,9 +90,11 @@ class VerifyEngine {
  private:
   static Digest cache_key(const EcdsaPublicKey& pub, const Digest& digest,
                           const EcdsaSignature& sig);
-  /// Ticks the bound eviction counter up to the cache's current total.
-  void sync_evictions();
+  /// Caches a verdict, counting any eviction it causes.
+  void remember(const Digest& key, bool ok);
 
+  std::unique_ptr<sim::MetricsRegistry> own_;  // private registry, if any
+  sim::MetricsRegistry& metrics_;
   util::LruCache<Digest, bool> cache_;
   std::uint64_t calls_ = 0;
   std::uint64_t alias_hits_ = 0;
@@ -99,17 +103,13 @@ class VerifyEngine {
   bool batch_kernel_ = false;
   std::size_t batch_min_ = 2;
   util::Bytes salt_;
-  sim::MetricsRegistry* bound_ = nullptr;  // registry the counters live on
-  sim::Counter* c_calls_ = nullptr;
-  sim::Counter* c_hits_ = nullptr;
-  sim::Counter* c_evictions_ = nullptr;
-  sim::Counter* c_primitive_ = nullptr;
-  sim::Counter* c_batched_ = nullptr;
-  sim::LatencyHistogram* h_batch_items_ = nullptr;
-  /// Cache evictions already reflected into the *currently bound* counter;
-  /// reset at bind time after the full-total carry (the old code instead
-  /// carried only the un-exported delta into fresh registries).
-  std::uint64_t synced_evictions_ = 0;
+  sim::Counter& c_calls_ = metrics_.counter("crypto.verify.calls");
+  sim::Counter& c_hits_ = metrics_.counter("crypto.verify.cache_hits");
+  sim::Counter& c_evictions_ = metrics_.counter("crypto.verify.evictions");
+  sim::Counter& c_primitive_ = metrics_.counter("crypto.verify.primitive");
+  sim::Counter& c_batched_ = metrics_.counter("crypto.verify.batched");
+  sim::LatencyHistogram& h_batch_items_ =
+      metrics_.histogram("crypto.verify.batch_items", 0.0, 256.0, 32);
 };
 
 }  // namespace aseck::crypto

@@ -15,7 +15,6 @@ VerifyPool::VerifyPool(VerifyPoolConfig cfg)
     auto lane = std::make_unique<Lane>();
     lane->engine.set_batch_kernel(true);
     lane->engine.set_batch_salt(cfg_.salt);
-    lane->engine.bind_metrics(lane->metrics);
     lanes_.push_back(std::move(lane));
   }
 }

@@ -121,8 +121,8 @@ class VerifyPool {
   }
 
   struct Lane {
-    VerifyEngine engine;
     sim::MetricsRegistry metrics;
+    VerifyEngine engine{metrics};
     std::vector<std::size_t> slots;           // verdict indices, drain order
     std::vector<VerifyEngine::BatchItem> items;
   };

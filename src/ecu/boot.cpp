@@ -173,22 +173,15 @@ std::string boot_sig_key(const crypto::Digest& image_digest) {
 }
 
 BootChain::BootChain(She& she, Flash& flash, crypto::CryptoService& service,
-                     KvStore* provisioning, BootChainConfig cfg)
+                     KvStore* provisioning, BootChainConfig cfg,
+                     const sim::Telemetry& telemetry)
     : she_(she),
       flash_(flash),
       service_(service),
       kv_(provisioning),
       cfg_(std::move(cfg)),
-      trace_("boot") {
-  wire_telemetry();
-}
-
-void BootChain::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
-}
-
-void BootChain::wire_telemetry() {
+      trace_("boot", {}, telemetry),
+      engine_(trace_.metrics()) {
   k_stage_ = trace_.kind("stage");
   k_fallback_ = trace_.kind("fallback");
   k_recovery_ = trace_.kind("recovery");

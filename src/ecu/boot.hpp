@@ -156,7 +156,8 @@ class BootChain {
   /// The service is relocked and re-gated on every run(); `provisioning` may
   /// be null (then only the config anchor is available).
   BootChain(She& she, Flash& flash, crypto::CryptoService& service,
-            KvStore* provisioning, BootChainConfig cfg);
+            KvStore* provisioning, BootChainConfig cfg,
+            const sim::Telemetry& telemetry = {});
 
   /// Attestation signing key (non-boot-protected, so failed boots can still
   /// be attested — that is the point of attestation).
@@ -183,13 +184,10 @@ class BootChain {
     return 2.0 + 0.01 * static_cast<double>(bytes);
   }
 
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
   bool stage_attempts(BootStage stage, int* attempts,
                       const std::function<bool()>& attempt);
   const util::Bytes* kv_value(const std::string& key) const;
-  void wire_telemetry();
 
   She& she_;
   Flash& flash_;
@@ -203,8 +201,8 @@ class BootChain {
   Report last_;
   bool hung_ = false;
   std::uint32_t boot_count_ = 0;
-  crypto::VerifyEngine engine_;
   mutable sim::TraceScope trace_;
+  crypto::VerifyEngine engine_;
   sim::TraceId k_stage_ = 0, k_fallback_ = 0, k_recovery_ = 0, k_measured_ = 0,
                k_attest_ = 0, k_hang_ = 0;
 };

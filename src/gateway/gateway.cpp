@@ -40,15 +40,12 @@ class SecurityGateway::Port : public ivn::CanNode {
 };
 
 SecurityGateway::SecurityGateway(Scheduler& sched, std::string name,
-                                 SimTime processing_delay)
+                                 SimTime processing_delay,
+                                 const sim::Telemetry& telemetry)
     : sched_(sched),
       name_(std::move(name)),
       processing_delay_(processing_delay),
-      trace_(name_, "gateway." + name_ + ".") {
-  wire_telemetry();
-}
-
-void SecurityGateway::wire_telemetry() {
+      trace_(name_, "gateway." + name_ + ".", telemetry) {
   c_forwarded_ = &trace_.counter("forwarded");
   c_dropped_no_route_ = &trace_.counter("dropped_no_route");
   c_dropped_firewall_ = &trace_.counter("dropped_firewall");
@@ -67,15 +64,6 @@ void SecurityGateway::wire_telemetry() {
   k_mode_limp_ = trace_.kind("mode_limp_home");
   k_link_up_ = trace_.kind("link_up");
   k_link_down_ = trace_.kind("link_down");
-  for (auto& [dom, d] : domains_) {
-    trace_.metrics().gauge("gateway." + name_ + ".mode." + dom)
-        .set(static_cast<double>(d.mode));
-  }
-}
-
-void SecurityGateway::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 GatewayStats SecurityGateway::stats() const {

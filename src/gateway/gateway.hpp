@@ -92,8 +92,10 @@ struct GatewayStats {
 class SecurityGateway {
  public:
   /// `processing_delay` models firewall/lookup cost per frame.
+  static constexpr SimTime kDefaultProcessingDelay = SimTime::from_us(50);
   SecurityGateway(Scheduler& sched, std::string name,
-                  SimTime processing_delay = SimTime::from_us(50));
+                  SimTime processing_delay = kDefaultProcessingDelay,
+                  const sim::Telemetry& telemetry = {});
   ~SecurityGateway();
 
   SecurityGateway(const SecurityGateway&) = delete;
@@ -134,7 +136,7 @@ class SecurityGateway {
 
   /// Subscribes to a shared TraceBus and counts "tx_error"/"bus_off" events
   /// from attached domain buses as domain faults (bus_off weighs 10). Call
-  /// after add_domain() and after the buses are bound to the same telemetry.
+  /// after add_domain(), with the buses built on the same telemetry.
   void enable_bus_fault_watch(const sim::Telemetry& t);
 
   // --- hot-standby support (gateway::RedundantGateway) -----------------------
@@ -177,9 +179,6 @@ class SecurityGateway {
   GatewayStats stats() const;
   sim::TraceScope& trace() { return trace_; }
 
-  /// Rebinds trace events and counters onto a shared telemetry plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
   /// Observer invoked for each drop (used by the IDS/policy layers).
   using DropObserver =
       std::function<void(const std::string& domain, const CanFrame&, DropReason)>;
@@ -202,7 +201,6 @@ class SecurityGateway {
   void on_domain_frame(const std::string& domain, const CanFrame& frame,
                        SimTime at);
   void drop(const std::string& domain, const CanFrame& frame, DropReason r);
-  void wire_telemetry();
   void health_tick();
   void set_mode(const std::string& name, Domain& d, GatewayMode m);
 

@@ -3,21 +3,18 @@
 namespace aseck::gateway {
 
 RedundantGateway::RedundantGateway(Scheduler& sched, std::string name,
-                                   SimTime processing_delay)
+                                   SimTime processing_delay,
+                                   const sim::Telemetry& telemetry)
     : sched_(sched),
       name_(std::move(name)),
       a_(std::make_unique<SecurityGateway>(sched, name_ + ".a",
-                                           processing_delay)),
+                                           processing_delay, telemetry)),
       b_(std::make_unique<SecurityGateway>(sched, name_ + ".b",
-                                           processing_delay)),
+                                           processing_delay, telemetry)),
       active_(a_.get()),
       standby_(b_.get()),
-      trace_("rgw." + name_, "rgw." + name_ + ".") {
+      trace_("rgw." + name_, "rgw." + name_ + ".", telemetry) {
   standby_->set_forwarding(false);
-  wire_telemetry();
-}
-
-void RedundantGateway::wire_telemetry() {
   c_syncs_ = &trace_.counter("state_syncs");
   c_failovers_ = &trace_.counter("failovers");
   h_detect_ms_ = &trace_.histogram("detect_ms", 0.0, 1000.0, 50);
@@ -26,13 +23,6 @@ void RedundantGateway::wire_telemetry() {
   k_active_down_ = trace_.kind("active_down");
   k_active_up_ = trace_.kind("active_up");
   k_rejoin_ = trace_.kind("standby_rejoin");
-}
-
-void RedundantGateway::bind_telemetry(const sim::Telemetry& t) {
-  a_->bind_telemetry(t);
-  b_->bind_telemetry(t);
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 void RedundantGateway::add_domain(const std::string& domain, ivn::CanBus* bus) {

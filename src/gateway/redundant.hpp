@@ -33,7 +33,9 @@ class RedundantGateway {
  public:
   /// Builds the pair `<name>.a` (initially active) and `<name>.b` (standby).
   RedundantGateway(Scheduler& sched, std::string name,
-                   SimTime processing_delay = SimTime::from_us(50));
+                   SimTime processing_delay =
+                       SecurityGateway::kDefaultProcessingDelay,
+                   const sim::Telemetry& telemetry = {});
 
   RedundantGateway(const RedundantGateway&) = delete;
   RedundantGateway& operator=(const RedundantGateway&) = delete;
@@ -73,12 +75,7 @@ class RedundantGateway {
   /// Active-down -> failover() of the most recent incident.
   SimTime last_detection_latency() const { return last_detect_latency_; }
 
-  /// Rebinds both units and the pair's own events onto a shared plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
-  void wire_telemetry();
-
   Scheduler& sched_;
   std::string name_;
   std::unique_ptr<SecurityGateway> a_;

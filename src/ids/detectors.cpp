@@ -110,10 +110,10 @@ double SpecRuleDetector::observe(const CanFrame& frame, SimTime) {
 
 IdsEnsemble::IdsEnsemble()
     : trace_("ids", "ids.") {
-  wire_telemetry();
+  resolve_telemetry();
 }
 
-void IdsEnsemble::wire_telemetry() {
+void IdsEnsemble::resolve_telemetry() {
   c_observed_ = &trace_.counter("observed");
   c_alerts_ = &trace_.counter("alerts");
   c_tp_ = &trace_.counter("tp");
@@ -125,7 +125,7 @@ void IdsEnsemble::wire_telemetry() {
 
 void IdsEnsemble::bind_telemetry(const sim::Telemetry& t) {
   trace_.bind(t);
-  wire_telemetry();
+  resolve_telemetry();
 }
 
 void IdsEnsemble::train(const CanFrame& frame, SimTime at) {

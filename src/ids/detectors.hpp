@@ -166,11 +166,15 @@ class IdsEnsemble {
   void reset_score() { score_ = {}; }
   std::size_t detector_count() const { return detectors_.size(); }
 
-  /// Rebinds trace events and counters onto a shared telemetry plane.
+  /// Moves trace events and counters onto a shared telemetry plane,
+  /// carrying the counts so far. Unlike every other component, the ensemble
+  /// joins its plane after construction, because the factories below return
+  /// it by value and callers bind it afterwards.
   void bind_telemetry(const sim::Telemetry& t);
 
  private:
-  void wire_telemetry();
+  /// Caches the counters and the alert kind of the current plane.
+  void resolve_telemetry();
 
   std::vector<std::unique_ptr<Detector>> detectors_;
   IdsScore score_;

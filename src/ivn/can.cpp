@@ -244,17 +244,14 @@ std::size_t CanFrame::wire_bits(std::size_t* arbitration_bits) const {
 }
 
 CanBus::CanBus(Scheduler& sched, std::string name, std::uint64_t bitrate_bps,
-               std::uint64_t data_bitrate_bps)
+               std::uint64_t data_bitrate_bps,
+               const sim::Telemetry& telemetry)
     : sched_(sched),
       name_(std::move(name)),
       bitrate_(bitrate_bps),
       data_bitrate_(data_bitrate_bps ? data_bitrate_bps : bitrate_bps),
-      trace_(name_, "can." + name_ + ".") {
+      trace_(name_, "can." + name_ + ".", telemetry) {
   if (bitrate_ == 0) throw std::invalid_argument("CanBus: zero bitrate");
-  wire_telemetry();
-}
-
-void CanBus::wire_telemetry() {
   c_frames_ok_ = &trace_.counter("frames_ok");
   c_frames_error_ = &trace_.counter("frames_error");
   c_bits_on_wire_ = &trace_.counter("bits_on_wire");
@@ -271,11 +268,6 @@ void CanBus::wire_telemetry() {
   k_fault_drop_ = trace_.kind("fault_drop");
   k_fault_dup_ = trace_.kind("fault_dup");
   k_fault_malformed_ = trace_.kind("fault_malformed");
-}
-
-void CanBus::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 CanBusStats CanBus::stats() const {

@@ -127,7 +127,8 @@ class CanBus : public sim::FaultHook {
  public:
   /// `data_bitrate` only matters for FD frames with BRS.
   CanBus(Scheduler& sched, std::string name, std::uint64_t bitrate_bps,
-         std::uint64_t data_bitrate_bps = 0);
+         std::uint64_t data_bitrate_bps = 0,
+         const sim::Telemetry& telemetry = {});
 
   const std::string& name() const { return name_; }
 
@@ -141,10 +142,6 @@ class CanBus : public sim::FaultHook {
   /// Snapshot materialized from the metrics registry (compat accessor).
   CanBusStats stats() const;
   sim::TraceScope& trace() { return trace_; }
-
-  /// Rebinds trace events and counters onto a shared telemetry plane
-  /// (carrying over already-accumulated counter values).
-  void bind_telemetry(const sim::Telemetry& t);
 
   void set_error_injector(ErrorInjector injector) {
     error_injector_ = std::move(injector);
@@ -170,7 +167,6 @@ class CanBus : public sim::FaultHook {
   void try_start_tx();
   void finish_tx(CanNode* node, const CanFrame& frame, bool errored);
   void bump_tx_error(CanNode* node);
-  void wire_telemetry();
 
   Scheduler& sched_;
   std::string name_;

@@ -43,17 +43,14 @@ bool PortPolicer::admit(std::size_t bytes, SimTime now) {
 }
 
 EthernetSwitch::EthernetSwitch(Scheduler& sched, std::string name,
-                               std::uint64_t link_bps, SimTime processing_delay)
+                               std::uint64_t link_bps, SimTime processing_delay,
+                               const sim::Telemetry& telemetry)
     : sched_(sched),
       name_(std::move(name)),
       link_bps_(link_bps),
       processing_delay_(processing_delay),
-      trace_(name_, "ethernet." + name_ + ".") {
+      trace_(name_, "ethernet." + name_ + ".", telemetry) {
   if (link_bps_ == 0) throw std::invalid_argument("EthernetSwitch: zero rate");
-  wire_telemetry();
-}
-
-void EthernetSwitch::wire_telemetry() {
   c_forwarded_ = &trace_.counter("forwarded");
   c_dropped_policer_ = &trace_.counter("dropped_policer");
   c_dropped_vlan_ = &trace_.counter("dropped_vlan");
@@ -69,11 +66,6 @@ void EthernetSwitch::wire_telemetry() {
   k_fault_drop_ = trace_.kind("fault_drop");
   k_fault_corrupt_ = trace_.kind("fault_corrupt");
   k_fault_dup_ = trace_.kind("fault_dup");
-}
-
-void EthernetSwitch::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 std::size_t EthernetSwitch::connect(EthernetEndpoint* ep) {

@@ -77,7 +77,8 @@ class EthernetSwitch : public sim::FaultHook {
  public:
   EthernetSwitch(Scheduler& sched, std::string name,
                  std::uint64_t link_bps = 100'000'000,
-                 SimTime processing_delay = SimTime::from_us(5));
+                 SimTime processing_delay = SimTime::from_us(5),
+                 const sim::Telemetry& telemetry = {});
 
   /// Connects an endpoint; returns its port number.
   std::size_t connect(EthernetEndpoint* ep);
@@ -104,9 +105,6 @@ class EthernetSwitch : public sim::FaultHook {
   std::uint64_t corrupted_fault() const { return c_corrupted_fault_->value(); }
   std::uint64_t duplicated_fault() const { return c_duplicated_fault_->value(); }
 
-  /// Rebinds trace events and counters onto a shared telemetry plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
   /// Port an endpoint MAC was learned on, if any.
   std::optional<std::size_t> learned_port(const MacAddress& mac) const;
 
@@ -120,7 +118,6 @@ class EthernetSwitch : public sim::FaultHook {
 
   bool vlan_allowed(const Port& p, std::uint16_t vlan) const;
   void deliver(std::size_t port, const EthernetFrame& frame);
-  void wire_telemetry();
 
   Scheduler& sched_;
   std::string name_;

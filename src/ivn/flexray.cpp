@@ -5,18 +5,15 @@
 
 namespace aseck::ivn {
 
-FlexRayBus::FlexRayBus(Scheduler& sched, std::string name, FlexRayConfig cfg)
+FlexRayBus::FlexRayBus(Scheduler& sched, std::string name, FlexRayConfig cfg,
+                       const sim::Telemetry& telemetry)
     : sched_(sched),
       name_(std::move(name)),
       cfg_(cfg),
-      trace_(name_, "flexray." + name_ + ".") {
+      trace_(name_, "flexray." + name_ + ".", telemetry) {
   if (cfg_.static_slots == 0) {
     throw std::invalid_argument("FlexRayBus: need at least one static slot");
   }
-  wire_telemetry();
-}
-
-void FlexRayBus::wire_telemetry() {
   c_static_frames_ = &trace_.counter("static_frames");
   c_null_frames_ = &trace_.counter("null_frames");
   c_dynamic_frames_ = &trace_.counter("dynamic_frames");
@@ -25,11 +22,6 @@ void FlexRayBus::wire_telemetry() {
   k_static_ = trace_.kind("static");
   k_dynamic_ = trace_.kind("dynamic");
   k_fault_drop_ = trace_.kind("fault_drop");
-}
-
-void FlexRayBus::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 void FlexRayBus::assign_static_slot(std::uint16_t slot, FlexRayNode* node) {

@@ -63,7 +63,8 @@ class FlexRayNode {
 /// dynamic frames in their slots.
 class FlexRayBus : public sim::FaultHook {
  public:
-  FlexRayBus(Scheduler& sched, std::string name, FlexRayConfig cfg = {});
+  FlexRayBus(Scheduler& sched, std::string name, FlexRayConfig cfg = {},
+             const sim::Telemetry& telemetry = {});
 
   /// Assigns `slot` (1-based, <= static_slots) to the node. A slot has
   /// exactly one owner; reassigning throws.
@@ -87,12 +88,8 @@ class FlexRayBus : public sim::FaultHook {
   std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
   const FlexRayConfig& config() const { return cfg_; }
 
-  /// Rebinds trace events and counters onto a shared telemetry plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
   void run_cycle();
-  void wire_telemetry();
 
   Scheduler& sched_;
   std::string name_;

@@ -22,16 +22,13 @@ std::uint8_t lin_checksum(std::uint8_t pid, util::BytesView data, bool enhanced)
   return static_cast<std::uint8_t>(~sum & 0xff);
 }
 
-LinMaster::LinMaster(Scheduler& sched, std::string name, std::uint64_t bitrate_bps)
+LinMaster::LinMaster(Scheduler& sched, std::string name, std::uint64_t bitrate_bps,
+                     const sim::Telemetry& telemetry)
     : sched_(sched),
       name_(std::move(name)),
       bitrate_(bitrate_bps),
-      trace_(name_, "lin." + name_ + ".") {
+      trace_(name_, "lin." + name_ + ".", telemetry) {
   if (bitrate_ == 0) throw std::invalid_argument("LinMaster: zero bitrate");
-  wire_telemetry();
-}
-
-void LinMaster::wire_telemetry() {
   c_frames_ok_ = &trace_.counter("frames_ok");
   c_no_response_ = &trace_.counter("no_response");
   c_checksum_errors_ = &trace_.counter("checksum_errors");
@@ -40,11 +37,6 @@ void LinMaster::wire_telemetry() {
   k_no_response_ = trace_.kind("no_response");
   k_checksum_error_ = trace_.kind("checksum_error");
   k_fault_drop_ = trace_.kind("fault_drop");
-}
-
-void LinMaster::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 void LinMaster::attach(LinSlave* slave) { slaves_.push_back(slave); }

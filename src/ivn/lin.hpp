@@ -57,7 +57,8 @@ struct LinSlot {
 /// payload bits into the checksum path.
 class LinMaster : public sim::FaultHook {
  public:
-  LinMaster(Scheduler& sched, std::string name, std::uint64_t bitrate_bps = 19200);
+  LinMaster(Scheduler& sched, std::string name, std::uint64_t bitrate_bps = 19200,
+            const sim::Telemetry& telemetry = {});
 
   void attach(LinSlave* slave);
   void set_schedule(std::vector<LinSlot> table);
@@ -80,12 +81,8 @@ class LinMaster : public sim::FaultHook {
   /// Responses lost to injected faults.
   std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
 
-  /// Rebinds trace events and counters onto a shared telemetry plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
   void run_slot(std::size_t index);
-  void wire_telemetry();
 
   Scheduler& sched_;
   std::string name_;

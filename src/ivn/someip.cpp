@@ -71,27 +71,19 @@ util::Bytes someip_mac_trailer(const crypto::Cmac& cmac, const SomeIpMessage& m)
 }
 
 SomeIpServer::SomeIpServer(EthernetSwitch& sw, std::string name, MacAddress mac,
-                           const ServiceAcl* acl)
+                           const ServiceAcl* acl,
+                           const sim::Telemetry& telemetry)
     : EthernetEndpoint(std::move(name), mac),
       switch_(sw),
       acl_(acl),
-      trace_(this->name(), "someip." + this->name() + ".") {
+      trace_(this->name(), "someip." + this->name() + ".", telemetry) {
   port_ = sw.connect(this);
-  wire_telemetry();
-}
-
-void SomeIpServer::wire_telemetry() {
   c_served_ = &trace_.counter("served");
   c_denied_acl_ = &trace_.counter("denied_acl");
   c_denied_mac_ = &trace_.counter("denied_mac");
   k_serve_ = trace_.kind("serve");
   k_deny_acl_ = trace_.kind("deny_acl");
   k_deny_mac_ = trace_.kind("deny_mac");
-}
-
-void SomeIpServer::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 void SomeIpServer::offer(ServiceId service, MethodId method, Handler handler,

@@ -71,7 +71,7 @@ class ServiceAcl {
 class SomeIpServer : public EthernetEndpoint {
  public:
   SomeIpServer(EthernetSwitch& sw, std::string name, MacAddress mac,
-               const ServiceAcl* acl);
+               const ServiceAcl* acl, const sim::Telemetry& telemetry = {});
 
   using Handler = std::function<util::Bytes(util::BytesView payload)>;
   /// Offers a method. If `key` is provided, requests must carry a valid
@@ -86,15 +86,11 @@ class SomeIpServer : public EthernetEndpoint {
   std::uint64_t denied_mac() const { return c_denied_mac_->value(); }
   std::size_t port() const { return port_; }
 
-  /// Rebinds trace events and counters onto a shared telemetry plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
   struct Endpoint {
     Handler handler;
     std::optional<crypto::Cmac> cmac;
   };
-  void wire_telemetry();
 
   EthernetSwitch& switch_;
   const ServiceAcl* acl_;

@@ -20,25 +20,17 @@ SeedKeyFn cmac_algorithm(util::Bytes key16) {
   };
 }
 
-UdsServer::UdsServer(Config cfg, std::uint64_t seed)
+UdsServer::UdsServer(Config cfg, std::uint64_t seed,
+                     const sim::Telemetry& telemetry)
     : cfg_(std::move(cfg)),
       rng_(seed),
-      trace_("uds", "uds.") {
-  wire_telemetry();
-}
-
-void UdsServer::wire_telemetry() {
+      trace_("uds", "uds.", telemetry) {
   c_unlock_ok_ = &trace_.counter("unlock_ok");
   c_invalid_key_ = &trace_.counter("invalid_key");
   c_lockouts_ = &trace_.counter("lockouts");
   k_unlock_ = trace_.kind("unlock");
   k_invalid_key_ = trace_.kind("invalid_key");
   k_lockout_ = trace_.kind("lockout");
-}
-
-void UdsServer::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 bool UdsServer::locked_out(double now_s) const {

@@ -76,7 +76,8 @@ class UdsServer {
     double lockout_s = 600.0;
     std::size_t seed_bytes = 4;
   };
-  UdsServer(Config cfg, std::uint64_t seed);
+  UdsServer(Config cfg, std::uint64_t seed,
+            const sim::Telemetry& telemetry = {});
 
   /// Largest download accepted by RequestDownload (memorySize bound).
   static constexpr std::uint64_t kMaxDownloadBytes = 1u << 20;  // 1 MiB
@@ -105,12 +106,8 @@ class UdsServer {
   bool unlocked() const { return unlocked_; }
   UdsSession session() const { return session_; }
 
-  /// Rebinds trace events and counters onto a shared telemetry plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
   bool locked_out(double now_s) const;
-  void wire_telemetry();
 
   Config cfg_;
   util::Rng rng_;

@@ -35,15 +35,13 @@ const char* ota_error_name(OtaError e) {
 
 FullVerificationClient::FullVerificationClient(std::string name,
                                                Signed<RootMeta> director_root,
-                                               Signed<RootMeta> image_root)
+                                               Signed<RootMeta> image_root,
+                                               const sim::Telemetry& telemetry)
     : name_(std::move(name)),
-      trace_("ota." + name_, "ota." + name_ + ".") {
+      trace_("ota." + name_, "ota." + name_ + ".", telemetry),
+      verify_engine_(trace_.metrics()) {
   director_.trusted_root = std::move(director_root);
   image_.trusted_root = std::move(image_root);
-  wire_telemetry();
-}
-
-void FullVerificationClient::wire_telemetry() {
   c_verify_ok_ = &trace_.counter("verify_ok");
   c_verify_fail_ = &trace_.counter("verify_fail");
   c_fetch_attempts_ = &trace_.counter("fetch_attempts");
@@ -55,7 +53,6 @@ void FullVerificationClient::wire_telemetry() {
   c_server_deferrals_ = &trace_.counter("server_deferrals");
   c_wire_bytes_ = &trace_.counter("wire_bytes");
   h_backoff_ms_ = &trace_.histogram("backoff_ms", 0.0, 60'000.0, 60);
-  verify_engine_.bind_metrics(trace_.metrics());
   k_verify_ok_ = trace_.kind("verify_ok");
   k_verify_fail_ = trace_.kind("verify_fail");
   k_fetch_attempt_ = trace_.kind("fetch_attempt");
@@ -66,11 +63,6 @@ void FullVerificationClient::wire_telemetry() {
   k_stage_resume_ = trace_.kind("stage_resume");
   k_power_loss_ = trace_.kind("power_loss");
   k_retry_after_ = trace_.kind("retry_after");
-}
-
-void FullVerificationClient::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 OtaError FullVerificationClient::verify_repo(const MetadataBundle& bundle,

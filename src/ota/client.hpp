@@ -50,7 +50,8 @@ class FullVerificationClient {
  public:
   /// Pins the initial trusted roots of both repositories (factory install).
   FullVerificationClient(std::string name, Signed<RootMeta> director_root,
-                         Signed<RootMeta> image_root);
+                         Signed<RootMeta> image_root,
+                         const sim::Telemetry& telemetry = {});
 
   /// Verifies metadata from both repositories and checks that they agree on
   /// `image_name` for `hardware_id`; verifies the downloaded image; returns
@@ -155,9 +156,6 @@ class FullVerificationClient {
   /// identical role metadata, so steady-state verification is a cache hit.
   crypto::VerifyEngine& verify_engine() { return verify_engine_; }
 
-  /// Rebinds trace events and counters onto a shared telemetry plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
   struct RepoState {
     Signed<RootMeta> trusted_root;
@@ -193,13 +191,12 @@ class FullVerificationClient {
                    const char* at, RetryStep step);
   void retry_fail_transport(const std::shared_ptr<RetryState>& st);
   void retry_finish(const std::shared_ptr<RetryState>& st, OtaError err);
-  void wire_telemetry();
 
   std::string name_;
   RepoState director_;
   RepoState image_;
-  crypto::VerifyEngine verify_engine_;
   sim::TraceScope trace_;
+  crypto::VerifyEngine verify_engine_;
   sim::Counter* c_verify_ok_ = nullptr;
   sim::Counter* c_verify_fail_ = nullptr;
   sim::Counter* c_fetch_attempts_ = nullptr;

@@ -29,18 +29,15 @@ ServerTier tier_from_rank(int r) { return static_cast<ServerTier>(r); }
 
 RepositoryServer::RepositoryServer(const Repository& director,
                                    const Repository& image_repo,
-                                   ServerConfig cfg)
+                                   ServerConfig cfg,
+                                   const sim::Telemetry& telemetry)
     : director_(director),
       image_repo_(image_repo),
       cfg_(cfg),
       cache_(cfg.chunk_cache_entries),
-      trace_("ota.repo", "ota.repo.") {
+      trace_("ota.repo", "ota.repo.", telemetry) {
   tokens_campaign_ = cfg_.bucket_burst;
   tokens_background_ = cfg_.bucket_burst;
-  wire_telemetry();
-}
-
-void RepositoryServer::wire_telemetry() {
   c_requests_ = &trace_.counter("requests");
   c_served_ = &trace_.counter("served");
   c_shed_ = &trace_.counter("shed");
@@ -59,11 +56,6 @@ void RepositoryServer::wire_telemetry() {
   k_tier_down_ = trace_.kind("tier_down");
   k_refresh_ = trace_.kind("snapshot_refresh");
   k_outage_defer_ = trace_.kind("outage_defer");
-}
-
-void RepositoryServer::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 void RepositoryServer::refill_tokens(util::SimTime now) {

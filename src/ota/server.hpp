@@ -134,7 +134,8 @@ struct ChunkResponse {
 class RepositoryServer : public sim::FaultHook {
  public:
   RepositoryServer(const Repository& director, const Repository& image_repo,
-                   ServerConfig cfg = {});
+                   ServerConfig cfg = {},
+                   const sim::Telemetry& telemetry = {});
 
   /// Coalesced metadata fetch. kOk responses share one snapshot per
   /// generation; the snapshot refreshes lazily when either repository
@@ -199,11 +200,6 @@ class RepositoryServer : public sim::FaultHook {
   /// Worst queueing delay any admitted request experienced.
   util::SimTime max_queue_delay_seen() const { return max_wait_; }
 
-  /// Rebinds trace events and ota.repo.* counters onto a shared telemetry
-  /// plane (counters carry their values across the rebind, and survive
-  /// MetricsRegistry::merge_from in sharded runs).
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
   struct Admission {
     bool admitted = false;
@@ -216,7 +212,6 @@ class RepositoryServer : public sim::FaultHook {
   void roll_windows(util::SimTime now);
   void refill_tokens(util::SimTime now);
   void set_tier(ServerTier t, util::SimTime now);
-  void wire_telemetry();
 
   const Repository& director_;
   const Repository& image_repo_;

@@ -15,16 +15,11 @@ const char* escalation_level_name(EscalationLevel l) {
   return "?";
 }
 
-HealthSupervisor::HealthSupervisor(Scheduler& sched, std::string name)
+HealthSupervisor::HealthSupervisor(Scheduler& sched, std::string name,
+                                   const sim::Telemetry& telemetry)
     : sched_(sched),
       name_(std::move(name)),
-      trace_("supervisor." + name_, "supervisor." + name_ + ".") {
-  wire_telemetry();
-}
-
-HealthSupervisor::~HealthSupervisor() { stop(); }
-
-void HealthSupervisor::wire_telemetry() {
+      trace_("supervisor." + name_, "supervisor." + name_ + ".", telemetry) {
   c_cycles_ = &trace_.counter("cycles");
   c_heartbeats_ = &trace_.counter("heartbeats");
   c_failed_ = &trace_.counter("failed_cycles");
@@ -45,10 +40,7 @@ void HealthSupervisor::wire_telemetry() {
   k_logical_violation_ = trace_.kind("logical_violation");
 }
 
-void HealthSupervisor::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
-}
+HealthSupervisor::~HealthSupervisor() { stop(); }
 
 void HealthSupervisor::supervise_alive(const std::string& entity,
                                        AliveSupervision cfg,

@@ -86,7 +86,8 @@ struct EscalationPolicy {
 
 class HealthSupervisor {
  public:
-  HealthSupervisor(Scheduler& sched, std::string name);
+  HealthSupervisor(Scheduler& sched, std::string name,
+                   const sim::Telemetry& telemetry = {});
   ~HealthSupervisor();
   HealthSupervisor(const HealthSupervisor&) = delete;
   HealthSupervisor& operator=(const HealthSupervisor&) = delete;
@@ -148,9 +149,6 @@ class HealthSupervisor {
   std::uint64_t resets_succeeded() const { return c_reset_ok_->value(); }
   std::uint64_t expirations() const { return c_expired_->value(); }
 
-  /// Rebinds trace events and counters onto a shared telemetry plane.
-  void bind_telemetry(const sim::Telemetry& t);
-
  private:
   struct Entity {
     AliveSupervision alive_cfg;
@@ -183,7 +181,6 @@ class HealthSupervisor {
   void attempt_reset(const std::string& name);
   void escalate(const std::string& name, Entity& e);
   void recover(const std::string& name, Entity& e);
-  void wire_telemetry();
 
   Scheduler& sched_;
   std::string name_;

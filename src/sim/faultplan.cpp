@@ -41,15 +41,12 @@ bool fault_kind_auto_recovers(FaultKind k) {
   return false;
 }
 
-FaultPlan::FaultPlan(Scheduler& sched, std::uint64_t seed)
+FaultPlan::FaultPlan(Scheduler& sched, std::uint64_t seed,
+                     const Telemetry& telemetry)
     : sched_(sched),
       seed_(seed),
       rng_(seed),
-      trace_("faultplan", "faultplan.") {
-  wire_telemetry();
-}
-
-void FaultPlan::wire_telemetry() {
+      trace_("faultplan", "faultplan.", telemetry) {
   c_injected_ = &trace_.counter("injected");
   c_cleared_ = &trace_.counter("cleared");
   c_recovered_ = &trace_.counter("recovered");
@@ -58,11 +55,6 @@ void FaultPlan::wire_telemetry() {
   k_clear_ = trace_.kind("clear");
   k_recovered_ = trace_.kind("recovered");
   k_campaign_ = trace_.kind("campaign");
-}
-
-void FaultPlan::bind_telemetry(const Telemetry& t) {
-  trace_.bind(t);
-  wire_telemetry();
 }
 
 FaultPort& FaultPlan::port(const std::string& target) {

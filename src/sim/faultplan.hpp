@@ -186,7 +186,7 @@ struct FaultCampaignResult {
 
 class FaultPlan {
  public:
-  FaultPlan(Scheduler& sched, std::uint64_t seed);
+  FaultPlan(Scheduler& sched, std::uint64_t seed, const Telemetry& telemetry = {});
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
 
@@ -235,16 +235,11 @@ class FaultPlan {
   std::string to_json() const;
 
   sim::TraceScope& trace() { return trace_; }
-  /// Rebinds trace events and counters onto a shared telemetry plane, so
-  /// inject/clear/recover events interleave with substrate events on one
-  /// causal timeline.
-  void bind_telemetry(const Telemetry& t);
 
  private:
   void apply(const FaultSpec& spec, bool begin);
   void begin_fault(std::uint64_t id);
   void end_fault(std::uint64_t id);
-  void wire_telemetry();
 
   Scheduler& sched_;
   std::uint64_t seed_;

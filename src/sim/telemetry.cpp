@@ -284,7 +284,9 @@ void append_json_escaped(std::string& out, const std::string& s) {
     out += c;
   }
 }
+// JSON has no NaN or infinity, so a non-finite value exports as null.
 std::string fmt_double(double v) {
+  if (!std::isfinite(v)) return "null";
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
@@ -346,8 +348,10 @@ std::string MetricsRegistry::to_json() const {
 // ---------------------------------------------------------------------------
 // TraceScope
 
-TraceScope::TraceScope(std::string component, std::string metric_prefix)
-    : component_name_(std::move(component)),
+TraceScope::TraceScope(std::string component, std::string metric_prefix,
+                       const Telemetry& t)
+    : t_(t),
+      component_name_(std::move(component)),
       prefix_(std::move(metric_prefix)),
       component_(t_.bus->intern(component_name_)) {}
 

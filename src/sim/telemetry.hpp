@@ -15,10 +15,10 @@
 //  * Optional bounded ring-buffer mode (`set_capacity`) keeps long campaigns
 //    at fixed memory; the newest events win, `evicted()` counts the loss.
 //  * Subscribers tap the stream live (the IDS/forensics hook).
-//  * `TraceScope` is the per-component handle: it starts on a private
-//    bus + registry and `bind` moves the component, with its accumulated
-//    instrument values, onto a shared plane — `core::VehiclePlatform` owns
-//    the shared instance and binds everything it constructs.
+//  * `TraceScope` is the per-component handle. A component is built on its
+//    plane and stays there: `core::VehiclePlatform` owns the shared instance
+//    and constructs everything on it; a component given no plane gets a
+//    private one.
 //  * MetricsRegistry holds named counters, gauges, and fixed-bucket latency
 //    histograms with stable addresses, plus JSON export for the bench suite.
 
@@ -222,7 +222,7 @@ class MetricsRegistry {
 
   /// Deterministic (name-sorted) JSON snapshot:
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,max,
-  ///  mean,p50,p95,p99}}}
+  ///  mean,p50,p95,p99}}}. Non-finite values export as null.
   std::string to_json() const;
 
   /// Merge semantics for sharded telemetry: counters add, gauges add (treat
@@ -253,31 +253,34 @@ class MetricsRegistry {
 // Shared context + per-component handle
 
 /// The shared telemetry plane: one bus + one registry. `core::VehiclePlatform`
-/// owns one and binds every component it constructs; tests and benches can
-/// create their own and bind components explicitly.
+/// owns one and constructs every component on it; tests and benches can
+/// create their own and pass it to the components they build. A
+/// default-constructed Telemetry is a fresh private plane.
 struct Telemetry {
   std::shared_ptr<TraceBus> bus = std::make_shared<TraceBus>();
   std::shared_ptr<MetricsRegistry> metrics = std::make_shared<MetricsRegistry>();
 };
 
 /// Per-component telemetry handle: the component's name on a TraceBus and
-/// its metric prefix on a MetricsRegistry. Starts on a private plane; `bind`
-/// moves the component onto a shared one. The handle stores names and
+/// its metric prefix on a MetricsRegistry. The handle stores names and
 /// registry pointers only, so the owning component stays movable.
 ///
-/// Wiring pattern: a component resolves its instruments through `counter` /
-/// `histogram` (which remember the names) and its kinds through `kind`, and
-/// caches the results. Its `bind_telemetry` is `bind(t)` followed by the
-/// same resolution again.
+/// Wiring pattern: a component takes its plane as a constructor argument
+/// (defaulting to a fresh private one), builds its scope on it, and in its
+/// constructor resolves its instruments through `counter` / `histogram` and
+/// its kinds through `kind`, caching the results for the component's life.
 class TraceScope {
  public:
-  explicit TraceScope(std::string component, std::string metric_prefix = {});
+  explicit TraceScope(std::string component, std::string metric_prefix = {},
+                      const Telemetry& t = {});
 
   /// Moves the component onto `t`: re-interns its name on `t.bus` and moves
   /// every instrument resolved so far onto `t.metrics`, carrying its value
   /// (counters add, histograms merge; nothing moves when the registry is
   /// unchanged). Events already recorded stay on the previous bus. Cached
-  /// kinds and instrument references must be re-resolved afterwards.
+  /// kinds and instrument references must be re-resolved afterwards. Only
+  /// `ids::IdsEnsemble::bind_telemetry` uses this: the ensemble factories
+  /// return an ensemble that a caller may join to a plane afterwards.
   void bind(const Telemetry& t);
 
   const std::shared_ptr<TraceBus>& bus() const { return t_.bus; }
@@ -296,7 +299,7 @@ class TraceScope {
   bool enabled() const { return enabled_ && t_.bus->enabled(); }
   void set_enabled(bool on) { enabled_ = on; }
 
-  /// Pre-interns a kind for the TraceId fast path. Re-call after bind().
+  /// Pre-interns a kind for the TraceId fast path.
   TraceId kind(std::string_view k) { return t_.bus->intern(k); }
 
   /// Hot path: two ints + detail, no name copies.

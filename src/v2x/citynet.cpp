@@ -94,13 +94,9 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
     l.rotations = &m.counter("city.rotations");
     l.bytes_tx = &m.counter("city.bytes_tx");
     if (cfg_.real_crypto) {
-      l.crypto = std::make_unique<ShardCrypto>();
+      l.crypto = std::make_unique<ShardCrypto>(m, cfg_.crypto_cache_capacity);
       ShardCrypto& sc = *l.crypto;
-      sc.engine.set_cache_capacity(cfg_.crypto_cache_capacity);
       sc.engine.set_batch_kernel(true);
-      sc.engine.bind_metrics(m);
-      sc.pubs.set_capacity(cfg_.crypto_cache_capacity);
-      sc.admitted.set_capacity(cfg_.crypto_cache_capacity);
       sc.signs = &m.counter("city.crypto.signs");
       sc.admit_hits = &m.counter("city.crypto.admit_hits");
       sc.enqueued = &m.counter("city.crypto.enqueued");

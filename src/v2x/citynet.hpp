@@ -157,6 +157,10 @@ class MetroWorld {
 
  private:
   struct ShardCrypto {
+    ShardCrypto(sim::MetricsRegistry& m, std::size_t cache_capacity)
+        : engine(m, cache_capacity),
+          pubs(cache_capacity),
+          admitted(cache_capacity) {}
     crypto::VerifyEngine engine;
     /// Derived public keys, keyed (id << 32) | rotation.
     util::LruCache<std::uint64_t, crypto::EcdsaPublicKey> pubs;

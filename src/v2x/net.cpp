@@ -126,7 +126,8 @@ VehicleNode::VehicleNode(Scheduler& sched, V2xMedium& medium, std::string name,
                          Position start, double vx_mps, double vy_mps,
                          const TrustStore& trust,
                          CertificateAuthority::PseudonymBatch pseudonyms,
-                         PseudonymPolicy policy)
+                         PseudonymPolicy policy,
+                         const sim::Telemetry* telemetry)
     : V2xRadio(std::move(name)),
       sched_(sched),
       medium_(medium),
@@ -137,27 +138,22 @@ VehicleNode::VehicleNode(Scheduler& sched, V2xMedium& medium, std::string name,
       trust_(trust),
       pseudonyms_(std::move(pseudonyms)),
       policy_(policy),
-      trace_("v2x." + this->name()) {
+      trace_("v2x." + this->name(), {},
+             telemetry ? *telemetry : sim::Telemetry{}),
+      verify_engine_(trace_.metrics()) {
   if (pseudonyms_.certs.empty()) {
     throw std::invalid_argument("VehicleNode: empty pseudonym pool");
   }
   // Temp id derived from the pseudonym cert id (unlinkable across certs).
   temp_id_ = util::load_be32(pseudonyms_.certs[0].id().data());
-  // Standalone nodes stay silent (kinds are interned on bind): V2X scale
-  // runs have thousands of nodes at 10 Hz and an unbounded private buffer
-  // would dominate memory.
-  trace_.set_enabled(false);
-  medium_.attach(this);
-}
-
-void VehicleNode::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
-  trace_.set_enabled(true);
+  // A node without a plane stays silent: an unbounded private buffer for
+  // each of thousands of nodes would dominate memory.
+  trace_.set_enabled(telemetry != nullptr);
   k_bsm_tx_ = trace_.kind("bsm_tx");
   k_verify_fail_ = trace_.kind("verify_fail");
   k_misbehavior_ = trace_.kind("misbehavior");
-  if (deferred_) k_revoke_ = trace_.kind("bsm_revoke");
-  verify_engine_.bind_metrics(trace_.metrics());
+  k_revoke_ = trace_.kind("bsm_revoke");
+  medium_.attach(this);
 }
 
 Position VehicleNode::position() const {
@@ -205,7 +201,6 @@ void VehicleNode::rotate_pseudonym() {
 void VehicleNode::enable_opportunistic(DeferredSpduVerifier& v) {
   deferred_ = &v;
   deferred_producer_ = v.add_producer();
-  k_revoke_ = trace_.kind("bsm_revoke");
 }
 
 void VehicleNode::on_spdu(const Spdu& msg, SimTime) {

@@ -156,14 +156,17 @@ struct VehicleStats {
 
 /// A vehicle: drives a straight (configurable-velocity) trajectory,
 /// broadcasts signed BSMs at 10 Hz, rotates pseudonyms, verifies and
-/// plausibility-checks everything it hears.
+/// plausibility-checks everything it hears. A node built on a telemetry
+/// plane records on it from its first BSM; one built without stays silent,
+/// since V2X scale runs have thousands of nodes at 10 Hz.
 class VehicleNode : public V2xRadio {
  public:
   VehicleNode(Scheduler& sched, V2xMedium& medium, std::string name,
               Position start, double vx_mps, double vy_mps,
               const TrustStore& trust,
               CertificateAuthority::PseudonymBatch pseudonyms,
-              PseudonymPolicy policy = {});
+              PseudonymPolicy policy = {},
+              const sim::Telemetry* telemetry = nullptr);
 
   Position position() const override;
   void on_spdu(const Spdu& msg, SimTime at) override;
@@ -173,11 +176,6 @@ class VehicleNode : public V2xRadio {
   void stop();
 
   const VehicleStats& stats() const { return stats_; }
-
-  /// Rebinds trace events onto a shared telemetry plane. Standalone vehicles
-  /// keep tracing disabled (V2X scale benches run thousands of nodes at
-  /// 10 Hz); binding to a shared bus opts the node into the global timeline.
-  void bind_telemetry(const sim::Telemetry& t);
 
   std::uint32_t current_temp_id() const { return temp_id_; }
   std::size_t pseudonym_index() const { return pseudo_idx_; }
@@ -222,9 +220,9 @@ class VehicleNode : public V2xRadio {
   std::size_t pseudo_idx_ = 0;
   std::uint32_t temp_id_ = 0;
   MisbehaviorDetector misbehavior_;
+  sim::TraceScope trace_;
   crypto::VerifyEngine verify_engine_;
   VehicleStats stats_;
-  sim::TraceScope trace_;
   sim::TraceId k_bsm_tx_ = 0, k_verify_fail_ = 0, k_misbehavior_ = 0;
   BsmSink bsm_sink_;
   RevokeSink revoke_sink_;

@@ -88,8 +88,8 @@ struct BootBench {
     return cfg;
   }
 
-  BootChain chain() {
-    BootChain c(she, flash, svc, &kv, config());
+  BootChain chain(const sim::Telemetry& t = {}) {
+    BootChain c(she, flash, svc, &kv, config(), t);
     c.set_attestation_key(part, attest_key);
     return c;
   }
@@ -184,9 +184,8 @@ TEST(BootChain, UnsignedActiveImageFallsBackToSignedSlot) {
   const FirmwareImage v2{"app", 2, Bytes(Flash::kPageSize, 0x02)};
   ASSERT_TRUE(b.flash.stage(v2));
   ASSERT_TRUE(b.flash.activate());
-  BootChain chain = b.chain();
   sim::Telemetry t;
-  chain.bind_telemetry(t);
+  BootChain chain = b.chain(t);
   const BootChain::Report rep = chain.run();
 
   EXPECT_EQ(rep.mode, BootMode::kFallback);

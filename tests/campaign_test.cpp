@@ -229,8 +229,7 @@ TEST(Campaign, ConfirmWatchdogAutoRevertsUnconfirmedActivation) {
 TEST(RetryPolicy, MaxBackoffClampBoundsTotalBackoff) {
   FleetFixture f;
   Telemetry t;
-  FaultPlan plan(f.sched, 3);
-  plan.bind_telemetry(t);
+  FaultPlan plan(f.sched, 3, t);
   f.director.set_fault_port(&plan.port("ota"));
   f.images.set_fault_port(&plan.port("ota"));
   FaultSpec outage;
@@ -239,8 +238,7 @@ TEST(RetryPolicy, MaxBackoffClampBoundsTotalBackoff) {
   plan.window(SimTime::from_ms(1), SimTime::from_s(100000), outage);
 
   FullVerificationClient client("primary", f.director.trusted_root(),
-                                f.images.trusted_root());
-  client.bind_telemetry(t);
+                                f.images.trusted_root(), t);
   FullVerificationClient::RetryPolicy policy;
   policy.max_attempts = 6;
   policy.initial_backoff = SimTime::from_s(1);
@@ -278,8 +276,7 @@ std::vector<std::string> jittered_backoff_run(std::uint64_t seed) {
   plan.window(SimTime::from_ms(1), SimTime::from_s(100000), outage);
 
   FullVerificationClient client("primary", f.director.trusted_root(),
-                                f.images.trusted_root());
-  client.bind_telemetry(t);
+                                f.images.trusted_root(), t);
   std::vector<std::string> backoff_ns;
   const sim::TraceId k_backoff = t.bus->intern("backoff");
   t.bus->subscribe([&](const sim::TraceEvent& e) {

@@ -104,12 +104,10 @@ struct ReplayRun {
 ReplayRun replay_builtin_once() {
   Scheduler sched;
   sim::Telemetry tel;
-  ivn::CanBus bus(sched, "can0", 500000);
-  bus.bind_telemetry(tel);
+  ivn::CanBus bus(sched, "can0", 500000, 0, tel);
   RecordingNode sink("sink");
   bus.attach(&sink);
-  CorpusReplayer rep(sched, bus, "corpus");
-  rep.bind_telemetry(tel);
+  CorpusReplayer rep(sched, bus, "corpus", tel);
   rep.schedule_all(ScenarioCorpus::builtin(), SimTime::from_ms(1),
                    SimTime::from_ms(2));
   sched.run();

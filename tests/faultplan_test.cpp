@@ -198,13 +198,11 @@ ivn::CanFrame make_frame(std::uint32_t id, Bytes data = {0x11, 0x22}) {
 TEST(CanFault, DropWindowLosesFramesOnOneTimeline) {
   Scheduler sched;
   Telemetry t;
-  ivn::CanBus bus(sched, "can0", 500'000);
-  bus.bind_telemetry(t);
+  ivn::CanBus bus(sched, "can0", 500'000, 0, t);
   TestCanNode a("a"), b("b");
   bus.attach(&a);
   bus.attach(&b);
-  FaultPlan plan(sched, 5);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, 5, t);
   bus.set_fault_port(&plan.port("can0"));
 
   plan.window(SimTime::from_ms(1), SimTime::from_ms(100),
@@ -227,8 +225,7 @@ TEST(CanFault, DropWindowLosesFramesOnOneTimeline) {
 TEST(CanFault, DuplicateWindowDeliversTwice) {
   Scheduler sched;
   Telemetry t;
-  ivn::CanBus bus(sched, "can0", 500'000);
-  bus.bind_telemetry(t);
+  ivn::CanBus bus(sched, "can0", 500'000, 0, t);
   TestCanNode a("a"), b("b");
   bus.attach(&a);
   bus.attach(&b);
@@ -250,14 +247,12 @@ TEST(CanFault, BusOffAutoRecoveryOrderedTimeline) {
   // inject < bus_off < recover < tx.
   Scheduler sched;
   Telemetry t;
-  ivn::CanBus bus(sched, "can0", 500'000);
-  bus.bind_telemetry(t);
+  ivn::CanBus bus(sched, "can0", 500'000, 0, t);
   bus.set_auto_recovery(SimTime::from_ms(20));
   TestCanNode a("a"), b("b");
   bus.attach(&a);
   bus.attach(&b);
-  FaultPlan plan(sched, 5);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, 5, t);
   bus.set_fault_port(&plan.port("can0"));
 
   // Every TX attempt inside the window suffers a bit error: TEC += 8 per
@@ -331,13 +326,11 @@ struct TestLinSlave : ivn::LinSlave {
 TEST(LinFault, DropWindowLosesResponses) {
   Scheduler sched;
   Telemetry t;
-  ivn::LinMaster master(sched, "lin0");
-  master.bind_telemetry(t);
+  ivn::LinMaster master(sched, "lin0", 19200, t);
   TestLinSlave slave;
   master.attach(&slave);
   master.set_schedule({{0x10, SimTime::from_ms(10)}});
-  FaultPlan plan(sched, 3);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, 3, t);
   master.set_fault_port(&plan.port("lin0"));
   plan.window(SimTime::from_ms(5), SimTime::from_ms(40),
               {"lin0", FaultKind::kFrameDrop, 1.0});
@@ -378,13 +371,11 @@ struct TestFlexNode : ivn::FlexRayNode {
 TEST(FlexRayFault, DropWindowBurnsSlots) {
   Scheduler sched;
   Telemetry t;
-  ivn::FlexRayBus bus(sched, "fr0");
-  bus.bind_telemetry(t);
+  ivn::FlexRayBus bus(sched, "fr0", {}, t);
   TestFlexNode owner, listener;
   bus.assign_static_slot(1, &owner);
   bus.attach_listener(&listener);
-  FaultPlan plan(sched, 3);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, 3, t);
   bus.set_fault_port(&plan.port("fr0"));
   const SimTime cycle = bus.config().cycle_length();
   plan.window(cycle * 2, cycle * 3, {"fr0", FaultKind::kFrameDrop, 1.0});
@@ -410,13 +401,11 @@ struct TestEthEndpoint : ivn::EthernetEndpoint {
 TEST(EthernetFault, DropCorruptAndDuplicate) {
   Scheduler sched;
   Telemetry t;
-  ivn::EthernetSwitch sw(sched, "sw0");
+  ivn::EthernetSwitch sw(sched, "sw0", 100'000'000, SimTime::from_us(5), t);
   TestEthEndpoint a("a", ivn::mac_from_u64(1)), b("b", ivn::mac_from_u64(2));
   const std::size_t pa = sw.connect(&a);
   const std::size_t pb = sw.connect(&b);
-  sw.bind_telemetry(t);
-  FaultPlan plan(sched, 9);
-  plan.bind_telemetry(t);
+  FaultPlan plan(sched, 9, t);
   sw.set_fault_port(&plan.port("sw0"));
 
   const auto frame_to_b = [&] {
@@ -535,16 +524,14 @@ TEST(V2xFault, RadioLossBurstBlacksOutReceivers) {
 struct GatewayRig {
   Scheduler sched;
   Telemetry t;
-  ivn::CanBus body{sched, "can.body", 500'000};
-  ivn::CanBus chassis{sched, "can.chassis", 500'000};
-  gateway::SecurityGateway gw{sched, "gw"};
+  ivn::CanBus body{sched, "can.body", 500'000, 0, t};
+  ivn::CanBus chassis{sched, "can.chassis", 500'000, 0, t};
+  gateway::SecurityGateway gw{
+      sched, "gw", gateway::SecurityGateway::kDefaultProcessingDelay, t};
   TestCanNode sender{"sender"};
   TestCanNode receiver{"receiver"};
 
   GatewayRig() {
-    body.bind_telemetry(t);
-    chassis.bind_telemetry(t);
-    gw.bind_telemetry(t);
     gw.add_domain("body", &body);
     gw.add_domain("chassis", &chassis);
     body.attach(&sender);
@@ -622,8 +609,7 @@ TEST(GatewayDegraded, ShedsOnlyNonCriticalRoutes) {
 TEST(GatewayDegraded, LinkPartitionViaFaultPlanHandler) {
   GatewayRig rig;
   rig.gw.add_route(0x100, "body", "chassis", true);
-  FaultPlan plan(rig.sched, 13);
-  plan.bind_telemetry(rig.t);
+  FaultPlan plan(rig.sched, 13, rig.t);
   // Handler integration: the partition window toggles the gateway link, and
   // the gateway reports recovery back to the plan when the link returns.
   plan.on("gw.body", FaultKind::kPartition,
@@ -690,22 +676,20 @@ struct RetryRig {
   ota::Repository director{rng, "director", SimTime::from_s(3600)};
   ota::Repository images{rng, "image-repo", SimTime::from_s(3600)};
   Bytes fw = Bytes(65536, 0xF2);
-  FaultPlan plan{sched, 21};
+  FaultPlan plan{sched, 21, t};
 
   RetryRig() {
     director.add_target("brake-fw", fw, 2, "brake-hw");
     images.add_target("brake-fw", fw, 2, "brake-hw");
     director.publish(SimTime::from_s(1));
     images.publish(SimTime::from_s(1));
-    plan.bind_telemetry(t);
     director.set_fault_port(&plan.port("ota.director"));
     images.set_fault_port(&plan.port("ota.image"));
   }
 
   ota::FullVerificationClient make_client() {
     ota::FullVerificationClient c("primary", director.trusted_root(),
-                                  images.trusted_root());
-    c.bind_telemetry(t);
+                                  images.trusted_root(), t);
     return c;
   }
 

@@ -16,7 +16,8 @@ struct Fixture {
   sim::Scheduler sched;
   ivn::CanBus powertrain{sched, "powertrain", 500000};
   ivn::CanBus infotainment{sched, "infotainment", 500000};
-  SecurityGateway gw{sched, "cgw"};
+  sim::Telemetry t;
+  SecurityGateway gw{sched, "cgw", SecurityGateway::kDefaultProcessingDelay, t};
   Ecu engine{sched, "engine", 1};
   Ecu radio{sched, "radio", 2};
 
@@ -259,8 +260,7 @@ TEST(Gateway, LimpHomeRecoveryRestoresShedRoutes) {
   // must appear ordered on the trace bus:
   // mode_limp_home < mode_degraded < mode_normal < forward.
   Fixture f;
-  sim::Telemetry t;
-  f.gw.bind_telemetry(t);
+  const sim::Telemetry& t = f.t;
   f.gw.add_route(0x200, "powertrain", "infotainment", /*safety_critical=*/false);
   DegradedModeConfig cfg;
   cfg.window = sim::SimTime::from_ms(10);

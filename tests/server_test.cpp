@@ -52,7 +52,7 @@ struct ServerRig {
   Repository director{rng, "director", SimTime::from_s(500000)};
   Repository images{rng, "image-repo", SimTime::from_s(500000)};
   Bytes fw = patterned(64 * 1024, 0xF2);
-  FaultPlan plan{sched, 21};
+  FaultPlan plan{sched, 21, t};
   std::unique_ptr<RepositoryServer> server;
 
   explicit ServerRig(ServerConfig cfg = {}) {
@@ -60,16 +60,13 @@ struct ServerRig {
     images.add_target("brake-fw", fw, 2, "brake-hw");
     director.publish(SimTime::from_ms(1));
     images.publish(SimTime::from_ms(1));
-    plan.bind_telemetry(t);
-    server = std::make_unique<RepositoryServer>(director, images, cfg);
+    server = std::make_unique<RepositoryServer>(director, images, cfg, t);
     server->set_fault_port(&plan.port("ota.server"));
-    server->bind_telemetry(t);
   }
 
   FullVerificationClient make_client(const std::string& name) {
     FullVerificationClient c(name, director.trusted_root(),
-                             images.trusted_root());
-    c.bind_telemetry(t);
+                             images.trusted_root(), t);
     return c;
   }
 };
@@ -475,8 +472,7 @@ HerdResult run_herd(bool admission, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     clients.push_back(std::make_unique<FullVerificationClient>(
         "v" + std::to_string(i), rig.director.trusted_root(),
-        rig.images.trusted_root()));
-    clients.back()->bind_telemetry(rig.t);
+        rig.images.trusted_root(), rig.t));
   }
   for (std::size_t i = 0; i < n; ++i) {
     FullVerificationClient* c = clients[i].get();
@@ -573,8 +569,7 @@ TEST(CampaignBackpressure, PausesWavesWhileServerSheds) {
         FirmwareImage{"brake-fw", 1, patterned(2 * Flash::kPageSize, 0x11)});
     clients.push_back(std::make_unique<FullVerificationClient>(
         "bp" + std::to_string(i), rig.director.trusted_root(),
-        rig.images.trusted_root()));
-    clients.back()->bind_telemetry(rig.t);
+        rig.images.trusted_root(), rig.t));
     runner.add_vehicle("bp" + std::to_string(i), *flashes.back(),
                        *clients.back());
   }
@@ -634,10 +629,9 @@ TEST(SessionFrontend, BoundFrontTracesRejectedHandshake) {
   EcdsaPrivateKey identity = EcdsaPrivateKey::generate(rng);
   cloud::ServerCredential cred =
       cloud::ServerCredential::issue("ota-front", identity.public_key(), rogue);
-  cloud::SessionFrontend front(std::move(cred), std::move(identity),
-                               authority.public_key(), rng);
   sim::Telemetry t;
-  front.bind_telemetry(t);
+  cloud::SessionFrontend front(std::move(cred), std::move(identity),
+                               authority.public_key(), rng, {}, t);
 
   EXPECT_FALSE(front.connect("veh-7", SimTime::from_s(1)).ok);
   EXPECT_EQ(front.handshakes(), 0u);

@@ -73,11 +73,24 @@ TEST(Supervisor, HealthyHeartbeatsStayOk) {
   EXPECT_EQ(hb.suppressed(), 0u);
 }
 
+// Regression: a supervisor used to start on a private plane and move onto
+// the shared one later, and gauges did not move with it, so an entity
+// registered before the move had no status gauge on the shared registry.
+// Built on the plane, the gauge is there from registration on.
+TEST(Supervisor, StatusGaugeLandsOnTheSharedPlane) {
+  Scheduler sched;
+  Telemetry t;
+  HealthSupervisor sup(sched, "sup", t);
+  sup.supervise_alive("ecu", AliveSupervision{});
+  const sim::Gauge* g = t.metrics->find_gauge("supervisor.sup.status.ecu");
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->value(), static_cast<double>(EntityStatus::kOk));
+}
+
 TEST(Supervisor, MissedHeartbeatsFailThenExpire) {
   Scheduler sched;
   Telemetry t;
-  HealthSupervisor sup(sched, "sup");
-  sup.bind_telemetry(t);
+  HealthSupervisor sup(sched, "sup", t);
   AliveSupervision cfg;
   cfg.period = SimTime::from_ms(10);
   cfg.expected = 2;  // a 5 ms producer beats twice per 10 ms window
@@ -159,8 +172,7 @@ TEST(Supervisor, MarginsTolerateJitterButNotFloods) {
 TEST(Supervisor, DeadlineViolationFailsTheCycle) {
   Scheduler sched;
   Telemetry t;
-  HealthSupervisor sup(sched, "sup");
-  sup.bind_telemetry(t);
+  HealthSupervisor sup(sched, "sup", t);
   AliveSupervision cfg;
   cfg.period = SimTime::from_ms(10);
   cfg.expected = 1;
@@ -191,8 +203,7 @@ TEST(Supervisor, DeadlineViolationFailsTheCycle) {
 TEST(Supervisor, LogicalSupervisionCatchesBadTransition) {
   Scheduler sched;
   Telemetry t;
-  HealthSupervisor sup(sched, "sup");
-  sup.bind_telemetry(t);
+  HealthSupervisor sup(sched, "sup", t);
   AliveSupervision cfg;
   cfg.period = SimTime::from_ms(10);
   cfg.expected = 1;
@@ -233,8 +244,7 @@ TEST(Supervisor, LogicalSupervisionCatchesBadTransition) {
 TEST(Supervisor, EscalationClimbsLadderThenRecovers) {
   Scheduler sched;
   Telemetry t;
-  HealthSupervisor sup(sched, "sup");
-  sup.bind_telemetry(t);
+  HealthSupervisor sup(sched, "sup", t);
   AliveSupervision cfg;
   cfg.period = SimTime::from_ms(10);
   cfg.expected = 2;
@@ -364,16 +374,14 @@ ivn::CanFrame make_frame(std::uint32_t id) {
 struct RedundantRig {
   Scheduler sched;
   Telemetry t;
-  ivn::CanBus body{sched, "can.body", 500'000};
-  ivn::CanBus chassis{sched, "can.chassis", 500'000};
-  gateway::RedundantGateway rgw{sched, "gw"};
+  ivn::CanBus body{sched, "can.body", 500'000, 0, t};
+  ivn::CanBus chassis{sched, "can.chassis", 500'000, 0, t};
+  gateway::RedundantGateway rgw{
+      sched, "gw", gateway::SecurityGateway::kDefaultProcessingDelay, t};
   Sink sender{"sender"};
   Sink receiver{"receiver"};
 
   RedundantRig() {
-    body.bind_telemetry(t);
-    chassis.bind_telemetry(t);
-    rgw.bind_telemetry(t);
     rgw.add_domain("body", &body);
     rgw.add_domain("chassis", &chassis);
     rgw.add_route(0x100, "body", "chassis", /*safety_critical=*/true);
@@ -424,8 +432,7 @@ TEST(RedundantGateway, SupervisedFailoverMeasuresDowntime) {
   // plan ends with zero unrecovered faults.
   RedundantRig rig;
   rig.rgw.start_sync(SimTime::from_ms(10));
-  FaultPlan plan(rig.sched, 17);
-  plan.bind_telemetry(rig.t);
+  FaultPlan plan(rig.sched, 17, rig.t);
   plan.on("gw.active", FaultKind::kCrash, [&](const FaultSpec&, bool active) {
     rig.rgw.set_active_down(active);
     if (!active) plan.notify_recovered("gw.active");
@@ -433,8 +440,7 @@ TEST(RedundantGateway, SupervisedFailoverMeasuresDowntime) {
   plan.window(SimTime::from_ms(50), SimTime::from_ms(60),
               {"gw.active", FaultKind::kCrash});
 
-  HealthSupervisor sup(rig.sched, "sup");
-  sup.bind_telemetry(rig.t);
+  HealthSupervisor sup(rig.sched, "sup", rig.t);
   AliveSupervision cfg;
   cfg.period = SimTime::from_ms(5);
   cfg.expected = 5;

@@ -220,8 +220,7 @@ TEST(E2e, FlagsChaosPlaneFrameDuplicates) {
   // plain loss.
   sim::Scheduler sched;
   sim::Telemetry t;
-  CanBus bus(sched, "can0", 500'000);
-  bus.bind_telemetry(t);
+  CanBus bus(sched, "can0", 500'000, 0, t);
   struct Node final : CanNode {
     using CanNode::CanNode;
     E2eChecker* chk = nullptr;

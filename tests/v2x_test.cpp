@@ -547,9 +547,9 @@ TEST(Vehicle, BoundNodeTracesForgedSpduAsVerifyFail) {
   Pki pki;
   V2xMedium medium(sched);
   auto batch = pki.pca.issue_pseudonyms(pki.rng, 1, SimTime::zero(), SimTime::from_s(1000));
-  VehicleNode b(sched, medium, "b", {50, 0}, 0, 0, pki.trust, std::move(batch));
   sim::Telemetry t;
-  b.bind_telemetry(t);
+  VehicleNode b(sched, medium, "b", {50, 0}, 0, 0, pki.trust, std::move(batch),
+                {}, &t);
   Injector inj;
   medium.attach(&inj);
 
@@ -563,6 +563,25 @@ TEST(Vehicle, BoundNodeTracesForgedSpduAsVerifyFail) {
   const int status = static_cast<int>(VerifyStatus::kBadSignature);
   EXPECT_EQ(t.bus->find_first("v2x.b", "verify_fail")->detail,
             "status=" + std::to_string(status));
+}
+
+TEST(Vehicle, NodeBuiltOnAPlaneTracesFromItsFirstBsm) {
+  sim::Scheduler sched;
+  Pki pki;
+  V2xMedium medium(sched);
+  auto batch = pki.pca.issue_pseudonyms(pki.rng, 1, SimTime::zero(), SimTime::from_s(1000));
+  sim::Telemetry t;
+  VehicleNode a(sched, medium, "a", {0, 0}, 0, 0, pki.trust, std::move(batch),
+                {}, &t);
+  a.start();
+  sched.run_until(SimTime::from_ms(250));
+  a.stop();
+  EXPECT_EQ(a.stats().bsm_sent, 3u);
+  EXPECT_EQ(t.bus->count("v2x.a", "bsm_tx"), 3u);
+  ASSERT_NE(t.bus->find_first("v2x.a", "bsm_tx"), nullptr);
+  EXPECT_EQ(t.bus->find_first("v2x.a", "bsm_tx")->at, SimTime::zero());
+  // The node's verify engine counts onto the same plane.
+  EXPECT_NE(t.metrics->find_counter("crypto.verify.calls"), nullptr);
 }
 
 TEST(Opportunistic, RevokesForgedSignatureAfterActingOnIt) {

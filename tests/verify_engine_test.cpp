@@ -197,18 +197,14 @@ TEST(VerifyEngine, ExportsMetricsUnderCryptoVerifyNames) {
   const util::Bytes msg = {'t'};
   const auto sig = key.sign(msg);
 
-  crypto::VerifyEngine eng;
-  eng.set_cache_capacity(1);
-  EXPECT_TRUE(eng.verify(key.public_key(), msg, sig));  // pre-binding call
-
   sim::MetricsRegistry reg;
-  eng.bind_metrics(reg);
+  crypto::VerifyEngine eng(reg, 1);
   ASSERT_NE(reg.find_counter("crypto.verify.calls"), nullptr);
   ASSERT_NE(reg.find_counter("crypto.verify.cache_hits"), nullptr);
   ASSERT_NE(reg.find_counter("crypto.verify.evictions"), nullptr);
-  // Carry-over: the pre-binding call is visible after binding.
-  EXPECT_EQ(reg.find_counter("crypto.verify.calls")->value(), 1u);
 
+  EXPECT_TRUE(eng.verify(key.public_key(), msg, sig));  // miss
+  EXPECT_EQ(reg.find_counter("crypto.verify.calls")->value(), 1u);
   EXPECT_TRUE(eng.verify(key.public_key(), msg, sig));  // hit
   const util::Bytes other = {'u'};
   const auto sig2 = key.sign(other);
@@ -226,10 +222,9 @@ TEST(VerifyEngine, MetricsJsonIsBitIdenticalAcrossRuns) {
   auto run = [] {
     const auto k1 = test_key(0x91);
     const auto k2 = test_key(0x92);
-    crypto::VerifyEngine eng;
-    eng.set_batch_kernel(true);
     sim::MetricsRegistry reg;
-    eng.bind_metrics(reg);
+    crypto::VerifyEngine eng(reg);
+    eng.set_batch_kernel(true);
     std::vector<crypto::Digest> digests;
     std::vector<crypto::EcdsaSignature> sigs;
     for (int i = 0; i < 8; ++i) {
@@ -260,9 +255,8 @@ TEST(VerifyEngine, MalformedBatchItemsStillCountAsCalls) {
   const crypto::Digest d = crypto::sha256(msg);
   const auto sig = key.sign_digest(d);
 
-  crypto::VerifyEngine eng;
   sim::MetricsRegistry reg;
-  eng.bind_metrics(reg);
+  crypto::VerifyEngine eng(reg);
   std::vector<crypto::VerifyEngine::BatchItem> items;
   items.push_back({&key.public_key(), d, &sig});
   items.push_back({nullptr, d, &sig});             // no key
@@ -276,62 +270,34 @@ TEST(VerifyEngine, MalformedBatchItemsStillCountAsCalls) {
   EXPECT_EQ(reg.find_counter("crypto.verify.calls")->value(), 3u);
 }
 
-// Regression (PR 9 bugfix 3): rebinding to a fresh registry used to carry
-// only the not-yet-exported eviction delta while calls/hits carried full
-// totals, so the fresh registry disagreed with the engine's own counters.
-TEST(VerifyEngine, RebindCarriesFullTotalsForEveryCounter) {
-  const auto key = test_key(0x94);
-  crypto::VerifyEngine eng;
-  eng.set_cache_capacity(2);
-
-  sim::MetricsRegistry first;
-  eng.bind_metrics(first);
-  for (int i = 0; i < 6; ++i) {
-    util::Bytes msg = {static_cast<std::uint8_t>(i)};
-    const auto sig = key.sign(msg);
-    EXPECT_TRUE(eng.verify(key.public_key(), msg, sig));
-    EXPECT_TRUE(eng.verify(key.public_key(), msg, sig));  // immediate hit
-  }
-  ASSERT_GT(eng.evictions(), 0u);
-
-  sim::MetricsRegistry fresh;
-  eng.bind_metrics(fresh);
-  EXPECT_EQ(fresh.find_counter("crypto.verify.calls")->value(), eng.calls());
-  EXPECT_EQ(fresh.find_counter("crypto.verify.cache_hits")->value(),
-            eng.cache_hits());
-  EXPECT_EQ(fresh.find_counter("crypto.verify.evictions")->value(),
-            eng.evictions());
-  EXPECT_EQ(fresh.find_counter("crypto.verify.primitive")->value(),
-            eng.primitive_calls());
-
-  // And the first registry still agrees after more traffic on the fresh one.
-  const util::Bytes extra = {'q'};
-  const auto esig = key.sign(extra);
-  EXPECT_TRUE(eng.verify(key.public_key(), extra, esig));
-  EXPECT_EQ(fresh.find_counter("crypto.verify.calls")->value(), eng.calls());
-}
-
-// Regression: the bind carry used to keep the larger of the registry's value
-// and the engine's total, so two engines that had each verified 3 signatures
-// read 3 calls on a shared registry instead of 6.
+// Engines built on one registry sum their totals, evictions included, and
+// the registry agrees with the engines' own counters.
 TEST(VerifyEngine, EnginesBoundOntoOneRegistrySumTheirTotals) {
   const auto key = test_key(0x97);
-  crypto::VerifyEngine a, b;
-  for (int i = 0; i < 3; ++i) {
+  sim::MetricsRegistry shared;
+  crypto::VerifyEngine a(shared, 2), b(shared, 2);
+  for (int i = 0; i < 6; ++i) {
     const util::Bytes msg = {static_cast<std::uint8_t>(i)};
     const auto sig = key.sign(msg);
     EXPECT_TRUE(a.verify(key.public_key(), msg, sig));
-    EXPECT_TRUE(b.verify(key.public_key(), msg, sig));
+    EXPECT_TRUE(a.verify(key.public_key(), msg, sig));  // immediate hit
+    if (i < 3) {
+      EXPECT_TRUE(b.verify(key.public_key(), msg, sig));
+    }
   }
+  b.set_cache_capacity(1);  // shrinking evicts too
+  ASSERT_GT(a.evictions(), 0u);
+  ASSERT_GT(b.evictions(), 0u);
 
-  sim::MetricsRegistry shared;
-  a.bind_metrics(shared);
-  b.bind_metrics(shared);
-  EXPECT_EQ(shared.find_counter("crypto.verify.calls")->value(), 6u);
-  EXPECT_EQ(shared.find_counter("crypto.verify.primitive")->value(), 6u);
-
-  a.bind_metrics(shared);  // already bound there: nothing carried twice
-  EXPECT_EQ(shared.find_counter("crypto.verify.calls")->value(), 6u);
+  EXPECT_EQ(shared.find_counter("crypto.verify.calls")->value(),
+            a.calls() + b.calls());
+  EXPECT_EQ(shared.find_counter("crypto.verify.calls")->value(), 15u);
+  EXPECT_EQ(shared.find_counter("crypto.verify.cache_hits")->value(),
+            a.cache_hits() + b.cache_hits());
+  EXPECT_EQ(shared.find_counter("crypto.verify.evictions")->value(),
+            a.evictions() + b.evictions());
+  EXPECT_EQ(shared.find_counter("crypto.verify.primitive")->value(),
+            a.primitive_calls() + b.primitive_calls());
 }
 
 TEST(VerifyEngine, BatchKernelVerdictsMatchPerItemPath) {
