@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -81,7 +82,11 @@ void fill_recovery_stats(const FaultPlan& plan, RowResult& row) {
 struct Sink final : ivn::CanNode {
   using ivn::CanNode::CanNode;
   void on_frame(const ivn::CanFrame&, SimTime) override { ++rx; }
+  void on_tx_done(const ivn::CanFrame&, SimTime) override {
+    if (tx_done) tx_done();
+  }
   std::uint64_t rx = 0;
+  std::function<void()> tx_done;
 };
 
 ivn::CanFrame can_frame(std::uint32_t id) {
@@ -111,13 +116,9 @@ RowResult run_can(double rate_hz, std::uint64_t seed, SimTime horizon) {
 
   // Healthy-again observer: the first successful transmission outside a down
   // window marks the stateful (crash) faults recovered.
-  const sim::TraceId can0 = t.bus->intern("can0");
-  const sim::TraceId k_tx = t.bus->intern("tx");
-  t.bus->subscribe([&](const sim::TraceEvent& e) {
-    if (e.component == can0 && e.kind == k_tx && !plan.port("can0").down()) {
-      plan.notify_recovered("can0");
-    }
-  });
+  tx_node.tx_done = [&] {
+    if (!plan.port("can0").down()) plan.notify_recovered("can0");
+  };
 
   std::uint64_t sent = 0;
   sim::PeriodicTask sender(
@@ -262,7 +263,7 @@ RowResult run_gateway(double rate_hz, std::uint64_t seed, SimTime horizon) {
   cfg.degrade_threshold = 10;
   cfg.limp_threshold = 40;
   gw.enable_degraded_mode(cfg);
-  gw.enable_bus_fault_watch(t);
+  gw.enable_bus_fault_watch();
   Sink sender("sender"), receiver("receiver");
   body.attach(&sender);
   chassis.attach(&receiver);
@@ -276,14 +277,11 @@ RowResult run_gateway(double rate_hz, std::uint64_t seed, SimTime horizon) {
             gw.set_link_up("body", !active);
             if (!active) plan.notify_recovered("gw.body");
           });
-  const sim::TraceId can_body = t.bus->intern("can.body");
-  const sim::TraceId k_tx = t.bus->intern("tx");
-  t.bus->subscribe([&](const sim::TraceEvent& e) {
-    if (e.component == can_body && e.kind == k_tx &&
-        !plan.port("can.body").down()) {
-      plan.notify_recovered("can.body");
-    }
-  });
+  // The sender is the body bus's only transmitter, so its completed frames
+  // are the bus's healthy-again signal.
+  sender.tx_done = [&] {
+    if (!plan.port("can.body").down()) plan.notify_recovered("can.body");
+  };
   plan.random_campaign(kCampaignStart, horizon, rate_hz, kFaultDuration,
                        {{"gw.body", FaultKind::kPartition},
                         {"can.body", FaultKind::kFrameCorrupt, 1.0},

@@ -145,9 +145,10 @@ class ForwardTap : public ivn::CanNode {
   std::uint64_t attack_forwarded_ = 0;
 };
 
-ids::IdsEnsemble trained_ensemble(std::uint64_t seed) {
+ids::IdsEnsemble trained_ensemble(std::uint64_t seed,
+                                  const sim::Telemetry& tel) {
   util::Rng rng(seed);
-  ids::IdsEnsemble ens = ids::make_default_ensemble();
+  ids::IdsEnsemble ens = ids::make_default_ensemble(tel);
   std::vector<std::pair<sim::SimTime, ivn::CanFrame>> train;
   for (const Stream& s : kStreams) {
     std::uint64_t t_us = rng.uniform(1000);
@@ -197,8 +198,7 @@ ClassResult replay_class(const attacks::ScenarioCorpus& corpus,
   std::set<std::uint32_t> benign_ids;
   for (const Stream& s : kStreams) benign_ids.insert(s.id);
 
-  ids::IdsEnsemble ens = trained_ensemble(seed);
-  ens.bind_telemetry(tel);
+  ids::IdsEnsemble ens = trained_ensemble(seed, tel);
   IdsTap ids_tap(ens, benign_ids);
   ForwardTap fwd_tap(benign_ids);
   diag.attach(&ids_tap);

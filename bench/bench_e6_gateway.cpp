@@ -101,8 +101,8 @@ Outcome run(Arch arch) {
   // IDS tap on the chassis side drives quarantine.
   std::unique_ptr<ids::IdsEnsemble> ensemble;
   if (arch == Arch::kQuarantine && gw) {
-    ensemble = std::make_unique<ids::IdsEnsemble>(ids::make_default_ensemble());
-    ensemble->bind_telemetry(telemetry);
+    ensemble = std::make_unique<ids::IdsEnsemble>(
+        ids::make_default_ensemble(telemetry));
     // Train on the legitimate telltale cadence.
     for (int i = 0; i < 100; ++i) {
       ivn::CanFrame f;

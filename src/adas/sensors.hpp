@@ -94,13 +94,15 @@ class WheelSpeedSensor {
 /// TPMS receiver: unauthenticated RF -> trivially spoofable [11].
 class TpmsReceiver {
  public:
-  explicit TpmsReceiver(double nominal_kpa = 240) : nominal_(nominal_kpa) {}
-  double sense() const { return spoofed_ ? *spoofed_ : nominal_; }
-  void spoof(std::optional<double> kpa) { spoofed_ = kpa; }
+  explicit TpmsReceiver(double nominal_kpa = 240)
+      : nominal_(nominal_kpa), reading_(nominal_kpa) {}
+  double sense() const { return reading_; }
+  /// A forged broadcast replaces the reading; nullopt restores the nominal.
+  void spoof(std::optional<double> kpa) { reading_ = kpa.value_or(nominal_); }
 
  private:
   double nominal_;
-  std::optional<double> spoofed_;
+  double reading_;
 };
 
 }  // namespace aseck::adas

@@ -338,9 +338,6 @@ CorpusReplayer::CorpusReplayer(sim::Scheduler& sched, ivn::CanBus& bus,
     : ivn::CanNode(std::move(name)), sched_(sched), bus_(bus),
       trace_(this->name(), {}, telemetry) {
   bus_.attach(this);
-  k_schedule_ = trace_.kind("corpus_schedule");
-  k_tx_ = trace_.kind("corpus_tx");
-  k_reject_ = trace_.kind("corpus_reject");
 }
 
 void CorpusReplayer::on_frame(const ivn::CanFrame& frame, sim::SimTime at) {

@@ -118,7 +118,9 @@ class CorpusReplayer : public ivn::CanNode {
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_rejected_ = 0;
   sim::TraceScope trace_;
-  sim::TraceId k_schedule_ = 0, k_tx_ = 0, k_reject_ = 0;
+  const sim::TraceId k_schedule_ = trace_.kind("corpus_schedule");
+  const sim::TraceId k_tx_ = trace_.kind("corpus_tx");
+  const sim::TraceId k_reject_ = trace_.kind("corpus_reject");
 };
 
 /// Order-sensitive FNV-1a digest over a TraceBus's retained timeline

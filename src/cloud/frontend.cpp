@@ -12,14 +12,7 @@ SessionFrontend::SessionFrontend(ServerCredential cred,
       authority_(std::move(authority)),
       rng_(rng),
       tickets_(cfg.ticket_cache_entries),
-      trace_("cloud.front", "cloud.front.", telemetry) {
-  c_handshakes_ = &trace_.counter("handshakes");
-  c_resumed_ = &trace_.counter("resumed");
-  c_failures_ = &trace_.counter("failures");
-  k_handshake_ = trace_.kind("handshake");
-  k_resume_ = trace_.kind("resume");
-  k_fail_ = trace_.kind("handshake_fail");
-}
+      trace_("cloud.front", "cloud.front.", telemetry) {}
 
 SessionFrontend SessionFrontend::create(const std::string& name,
                                         const crypto::EcdsaPrivateKey& authority,
@@ -40,7 +33,7 @@ ConnectResult SessionFrontend::connect(const std::string& vehicle_id,
     r.latency = cfg_.resume_latency;
     r.ticket_id = t->id;
     ASECK_TRACE(trace_, now, k_resume_, vehicle_id);
-    c_resumed_->inc();
+    c_resumed_.inc();
     return r;
   }
   // No (valid) ticket: run the real one-round-trip handshake. The client
@@ -49,7 +42,7 @@ ConnectResult SessionFrontend::connect(const std::string& vehicle_id,
   const ClientHello ch = client.hello();
   const ServerHello sh = server_.respond(ch);
   if (client.finish(sh) != ChannelClient::Result::kOk) {
-    c_failures_->inc();
+    c_failures_.inc();
     ASECK_TRACE(trace_, now, k_fail_, vehicle_id);
     return r;  // !ok
   }
@@ -60,7 +53,7 @@ ConnectResult SessionFrontend::connect(const std::string& vehicle_id,
   r.latency = cfg_.full_handshake_latency;
   r.ticket_id = t.id;
   tickets_.put(vehicle_id, t);
-  c_handshakes_->inc();
+  c_handshakes_.inc();
   ASECK_TRACE(trace_, now, k_handshake_,
               vehicle_id + " ticket=" + std::to_string(t.id));
   return r;

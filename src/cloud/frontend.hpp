@@ -57,8 +57,8 @@ class SessionFrontend {
   /// handshake runs and a fresh ticket is cached.
   ConnectResult connect(const std::string& vehicle_id, util::SimTime now);
 
-  std::uint64_t handshakes() const { return c_handshakes_->value(); }
-  std::uint64_t resumptions() const { return c_resumed_->value(); }
+  std::uint64_t handshakes() const { return c_handshakes_.value(); }
+  std::uint64_t resumptions() const { return c_resumed_.value(); }
   double resumption_rate() const {
     const std::uint64_t h = handshakes(), r = resumptions();
     return h + r == 0 ? 0.0
@@ -79,10 +79,12 @@ class SessionFrontend {
   std::uint64_t next_ticket_ = 1;
 
   sim::TraceScope trace_;
-  sim::Counter* c_handshakes_ = nullptr;
-  sim::Counter* c_resumed_ = nullptr;
-  sim::Counter* c_failures_ = nullptr;
-  sim::TraceId k_handshake_ = 0, k_resume_ = 0, k_fail_ = 0;
+  sim::Counter& c_handshakes_ = trace_.counter("handshakes");
+  sim::Counter& c_resumed_ = trace_.counter("resumed");
+  sim::Counter& c_failures_ = trace_.counter("failures");
+  const sim::TraceId k_handshake_ = trace_.kind("handshake");
+  const sim::TraceId k_resume_ = trace_.kind("resume");
+  const sim::TraceId k_fail_ = trace_.kind("handshake_fail");
 };
 
 }  // namespace aseck::cloud

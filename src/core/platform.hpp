@@ -65,9 +65,8 @@ class VehiclePlatform {
   /// The vehicle-wide telemetry plane: every bus and the gateway share this
   /// trace bus and metrics registry, so cross-layer incidents (spoof on a
   /// domain bus, drop at the gateway, IDS alert) land on one causally
-  /// ordered timeline. Externally built components (OTA clients, V2X nodes)
-  /// join by taking telemetry() as a constructor argument; the IDS ensemble
-  /// joins through its bind_telemetry(telemetry()).
+  /// ordered timeline. Externally built components (OTA clients, V2X nodes,
+  /// the IDS ensemble) join by taking telemetry() as a constructor argument.
   const sim::Telemetry& telemetry() const { return telemetry_; }
   sim::TraceBus& trace_bus() { return *telemetry_.bus; }
 

@@ -87,8 +87,7 @@ std::vector<bool> VerifyEngine::verify_batch(
     std::vector<BatchVerifyItem> work;
     work.reserve(misses.size());
     for (const Miss& m : misses) work.push_back(items[m.slot]);
-    const std::vector<bool> ok =
-        ecdsa_verify_batch(work, util::BytesView(salt_.data(), salt_.size()));
+    const std::vector<bool> ok = ecdsa_verify_batch(work);
     batched_ += misses.size();
     c_batched_.inc(misses.size());
     h_batch_items_.record(static_cast<double>(misses.size()));

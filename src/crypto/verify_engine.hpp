@@ -73,8 +73,6 @@ class VerifyEngine {
     batch_kernel_ = on;
     batch_min_ = min_batch < 1 ? 1 : min_batch;
   }
-  /// Extra entropy folded into the kernel's randomizer transcript.
-  void set_batch_salt(util::Bytes salt) { salt_ = std::move(salt); }
 
   std::uint64_t calls() const { return calls_; }
   /// LRU hits plus in-burst duplicate resolutions.
@@ -102,7 +100,6 @@ class VerifyEngine {
   std::uint64_t batched_ = 0;
   bool batch_kernel_ = false;
   std::size_t batch_min_ = 2;
-  util::Bytes salt_;
   sim::Counter& c_calls_ = metrics_.counter("crypto.verify.calls");
   sim::Counter& c_hits_ = metrics_.counter("crypto.verify.cache_hits");
   sim::Counter& c_evictions_ = metrics_.counter("crypto.verify.evictions");

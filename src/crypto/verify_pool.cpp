@@ -14,7 +14,6 @@ VerifyPool::VerifyPool(VerifyPoolConfig cfg)
   for (std::size_t l = 0; l < cfg_.lanes; ++l) {
     auto lane = std::make_unique<Lane>();
     lane->engine.set_batch_kernel(true);
-    lane->engine.set_batch_salt(cfg_.salt);
     lanes_.push_back(std::move(lane));
   }
 }

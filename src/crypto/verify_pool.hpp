@@ -86,7 +86,6 @@ struct VerifyPoolConfig {
   std::size_t lanes = 8;
   /// Target RLC batch per engine burst; chunks larger bursts.
   std::size_t batch_size = 64;
-  util::Bytes salt{};
 };
 
 class VerifyPool {

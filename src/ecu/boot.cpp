@@ -181,14 +181,7 @@ BootChain::BootChain(She& she, Flash& flash, crypto::CryptoService& service,
       kv_(provisioning),
       cfg_(std::move(cfg)),
       trace_("boot", {}, telemetry),
-      engine_(trace_.metrics()) {
-  k_stage_ = trace_.kind("stage");
-  k_fallback_ = trace_.kind("fallback");
-  k_recovery_ = trace_.kind("recovery");
-  k_measured_ = trace_.kind("measured");
-  k_attest_ = trace_.kind("attest");
-  k_hang_ = trace_.kind("hang");
-}
+      engine_(trace_.metrics()) {}
 
 void BootChain::set_attestation_key(crypto::PartitionId partition,
                                     crypto::KeyHandle h) {

@@ -203,8 +203,12 @@ class BootChain {
   std::uint32_t boot_count_ = 0;
   mutable sim::TraceScope trace_;
   crypto::VerifyEngine engine_;
-  sim::TraceId k_stage_ = 0, k_fallback_ = 0, k_recovery_ = 0, k_measured_ = 0,
-               k_attest_ = 0, k_hang_ = 0;
+  const sim::TraceId k_stage_ = trace_.kind("stage");
+  const sim::TraceId k_fallback_ = trace_.kind("fallback");
+  const sim::TraceId k_recovery_ = trace_.kind("recovery");
+  const sim::TraceId k_measured_ = trace_.kind("measured");
+  const sim::TraceId k_attest_ = trace_.kind("attest");
+  const sim::TraceId k_hang_ = trace_.kind("hang");
 };
 
 }  // namespace aseck::ecu

@@ -45,41 +45,21 @@ SecurityGateway::SecurityGateway(Scheduler& sched, std::string name,
     : sched_(sched),
       name_(std::move(name)),
       processing_delay_(processing_delay),
-      trace_(name_, "gateway." + name_ + ".", telemetry) {
-  c_forwarded_ = &trace_.counter("forwarded");
-  c_dropped_no_route_ = &trace_.counter("dropped_no_route");
-  c_dropped_firewall_ = &trace_.counter("dropped_firewall");
-  c_dropped_rate_ = &trace_.counter("dropped_rate");
-  c_dropped_quarantine_ = &trace_.counter("dropped_quarantine");
-  c_dropped_link_down_ = &trace_.counter("dropped_link_down");
-  c_dropped_degraded_ = &trace_.counter("dropped_degraded");
-  c_frames_seen_ = &trace_.counter("frames_seen");
-  c_shadow_forwarded_ = &trace_.counter("shadow_forwarded");
-  k_forward_ = trace_.kind("forward");
-  k_drop_ = trace_.kind("drop");
-  k_quarantine_ = trace_.kind("quarantine");
-  k_release_ = trace_.kind("release");
-  k_mode_normal_ = trace_.kind("mode_normal");
-  k_mode_degraded_ = trace_.kind("mode_degraded");
-  k_mode_limp_ = trace_.kind("mode_limp_home");
-  k_link_up_ = trace_.kind("link_up");
-  k_link_down_ = trace_.kind("link_down");
-}
+      trace_(name_, "gateway." + name_ + ".", telemetry) {}
 
 GatewayStats SecurityGateway::stats() const {
   GatewayStats s;
-  s.forwarded = c_forwarded_->value();
-  s.dropped_no_route = c_dropped_no_route_->value();
-  s.dropped_firewall = c_dropped_firewall_->value();
-  s.dropped_rate = c_dropped_rate_->value();
-  s.dropped_quarantine = c_dropped_quarantine_->value();
-  s.dropped_link_down = c_dropped_link_down_->value();
-  s.dropped_degraded = c_dropped_degraded_->value();
+  s.forwarded = c_forwarded_.value();
+  s.dropped_no_route = c_dropped_no_route_.value();
+  s.dropped_firewall = c_dropped_firewall_.value();
+  s.dropped_rate = c_dropped_rate_.value();
+  s.dropped_quarantine = c_dropped_quarantine_.value();
+  s.dropped_link_down = c_dropped_link_down_.value();
+  s.dropped_degraded = c_dropped_degraded_.value();
   return s;
 }
 
 SecurityGateway::~SecurityGateway() {
-  if (watch_bus_ && watch_token_) watch_bus_->unsubscribe(watch_token_);
   for (auto& [dom, d] : domains_) {
     if (d.bus && d.port) d.bus->detach(d.port.get());
   }
@@ -173,10 +153,26 @@ void SecurityGateway::set_mode(const std::string& name, Domain& d,
       .set(static_cast<double>(m));
 }
 
+std::uint32_t SecurityGateway::pending_faults(const Domain& d) {
+  if (!d.watched) return d.fault_count;
+  // Bus-off is a much stronger degradation signal than one errored frame.
+  const std::uint64_t bus_faults =
+      (d.bus->stats().frames_error - d.errors_mark) +
+      10 * (d.bus->bus_offs() - d.bus_offs_mark);
+  return d.fault_count + static_cast<std::uint32_t>(bus_faults);
+}
+
+void SecurityGateway::mark_bus(Domain& d) {
+  if (!d.watched) return;
+  d.errors_mark = d.bus->stats().frames_error;
+  d.bus_offs_mark = d.bus->bus_offs();
+}
+
 void SecurityGateway::health_tick() {
   for (auto& [dom, d] : domains_) {
-    const std::uint32_t n = d.fault_count;
+    const std::uint32_t n = pending_faults(d);
     d.fault_count = 0;
+    mark_bus(d);
     if (n >= degraded_cfg_.limp_threshold) {
       d.calm_windows = 0;
       set_mode(dom, d, GatewayMode::kLimpHome);
@@ -195,23 +191,11 @@ void SecurityGateway::health_tick() {
   }
 }
 
-void SecurityGateway::enable_bus_fault_watch(const sim::Telemetry& t) {
-  if (watch_bus_ && watch_token_) watch_bus_->unsubscribe(watch_token_);
-  watch_bus_ = t.bus;
-  watch_domains_.clear();
+void SecurityGateway::enable_bus_fault_watch() {
   for (auto& [dom, d] : domains_) {
-    if (d.bus) watch_domains_[t.bus->intern(d.bus->name())] = dom;
+    d.watched = true;
+    mark_bus(d);
   }
-  k_watch_tx_error_ = t.bus->intern("tx_error");
-  k_watch_bus_off_ = t.bus->intern("bus_off");
-  watch_token_ = t.bus->subscribe([this](const sim::TraceEvent& e) {
-    if (e.kind != k_watch_tx_error_ && e.kind != k_watch_bus_off_) return;
-    const auto it = watch_domains_.find(e.component);
-    if (it == watch_domains_.end()) return;
-    // Bus-off is a much stronger degradation signal than one TX error.
-    domains_.at(it->second).fault_count +=
-        e.kind == k_watch_bus_off_ ? 10 : 1;
-  });
 }
 
 SecurityGateway::SyncState SecurityGateway::export_state() const {
@@ -221,7 +205,7 @@ SecurityGateway::SyncState SecurityGateway::export_state() const {
     ds.quarantined = d.quarantined;
     ds.link_up = d.link_up;
     ds.mode = d.mode;
-    ds.fault_count = d.fault_count;
+    ds.fault_count = pending_faults(d);
     ds.calm_windows = d.calm_windows;
     s.domains[dom] = ds;
   }
@@ -236,6 +220,7 @@ void SecurityGateway::import_state(const SyncState& s) {
     d.quarantined = ds.quarantined;
     d.link_up = ds.link_up;
     d.fault_count = ds.fault_count;
+    mark_bus(d);
     d.calm_windows = ds.calm_windows;
     if (d.mode != ds.mode) {
       d.mode = ds.mode;
@@ -249,13 +234,13 @@ void SecurityGateway::drop(const std::string& domain, const CanFrame& frame,
                            DropReason r) {
   if (!forwarding_) return;  // shadow pipeline: no drop accounting/observers
   switch (r) {
-    case DropReason::kNoRoute: c_dropped_no_route_->inc(); break;
+    case DropReason::kNoRoute: c_dropped_no_route_.inc(); break;
     case DropReason::kFirewallDeny:
-    case DropReason::kPayloadRule: c_dropped_firewall_->inc(); break;
-    case DropReason::kRateLimited: c_dropped_rate_->inc(); break;
-    case DropReason::kQuarantined: c_dropped_quarantine_->inc(); break;
-    case DropReason::kLinkDown: c_dropped_link_down_->inc(); break;
-    case DropReason::kDegradedShed: c_dropped_degraded_->inc(); break;
+    case DropReason::kPayloadRule: c_dropped_firewall_.inc(); break;
+    case DropReason::kRateLimited: c_dropped_rate_.inc(); break;
+    case DropReason::kQuarantined: c_dropped_quarantine_.inc(); break;
+    case DropReason::kLinkDown: c_dropped_link_down_.inc(); break;
+    case DropReason::kDegradedShed: c_dropped_degraded_.inc(); break;
   }
   ASECK_TRACE(trace_, sched_.now(), k_drop_,
               domain + " id=" + std::to_string(frame.id));
@@ -266,7 +251,7 @@ void SecurityGateway::on_domain_frame(const std::string& domain,
                                       const CanFrame& frame, SimTime at) {
   (void)at;
   if (offline_) return;  // crashed unit: no processing at all
-  c_frames_seen_->inc();
+  c_frames_seen_.inc();
   Domain& src = domains_.at(domain);
   if (src.quarantined) {
     drop(domain, frame, DropReason::kQuarantined);
@@ -340,10 +325,10 @@ void SecurityGateway::on_domain_frame(const std::string& domain,
     if (!forwarding_) {
       // Hot standby: the frame passed the whole pipeline (state is warm),
       // but only the active unit may emit on the destination bus.
-      c_shadow_forwarded_->inc();
+      c_shadow_forwarded_.inc();
       continue;
     }
-    c_forwarded_->inc();
+    c_forwarded_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_forward_,
                 domain + "->" + to + " id=" + std::to_string(frame.id));
     CanFrame copy = frame;

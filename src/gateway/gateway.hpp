@@ -43,9 +43,9 @@ enum class DropReason {
 enum class GatewayMode { kNormal, kDegraded, kLimpHome };
 
 /// Health-tick policy for automatic mode transitions. Every `window`, each
-/// domain's fault count (reported faults + link-down drops + watched bus
-/// errors) is compared against the thresholds; `healthy_windows` consecutive
-/// calm windows step the mode back down one level.
+/// domain's fault count (reported faults + link-down drops + errors on a
+/// watched domain bus) is compared against the thresholds; `healthy_windows`
+/// consecutive calm windows step the mode back down one level.
 struct DegradedModeConfig {
   SimTime window = SimTime::from_ms(500);
   std::uint32_t degrade_threshold = 20;  // faults/window -> kDegraded
@@ -134,10 +134,11 @@ class SecurityGateway {
   /// Feeds the health counter directly (IDS verdicts, substrate callbacks).
   void report_domain_fault(const std::string& domain, std::uint32_t n = 1);
 
-  /// Subscribes to a shared TraceBus and counts "tx_error"/"bus_off" events
-  /// from attached domain buses as domain faults (bus_off weighs 10). Call
-  /// after add_domain(), with the buses built on the same telemetry.
-  void enable_bus_fault_watch(const sim::Telemetry& t);
+  /// Counts errors on the buses attached so far as domain faults: each
+  /// errored frame weighs 1 and each bus-off 10. The health tick reads the
+  /// buses' own counts, so the watch does not depend on tracing. Call after
+  /// add_domain(); errors before the call are not counted.
+  void enable_bus_fault_watch();
 
   // --- hot-standby support (gateway::RedundantGateway) -----------------------
   /// Forwarding on (active, default) or off (hot standby). A passive gateway
@@ -153,9 +154,9 @@ class SecurityGateway {
   void set_offline(bool off) { offline_ = off; }
   bool offline() const { return offline_; }
   /// Frames the shadow pipeline would have forwarded while passive.
-  std::uint64_t shadow_forwarded() const { return c_shadow_forwarded_->value(); }
+  std::uint64_t shadow_forwarded() const { return c_shadow_forwarded_.value(); }
   /// Frames that reached the admission pipeline (any role, incl. shadow).
-  std::uint64_t frames_seen() const { return c_frames_seen_->value(); }
+  std::uint64_t frames_seen() const { return c_frames_seen_.value(); }
 
   /// Replicable dynamic state for active -> standby sync. Static config
   /// (routes, rules, limits) is mirrored at setup time by RedundantGateway;
@@ -203,6 +204,10 @@ class SecurityGateway {
   void drop(const std::string& domain, const CanFrame& frame, DropReason r);
   void health_tick();
   void set_mode(const std::string& name, Domain& d, GatewayMode m);
+  /// Faults of `d` in the current window, watched bus errors included.
+  static std::uint32_t pending_faults(const Domain& d);
+  /// Marks a watched bus's counts as accounted for.
+  static void mark_bus(Domain& d);
 
   Scheduler& sched_;
   std::string name_;
@@ -218,6 +223,11 @@ class SecurityGateway {
     GatewayMode mode = GatewayMode::kNormal;
     std::uint32_t fault_count = 0;   // faults in the current health window
     std::uint32_t calm_windows = 0;  // consecutive windows under threshold
+    // Bus-fault watch: the bus's error and bus-off counts at the start of
+    // the window.
+    bool watched = false;
+    std::uint64_t errors_mark = 0;
+    std::uint64_t bus_offs_mark = 0;
   };
   std::map<std::string, Domain> domains_;
   struct RouteDest {
@@ -229,27 +239,27 @@ class SecurityGateway {
   std::vector<FirewallRule> rules_;
   std::map<std::string, std::map<std::uint32_t, Flow>> flows_;
   sim::TraceScope trace_;
-  sim::Counter* c_forwarded_ = nullptr;
-  sim::Counter* c_dropped_no_route_ = nullptr;
-  sim::Counter* c_dropped_firewall_ = nullptr;
-  sim::Counter* c_dropped_rate_ = nullptr;
-  sim::Counter* c_dropped_quarantine_ = nullptr;
-  sim::Counter* c_dropped_link_down_ = nullptr;
-  sim::Counter* c_dropped_degraded_ = nullptr;
-  sim::Counter* c_frames_seen_ = nullptr;
-  sim::Counter* c_shadow_forwarded_ = nullptr;
-  sim::TraceId k_forward_ = 0, k_drop_ = 0, k_quarantine_ = 0, k_release_ = 0,
-               k_mode_normal_ = 0, k_mode_degraded_ = 0, k_mode_limp_ = 0,
-               k_link_up_ = 0, k_link_down_ = 0;
+  sim::Counter& c_forwarded_ = trace_.counter("forwarded");
+  sim::Counter& c_dropped_no_route_ = trace_.counter("dropped_no_route");
+  sim::Counter& c_dropped_firewall_ = trace_.counter("dropped_firewall");
+  sim::Counter& c_dropped_rate_ = trace_.counter("dropped_rate");
+  sim::Counter& c_dropped_quarantine_ = trace_.counter("dropped_quarantine");
+  sim::Counter& c_dropped_link_down_ = trace_.counter("dropped_link_down");
+  sim::Counter& c_dropped_degraded_ = trace_.counter("dropped_degraded");
+  sim::Counter& c_frames_seen_ = trace_.counter("frames_seen");
+  sim::Counter& c_shadow_forwarded_ = trace_.counter("shadow_forwarded");
+  const sim::TraceId k_forward_ = trace_.kind("forward");
+  const sim::TraceId k_drop_ = trace_.kind("drop");
+  const sim::TraceId k_quarantine_ = trace_.kind("quarantine");
+  const sim::TraceId k_release_ = trace_.kind("release");
+  const sim::TraceId k_mode_normal_ = trace_.kind("mode_normal");
+  const sim::TraceId k_mode_degraded_ = trace_.kind("mode_degraded");
+  const sim::TraceId k_mode_limp_ = trace_.kind("mode_limp_home");
+  const sim::TraceId k_link_up_ = trace_.kind("link_up");
+  const sim::TraceId k_link_down_ = trace_.kind("link_down");
   DropObserver drop_observer_;
   DegradedModeConfig degraded_cfg_;
   std::unique_ptr<sim::PeriodicTask> health_task_;
-  // Bus-fault watch state: shared bus, live-tap token, and the mapping from
-  // interned bus-component ids to domain names.
-  std::shared_ptr<sim::TraceBus> watch_bus_;
-  std::uint64_t watch_token_ = 0;
-  sim::TraceId k_watch_tx_error_ = 0, k_watch_bus_off_ = 0;
-  std::map<sim::TraceId, std::string> watch_domains_;
 };
 
 }  // namespace aseck::gateway

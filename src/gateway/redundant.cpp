@@ -15,14 +15,6 @@ RedundantGateway::RedundantGateway(Scheduler& sched, std::string name,
       standby_(b_.get()),
       trace_("rgw." + name_, "rgw." + name_ + ".", telemetry) {
   standby_->set_forwarding(false);
-  c_syncs_ = &trace_.counter("state_syncs");
-  c_failovers_ = &trace_.counter("failovers");
-  h_detect_ms_ = &trace_.histogram("detect_ms", 0.0, 1000.0, 50);
-  k_sync_ = trace_.kind("state_sync");
-  k_failover_ = trace_.kind("failover");
-  k_active_down_ = trace_.kind("active_down");
-  k_active_up_ = trace_.kind("active_up");
-  k_rejoin_ = trace_.kind("standby_rejoin");
 }
 
 void RedundantGateway::add_domain(const std::string& domain, ivn::CanBus* bus) {
@@ -49,7 +41,7 @@ void RedundantGateway::start_sync(SimTime period) {
         // repaired or after the standby is promoted.
         if (active_->offline()) return;
         standby_->import_state(active_->export_state());
-        c_syncs_->inc();
+        c_syncs_.inc();
         ASECK_TRACE(trace_, sched_.now(), k_sync_,
                     active_->forwarding() ? "a->b" : "b->a");
       },
@@ -95,11 +87,11 @@ bool RedundantGateway::failover() {
     last_frames_lost_ = 0;
     last_detect_latency_ = SimTime::zero();
   }
-  h_detect_ms_->record(last_detect_latency_.ms());
+  h_detect_ms_.record(last_detect_latency_.ms());
   active_->set_forwarding(false);
   standby_->set_forwarding(true);
   std::swap(active_, standby_);
-  c_failovers_->inc();
+  c_failovers_.inc();
   ASECK_TRACE(trace_, sched_.now(), k_failover_,
               "to=" + active_->trace().component() +
                   " frames_lost=" + std::to_string(last_frames_lost_) +

@@ -52,7 +52,7 @@ class RedundantGateway {
   /// Starts periodic active -> standby state replication.
   void start_sync(SimTime period);
   void stop_sync();
-  std::uint64_t syncs() const { return c_syncs_->value(); }
+  std::uint64_t syncs() const { return c_syncs_.value(); }
 
   // --- fault + supervision wiring --------------------------------------------
   /// Marks the active unit crashed (down=true) or repaired (down=false);
@@ -68,7 +68,7 @@ class RedundantGateway {
   bool failover();
 
   // --- measurements -----------------------------------------------------------
-  std::uint64_t failovers() const { return c_failovers_->value(); }
+  std::uint64_t failovers() const { return c_failovers_.value(); }
   /// Shadow-would-have-forwarded frames between active-down and promotion of
   /// the most recent failover (the switchover downtime, in frames).
   std::uint64_t last_failover_frames_lost() const { return last_frames_lost_; }
@@ -89,11 +89,15 @@ class RedundantGateway {
   SimTime last_detect_latency_ = SimTime::zero();
   std::unique_ptr<sim::PeriodicTask> sync_task_;
   sim::TraceScope trace_;
-  sim::Counter* c_syncs_ = nullptr;
-  sim::Counter* c_failovers_ = nullptr;
-  sim::LatencyHistogram* h_detect_ms_ = nullptr;
-  sim::TraceId k_sync_ = 0, k_failover_ = 0, k_active_down_ = 0,
-               k_active_up_ = 0, k_rejoin_ = 0;
+  sim::Counter& c_syncs_ = trace_.counter("state_syncs");
+  sim::Counter& c_failovers_ = trace_.counter("failovers");
+  sim::LatencyHistogram& h_detect_ms_ =
+      trace_.histogram("detect_ms", 0.0, 1000.0, 50);
+  const sim::TraceId k_sync_ = trace_.kind("state_sync");
+  const sim::TraceId k_failover_ = trace_.kind("failover");
+  const sim::TraceId k_active_down_ = trace_.kind("active_down");
+  const sim::TraceId k_active_up_ = trace_.kind("active_up");
+  const sim::TraceId k_rejoin_ = trace_.kind("standby_rejoin");
 };
 
 }  // namespace aseck::gateway

@@ -108,8 +108,8 @@ double SpecRuleDetector::observe(const CanFrame& frame, SimTime) {
   return 0.0;
 }
 
-IdsEnsemble::IdsEnsemble()
-    : trace_("ids", "ids.") {
+IdsEnsemble::IdsEnsemble(const sim::Telemetry& telemetry)
+    : trace_("ids", "ids.", telemetry) {
   resolve_telemetry();
 }
 
@@ -124,7 +124,7 @@ void IdsEnsemble::resolve_telemetry() {
 }
 
 void IdsEnsemble::bind_telemetry(const sim::Telemetry& t) {
-  trace_.bind(t);
+  trace_ = sim::TraceScope("ids", "ids.", t);
   resolve_telemetry();
 }
 
@@ -168,16 +168,16 @@ IdsEnsemble::Verdict IdsEnsemble::observe_labeled(const CanFrame& frame,
   return v;
 }
 
-IdsEnsemble make_default_ensemble() {
-  IdsEnsemble e;
+IdsEnsemble make_default_ensemble(const sim::Telemetry& telemetry) {
+  IdsEnsemble e(telemetry);
   e.add(std::make_unique<FrequencyDetector>());
   e.add(std::make_unique<PayloadEntropyDetector>());
   e.add(std::make_unique<SpecRuleDetector>());
   return e;
 }
 
-IdsEnsemble make_extended_ensemble() {
-  IdsEnsemble e = make_default_ensemble();
+IdsEnsemble make_extended_ensemble(const sim::Telemetry& telemetry) {
+  IdsEnsemble e = make_default_ensemble(telemetry);
   e.add(std::make_unique<SequenceDetector>());
   return e;
 }

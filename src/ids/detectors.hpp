@@ -146,7 +146,8 @@ struct IdsScore {
 
 class IdsEnsemble {
  public:
-  IdsEnsemble();
+  /// Counts and traces onto `telemetry` (default: a fresh private plane).
+  explicit IdsEnsemble(const sim::Telemetry& telemetry = {});
   void add(std::unique_ptr<Detector> d) { detectors_.push_back(std::move(d)); }
 
   void train(const CanFrame& frame, SimTime at);
@@ -166,14 +167,14 @@ class IdsEnsemble {
   void reset_score() { score_ = {}; }
   std::size_t detector_count() const { return detectors_.size(); }
 
-  /// Moves trace events and counters onto a shared telemetry plane,
-  /// carrying the counts so far. Unlike every other component, the ensemble
-  /// joins its plane after construction, because the factories below return
-  /// it by value and callers bind it afterwards.
+  /// Benchmark-only: re-seats the ensemble on `t` and re-resolves its
+  /// counters. Nothing is carried over, so call it before the first
+  /// observe. Its one caller is benchmark/vehicle_path.cpp; everything else
+  /// builds the ensemble on its plane.
   void bind_telemetry(const sim::Telemetry& t);
 
  private:
-  /// Caches the counters and the alert kind of the current plane.
+  /// Caches the counters and the alert kind of the scope's plane.
   void resolve_telemetry();
 
   std::vector<std::unique_ptr<Detector>> detectors_;
@@ -189,9 +190,9 @@ class IdsEnsemble {
 };
 
 /// Convenience: ensemble with the three classic detectors at default
-/// settings (frequency, payload, specification).
-IdsEnsemble make_default_ensemble();
+/// settings (frequency, payload, specification), built on `telemetry`.
+IdsEnsemble make_default_ensemble(const sim::Telemetry& telemetry = {});
 /// Extended ensemble adding the sequence (Markov-transition) detector.
-IdsEnsemble make_extended_ensemble();
+IdsEnsemble make_extended_ensemble(const sim::Telemetry& telemetry = {});
 
 }  // namespace aseck::ids

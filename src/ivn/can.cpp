@@ -252,30 +252,14 @@ CanBus::CanBus(Scheduler& sched, std::string name, std::uint64_t bitrate_bps,
       data_bitrate_(data_bitrate_bps ? data_bitrate_bps : bitrate_bps),
       trace_(name_, "can." + name_ + ".", telemetry) {
   if (bitrate_ == 0) throw std::invalid_argument("CanBus: zero bitrate");
-  c_frames_ok_ = &trace_.counter("frames_ok");
-  c_frames_error_ = &trace_.counter("frames_error");
-  c_bits_on_wire_ = &trace_.counter("bits_on_wire");
-  c_busy_ns_ = &trace_.counter("busy_ns");
-  c_frames_dropped_fault_ = &trace_.counter("frames_dropped_fault");
-  c_frames_duplicated_ = &trace_.counter("frames_duplicated");
-  c_frames_malformed_ = &trace_.counter("frames_malformed");
-  k_tx_ = trace_.kind("tx");
-  k_tx_start_ = trace_.kind("tx_start");
-  k_tx_error_ = trace_.kind("tx_error");
-  k_tx_error_start_ = trace_.kind("tx_error_start");
-  k_bus_off_ = trace_.kind("bus_off");
-  k_recover_ = trace_.kind("recover");
-  k_fault_drop_ = trace_.kind("fault_drop");
-  k_fault_dup_ = trace_.kind("fault_dup");
-  k_fault_malformed_ = trace_.kind("fault_malformed");
 }
 
 CanBusStats CanBus::stats() const {
   CanBusStats s;
-  s.frames_ok = c_frames_ok_->value();
-  s.frames_error = c_frames_error_->value();
-  s.bits_on_wire = c_bits_on_wire_->value();
-  s.busy_time = SimTime::from_ns(c_busy_ns_->value());
+  s.frames_ok = c_frames_ok_.value();
+  s.frames_error = c_frames_error_.value();
+  s.bits_on_wire = c_bits_on_wire_.value();
+  s.busy_time = SimTime::from_ns(c_busy_ns_.value());
   return s;
 }
 
@@ -348,7 +332,7 @@ void CanBus::try_start_tx() {
   // (models a wiring glitch eating the frame without an error flag).
   if (fault_port_ && fault_port_->roll_drop()) {
     winner->tx_queue_.pop_front();
-    c_frames_dropped_fault_->inc();
+    c_frames_dropped_fault_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_fault_drop_, winner->name());
     try_start_tx();
     return;
@@ -369,7 +353,7 @@ void CanBus::try_start_tx() {
       if (frame.format == CanFormat::kFd) {
         frame.data.resize(CanFrame::fd_round_up(frame.data.size()), 0);
       }
-      c_frames_malformed_->inc();
+      c_frames_malformed_.inc();
       ASECK_TRACE(trace_, sched_.now(), k_fault_malformed_, winner->name());
     }
   }
@@ -390,8 +374,8 @@ void CanBus::try_start_tx() {
   // Injected delay: the medium is disturbed (retransmission-after-noise),
   // holding the bus longer and delivering the frame late.
   if (fault_port_) busy_for += fault_port_->roll_delay();
-  c_busy_ns_->inc(busy_for.ns);
-  c_bits_on_wire_->inc(bits);
+  c_busy_ns_.inc(busy_for.ns);
+  c_bits_on_wire_.inc(bits);
   sched_.schedule_in(busy_for, [this, winner, frame, errored] {
     finish_tx(winner, frame, errored);
   });
@@ -400,7 +384,7 @@ void CanBus::try_start_tx() {
 void CanBus::finish_tx(CanNode* node, const CanFrame& frame, bool errored) {
   busy_ = false;
   if (errored) {
-    c_frames_error_->inc();
+    c_frames_error_.inc();
     bump_tx_error(node);
     ASECK_TRACE(trace_, sched_.now(), k_tx_error_, node->name());
     // Frame stays at queue head for retransmission unless the node went
@@ -409,7 +393,7 @@ void CanBus::finish_tx(CanNode* node, const CanFrame& frame, bool errored) {
       node->tx_queue_.clear();
     }
   } else {
-    c_frames_ok_->inc();
+    c_frames_ok_.inc();
     if (!node->tx_queue_.empty()) node->tx_queue_.pop_front();
     // Successful transmission decrements TEC.
     node->tec_ = std::max(0, node->tec_ - 1);
@@ -427,7 +411,7 @@ void CanBus::finish_tx(CanNode* node, const CanFrame& frame, bool errored) {
     // Injected duplicate: receivers see the frame a second time (replay /
     // echo on the wire) — the attack primitive replay detectors train on.
     if (fault_port_ && fault_port_->roll_duplicate()) {
-      c_frames_duplicated_->inc();
+      c_frames_duplicated_.inc();
       ASECK_TRACE(trace_, sched_.now(), k_fault_dup_, node->name());
       for (CanNode* rx : nodes_) {
         if (rx != node && rx->state_ != CanNodeState::kBusOff) {
@@ -443,6 +427,7 @@ void CanBus::bump_tx_error(CanNode* node) {
   node->tec_ += 8;  // bit error during transmission
   if (node->tec_ > 255) {
     node->state_ = CanNodeState::kBusOff;
+    ++bus_offs_;
     ASECK_TRACE(trace_, sched_.now(), k_bus_off_, node->name());
     node->on_bus_off(sched_.now());
     // Automatic recovery: after the configured delay (standing in for the

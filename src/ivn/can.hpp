@@ -141,6 +141,8 @@ class CanBus : public sim::FaultHook {
 
   /// Snapshot materialized from the metrics registry (compat accessor).
   CanBusStats stats() const;
+  /// Times any node on this bus entered bus-off.
+  std::uint64_t bus_offs() const { return bus_offs_; }
   sim::TraceScope& trace() { return trace_; }
 
   void set_error_injector(ErrorInjector injector) {
@@ -174,17 +176,24 @@ class CanBus : public sim::FaultHook {
   std::uint64_t data_bitrate_;
   std::vector<CanNode*> nodes_;
   bool busy_ = false;
+  std::uint64_t bus_offs_ = 0;
   sim::TraceScope trace_;
-  sim::Counter* c_frames_ok_ = nullptr;
-  sim::Counter* c_frames_error_ = nullptr;
-  sim::Counter* c_bits_on_wire_ = nullptr;
-  sim::Counter* c_busy_ns_ = nullptr;
-  sim::Counter* c_frames_dropped_fault_ = nullptr;
-  sim::Counter* c_frames_duplicated_ = nullptr;
-  sim::Counter* c_frames_malformed_ = nullptr;
-  sim::TraceId k_tx_ = 0, k_tx_start_ = 0, k_tx_error_ = 0,
-               k_tx_error_start_ = 0, k_bus_off_ = 0, k_recover_ = 0,
-               k_fault_drop_ = 0, k_fault_dup_ = 0, k_fault_malformed_ = 0;
+  sim::Counter& c_frames_ok_ = trace_.counter("frames_ok");
+  sim::Counter& c_frames_error_ = trace_.counter("frames_error");
+  sim::Counter& c_bits_on_wire_ = trace_.counter("bits_on_wire");
+  sim::Counter& c_busy_ns_ = trace_.counter("busy_ns");
+  sim::Counter& c_frames_dropped_fault_ = trace_.counter("frames_dropped_fault");
+  sim::Counter& c_frames_duplicated_ = trace_.counter("frames_duplicated");
+  sim::Counter& c_frames_malformed_ = trace_.counter("frames_malformed");
+  const sim::TraceId k_tx_ = trace_.kind("tx");
+  const sim::TraceId k_tx_start_ = trace_.kind("tx_start");
+  const sim::TraceId k_tx_error_ = trace_.kind("tx_error");
+  const sim::TraceId k_tx_error_start_ = trace_.kind("tx_error_start");
+  const sim::TraceId k_bus_off_ = trace_.kind("bus_off");
+  const sim::TraceId k_recover_ = trace_.kind("recover");
+  const sim::TraceId k_fault_drop_ = trace_.kind("fault_drop");
+  const sim::TraceId k_fault_dup_ = trace_.kind("fault_dup");
+  const sim::TraceId k_fault_malformed_ = trace_.kind("fault_malformed");
   ErrorInjector error_injector_;
   SimTime auto_recovery_ = SimTime::zero();
   std::map<CanNode*, sim::EventId> recovery_timers_;

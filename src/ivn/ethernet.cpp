@@ -51,21 +51,6 @@ EthernetSwitch::EthernetSwitch(Scheduler& sched, std::string name,
       processing_delay_(processing_delay),
       trace_(name_, "ethernet." + name_ + ".", telemetry) {
   if (link_bps_ == 0) throw std::invalid_argument("EthernetSwitch: zero rate");
-  c_forwarded_ = &trace_.counter("forwarded");
-  c_dropped_policer_ = &trace_.counter("dropped_policer");
-  c_dropped_vlan_ = &trace_.counter("dropped_vlan");
-  c_dropped_port_down_ = &trace_.counter("dropped_port_down");
-  c_flooded_ = &trace_.counter("flooded");
-  c_dropped_fault_ = &trace_.counter("dropped_fault");
-  c_corrupted_fault_ = &trace_.counter("corrupted_fault");
-  c_duplicated_fault_ = &trace_.counter("duplicated_fault");
-  k_port_up_ = trace_.kind("port_up");
-  k_port_down_ = trace_.kind("port_down");
-  k_drop_vlan_ = trace_.kind("drop_vlan");
-  k_drop_policed_ = trace_.kind("drop_policed");
-  k_fault_drop_ = trace_.kind("fault_drop");
-  k_fault_corrupt_ = trace_.kind("fault_corrupt");
-  k_fault_dup_ = trace_.kind("fault_dup");
 }
 
 std::size_t EthernetSwitch::connect(EthernetEndpoint* ep) {
@@ -105,30 +90,30 @@ bool EthernetSwitch::vlan_allowed(const Port& p, std::uint16_t vlan) const {
 bool EthernetSwitch::send(std::size_t port, EthernetFrame frame) {
   Port& in = ports_.at(port);
   if (!in.enabled) {
-    c_dropped_port_down_->inc();
+    c_dropped_port_down_.inc();
     return false;
   }
   if (!vlan_allowed(in, frame.vlan)) {
-    c_dropped_vlan_->inc();
+    c_dropped_vlan_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_drop_vlan_,
                 "port=" + std::to_string(port));
     return false;
   }
   if (!in.policer.admit(frame.wire_bytes(), sched_.now())) {
-    c_dropped_policer_->inc();
+    c_dropped_policer_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_drop_policed_,
                 "port=" + std::to_string(port));
     return false;
   }
   if (fault_port_ && (fault_port_->down() || fault_port_->roll_drop())) {
-    c_dropped_fault_->inc();
+    c_dropped_fault_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_fault_drop_,
                 "port=" + std::to_string(port));
     return false;
   }
   if (fault_port_ && fault_port_->roll_corrupt() && !frame.payload.empty()) {
     frame.payload[0] = static_cast<std::uint8_t>(frame.payload[0] ^ 0xff);
-    c_corrupted_fault_->inc();
+    c_corrupted_fault_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_fault_corrupt_,
                 "port=" + std::to_string(port));
   }
@@ -148,14 +133,14 @@ bool EthernetSwitch::send(std::size_t port, EthernetFrame frame) {
     if (frame.dst != kBroadcastMac && it != fdb_.end() && it->second != port) {
       deliver(it->second, frame);
     } else if (frame.dst == kBroadcastMac || it == fdb_.end()) {
-      c_flooded_->inc();
+      c_flooded_.inc();
       for (std::size_t p = 0; p < ports_.size(); ++p) {
         if (p != port) deliver(p, frame);
       }
     }
   };
   if (duplicate) {
-    c_duplicated_fault_->inc();
+    c_duplicated_fault_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_fault_dup_,
                 "port=" + std::to_string(port));
     sched_.schedule_in(latency, forward);
@@ -168,13 +153,13 @@ void EthernetSwitch::deliver(std::size_t port, const EthernetFrame& frame) {
   Port& out = ports_.at(port);
   if (!out.enabled || !vlan_allowed(out, frame.vlan)) {
     if (!out.enabled) {
-      c_dropped_port_down_->inc();
+      c_dropped_port_down_.inc();
     } else {
-      c_dropped_vlan_->inc();
+      c_dropped_vlan_.inc();
     }
     return;
   }
-  c_forwarded_->inc();
+  c_forwarded_.inc();
   // Egress serialization.
   const SimTime tx = SimTime::from_seconds_f(
       static_cast<double>(frame.wire_bytes() * 8) / static_cast<double>(link_bps_));

@@ -95,15 +95,15 @@ class EthernetSwitch : public sim::FaultHook {
   /// Returns false if dropped at ingress (policing/VLAN/port-down).
   bool send(std::size_t port, EthernetFrame frame);
 
-  std::uint64_t forwarded() const { return c_forwarded_->value(); }
-  std::uint64_t dropped_policer() const { return c_dropped_policer_->value(); }
-  std::uint64_t dropped_vlan() const { return c_dropped_vlan_->value(); }
-  std::uint64_t dropped_port_down() const { return c_dropped_port_down_->value(); }
-  std::uint64_t flooded() const { return c_flooded_->value(); }
+  std::uint64_t forwarded() const { return c_forwarded_.value(); }
+  std::uint64_t dropped_policer() const { return c_dropped_policer_.value(); }
+  std::uint64_t dropped_vlan() const { return c_dropped_vlan_.value(); }
+  std::uint64_t dropped_port_down() const { return c_dropped_port_down_.value(); }
+  std::uint64_t flooded() const { return c_flooded_.value(); }
   /// Frames lost / mangled / cloned by injected faults.
-  std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
-  std::uint64_t corrupted_fault() const { return c_corrupted_fault_->value(); }
-  std::uint64_t duplicated_fault() const { return c_duplicated_fault_->value(); }
+  std::uint64_t dropped_fault() const { return c_dropped_fault_.value(); }
+  std::uint64_t corrupted_fault() const { return c_corrupted_fault_.value(); }
+  std::uint64_t duplicated_fault() const { return c_duplicated_fault_.value(); }
 
   /// Port an endpoint MAC was learned on, if any.
   std::optional<std::size_t> learned_port(const MacAddress& mac) const;
@@ -126,17 +126,21 @@ class EthernetSwitch : public sim::FaultHook {
   std::vector<Port> ports_;
   std::map<std::uint64_t, std::size_t> fdb_;  // mac (as u64) -> port
   sim::TraceScope trace_;
-  sim::Counter* c_forwarded_ = nullptr;
-  sim::Counter* c_dropped_policer_ = nullptr;
-  sim::Counter* c_dropped_vlan_ = nullptr;
-  sim::Counter* c_dropped_port_down_ = nullptr;
-  sim::Counter* c_flooded_ = nullptr;
-  sim::Counter* c_dropped_fault_ = nullptr;
-  sim::Counter* c_corrupted_fault_ = nullptr;
-  sim::Counter* c_duplicated_fault_ = nullptr;
-  sim::TraceId k_port_up_ = 0, k_port_down_ = 0, k_drop_vlan_ = 0,
-               k_drop_policed_ = 0, k_fault_drop_ = 0, k_fault_corrupt_ = 0,
-               k_fault_dup_ = 0;
+  sim::Counter& c_forwarded_ = trace_.counter("forwarded");
+  sim::Counter& c_dropped_policer_ = trace_.counter("dropped_policer");
+  sim::Counter& c_dropped_vlan_ = trace_.counter("dropped_vlan");
+  sim::Counter& c_dropped_port_down_ = trace_.counter("dropped_port_down");
+  sim::Counter& c_flooded_ = trace_.counter("flooded");
+  sim::Counter& c_dropped_fault_ = trace_.counter("dropped_fault");
+  sim::Counter& c_corrupted_fault_ = trace_.counter("corrupted_fault");
+  sim::Counter& c_duplicated_fault_ = trace_.counter("duplicated_fault");
+  const sim::TraceId k_port_up_ = trace_.kind("port_up");
+  const sim::TraceId k_port_down_ = trace_.kind("port_down");
+  const sim::TraceId k_drop_vlan_ = trace_.kind("drop_vlan");
+  const sim::TraceId k_drop_policed_ = trace_.kind("drop_policed");
+  const sim::TraceId k_fault_drop_ = trace_.kind("fault_drop");
+  const sim::TraceId k_fault_corrupt_ = trace_.kind("fault_corrupt");
+  const sim::TraceId k_fault_dup_ = trace_.kind("fault_dup");
 };
 
 }  // namespace aseck::ivn

@@ -14,14 +14,6 @@ FlexRayBus::FlexRayBus(Scheduler& sched, std::string name, FlexRayConfig cfg,
   if (cfg_.static_slots == 0) {
     throw std::invalid_argument("FlexRayBus: need at least one static slot");
   }
-  c_static_frames_ = &trace_.counter("static_frames");
-  c_null_frames_ = &trace_.counter("null_frames");
-  c_dynamic_frames_ = &trace_.counter("dynamic_frames");
-  c_dynamic_dropped_ = &trace_.counter("dynamic_dropped");
-  c_dropped_fault_ = &trace_.counter("dropped_fault");
-  k_static_ = trace_.kind("static");
-  k_dynamic_ = trace_.kind("dynamic");
-  k_fault_drop_ = trace_.kind("fault_drop");
 }
 
 void FlexRayBus::assign_static_slot(std::uint16_t slot, FlexRayNode* node) {
@@ -76,13 +68,13 @@ void FlexRayBus::run_cycle() {
       if (payload) {
         if (fault_port_ && (fault_port_->down() || fault_port_->roll_drop())) {
           // Injected fault: frame lost, TDMA slot still consumed.
-          c_dropped_fault_->inc();
+          c_dropped_fault_.inc();
           ASECK_TRACE(trace_, sched_.now(), k_fault_drop_,
                       "slot=" + std::to_string(slot));
           return;
         }
         frame.payload = std::move(*payload);
-        c_static_frames_->inc();
+        c_static_frames_.inc();
         ASECK_TRACE(trace_, sched_.now(), k_static_,
                     "slot=" + std::to_string(slot));
         for (FlexRayNode* l : listeners_) {
@@ -90,7 +82,7 @@ void FlexRayBus::run_cycle() {
         }
       } else {
         frame.null_frame = true;
-        c_null_frames_->inc();
+        c_null_frames_.inc();
       }
     });
   }
@@ -111,7 +103,7 @@ void FlexRayBus::run_cycle() {
         (frame_bits + minislot_bits - 1) / minislot_bits);
     if (used_minislots + need > cfg_.dynamic_minislots) {
       carry.push_back(std::move(e));
-      c_dynamic_dropped_->inc();
+      c_dynamic_dropped_.inc();
       continue;
     }
     const SimTime at = dyn_start + cfg_.minislot_len * used_minislots;
@@ -121,10 +113,10 @@ void FlexRayBus::run_cycle() {
     frame.cycle = cycle_;
     frame.payload = std::move(e.payload);
     FlexRayNode* from = e.from;
-    c_dynamic_frames_->inc();
+    c_dynamic_frames_.inc();
     sched_.schedule_at(at, [this, frame = std::move(frame), from] {
       if (fault_port_ && (fault_port_->down() || fault_port_->roll_drop())) {
-        c_dropped_fault_->inc();
+        c_dropped_fault_.inc();
         ASECK_TRACE(trace_, sched_.now(), k_fault_drop_,
                     "slot=" + std::to_string(frame.slot_id));
         return;

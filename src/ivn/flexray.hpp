@@ -80,12 +80,12 @@ class FlexRayBus : public sim::FaultHook {
   void stop();
 
   std::uint8_t cycle() const { return cycle_; }
-  std::uint64_t static_frames() const { return c_static_frames_->value(); }
-  std::uint64_t null_frames() const { return c_null_frames_->value(); }
-  std::uint64_t dynamic_dropped() const { return c_dynamic_dropped_->value(); }
+  std::uint64_t static_frames() const { return c_static_frames_.value(); }
+  std::uint64_t null_frames() const { return c_null_frames_.value(); }
+  std::uint64_t dynamic_dropped() const { return c_dynamic_dropped_.value(); }
   /// Frames lost to injected faults (slot still consumed, as on a real bus
   /// where a corrupted frame burns its TDMA slot).
-  std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
+  std::uint64_t dropped_fault() const { return c_dropped_fault_.value(); }
   const FlexRayConfig& config() const { return cfg_; }
 
  private:
@@ -105,12 +105,14 @@ class FlexRayBus : public sim::FaultHook {
   bool running_ = false;
   std::uint8_t cycle_ = 0;
   sim::TraceScope trace_;
-  sim::Counter* c_static_frames_ = nullptr;
-  sim::Counter* c_null_frames_ = nullptr;
-  sim::Counter* c_dynamic_frames_ = nullptr;
-  sim::Counter* c_dynamic_dropped_ = nullptr;
-  sim::Counter* c_dropped_fault_ = nullptr;
-  sim::TraceId k_static_ = 0, k_dynamic_ = 0, k_fault_drop_ = 0;
+  sim::Counter& c_static_frames_ = trace_.counter("static_frames");
+  sim::Counter& c_null_frames_ = trace_.counter("null_frames");
+  sim::Counter& c_dynamic_frames_ = trace_.counter("dynamic_frames");
+  sim::Counter& c_dynamic_dropped_ = trace_.counter("dynamic_dropped");
+  sim::Counter& c_dropped_fault_ = trace_.counter("dropped_fault");
+  const sim::TraceId k_static_ = trace_.kind("static");
+  const sim::TraceId k_dynamic_ = trace_.kind("dynamic");
+  const sim::TraceId k_fault_drop_ = trace_.kind("fault_drop");
 };
 
 }  // namespace aseck::ivn

@@ -29,14 +29,6 @@ LinMaster::LinMaster(Scheduler& sched, std::string name, std::uint64_t bitrate_b
       bitrate_(bitrate_bps),
       trace_(name_, "lin." + name_ + ".", telemetry) {
   if (bitrate_ == 0) throw std::invalid_argument("LinMaster: zero bitrate");
-  c_frames_ok_ = &trace_.counter("frames_ok");
-  c_no_response_ = &trace_.counter("no_response");
-  c_checksum_errors_ = &trace_.counter("checksum_errors");
-  c_dropped_fault_ = &trace_.counter("dropped_fault");
-  k_frame_ = trace_.kind("frame");
-  k_no_response_ = trace_.kind("no_response");
-  k_checksum_error_ = trace_.kind("checksum_error");
-  k_fault_drop_ = trace_.kind("fault_drop");
 }
 
 void LinMaster::attach(LinSlave* slave) { slaves_.push_back(slave); }
@@ -72,12 +64,12 @@ void LinMaster::run_slot(std::size_t index) {
   }
 
   if (!response) {
-    c_no_response_->inc();
+    c_no_response_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_no_response_,
                 "id=" + std::to_string(slot.id));
   } else if (fault_port_ && (fault_port_->down() || fault_port_->roll_drop())) {
     // Injected fault: the response is lost on the wire.
-    c_dropped_fault_->inc();
+    c_dropped_fault_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_fault_drop_,
                 "id=" + std::to_string(slot.id));
   } else {
@@ -93,11 +85,11 @@ void LinMaster::run_slot(std::size_t index) {
     const std::uint8_t actual =
         lin_checksum(pid, frame.data, frame.enhanced_checksum);
     if (corrupted && actual != expected) {
-      c_checksum_errors_->inc();
+      c_checksum_errors_.inc();
       ASECK_TRACE(trace_, sched_.now(), k_checksum_error_,
                   "id=" + std::to_string(slot.id));
     } else {
-      c_frames_ok_->inc();
+      c_frames_ok_.inc();
       // Response time: (data+checksum) bytes at 10 bits each + header.
       const std::size_t bits = 34 + (frame.data.size() + 1) * 10;
       const SimTime when = sched_.now() + SimTime::from_seconds_f(

@@ -67,11 +67,11 @@ class LinMaster : public sim::FaultHook {
   void stop();
 
   /// Frames completed (with a responder).
-  std::uint64_t frames_ok() const { return c_frames_ok_->value(); }
+  std::uint64_t frames_ok() const { return c_frames_ok_.value(); }
   /// Headers that no slave answered.
-  std::uint64_t no_response() const { return c_no_response_->value(); }
+  std::uint64_t no_response() const { return c_no_response_.value(); }
   /// Observed checksum errors (corruption injection).
-  std::uint64_t checksum_errors() const { return c_checksum_errors_->value(); }
+  std::uint64_t checksum_errors() const { return c_checksum_errors_.value(); }
 
   /// Corruption hook: called with the response payload before delivery; may
   /// mutate it (returns true if mutated) to model noise/attack.
@@ -79,7 +79,7 @@ class LinMaster : public sim::FaultHook {
   void set_corruptor(Corruptor c) { corruptor_ = std::move(c); }
 
   /// Responses lost to injected faults.
-  std::uint64_t dropped_fault() const { return c_dropped_fault_->value(); }
+  std::uint64_t dropped_fault() const { return c_dropped_fault_.value(); }
 
  private:
   void run_slot(std::size_t index);
@@ -92,12 +92,14 @@ class LinMaster : public sim::FaultHook {
   bool running_ = false;
   Corruptor corruptor_;
   sim::TraceScope trace_;
-  sim::Counter* c_frames_ok_ = nullptr;
-  sim::Counter* c_no_response_ = nullptr;
-  sim::Counter* c_checksum_errors_ = nullptr;
-  sim::Counter* c_dropped_fault_ = nullptr;
-  sim::TraceId k_frame_ = 0, k_no_response_ = 0, k_checksum_error_ = 0,
-               k_fault_drop_ = 0;
+  sim::Counter& c_frames_ok_ = trace_.counter("frames_ok");
+  sim::Counter& c_no_response_ = trace_.counter("no_response");
+  sim::Counter& c_checksum_errors_ = trace_.counter("checksum_errors");
+  sim::Counter& c_dropped_fault_ = trace_.counter("dropped_fault");
+  const sim::TraceId k_frame_ = trace_.kind("frame");
+  const sim::TraceId k_no_response_ = trace_.kind("no_response");
+  const sim::TraceId k_checksum_error_ = trace_.kind("checksum_error");
+  const sim::TraceId k_fault_drop_ = trace_.kind("fault_drop");
 };
 
 }  // namespace aseck::ivn

@@ -78,12 +78,6 @@ SomeIpServer::SomeIpServer(EthernetSwitch& sw, std::string name, MacAddress mac,
       acl_(acl),
       trace_(this->name(), "someip." + this->name() + ".", telemetry) {
   port_ = sw.connect(this);
-  c_served_ = &trace_.counter("served");
-  c_denied_acl_ = &trace_.counter("denied_acl");
-  c_denied_mac_ = &trace_.counter("denied_mac");
-  k_serve_ = trace_.kind("serve");
-  k_deny_acl_ = trace_.kind("deny_acl");
-  k_deny_mac_ = trace_.kind("deny_mac");
 }
 
 void SomeIpServer::offer(ServiceId service, MethodId method, Handler handler,
@@ -120,7 +114,7 @@ void SomeIpServer::on_frame(const EthernetFrame& frame, sim::SimTime at) {
                         : SomeIpError::kUnknownService;
   } else if (acl_ && !acl_->permitted(m->service, m->client)) {
     err = SomeIpError::kAccessDenied;
-    c_denied_acl_->inc();
+    c_denied_acl_.inc();
     ASECK_TRACE(trace_, at, k_deny_acl_,
                 "service=" + std::to_string(m->service) +
                     " client=" + std::to_string(m->client));
@@ -128,7 +122,7 @@ void SomeIpServer::on_frame(const EthernetFrame& frame, sim::SimTime at) {
     if (trailer.size() != kMacTrailerBytes ||
         !util::ct_equal(trailer, someip_mac_trailer(*it->second.cmac, *m))) {
       err = SomeIpError::kBadMac;
-      c_denied_mac_->inc();
+      c_denied_mac_.inc();
       ASECK_TRACE(trace_, at, k_deny_mac_,
                   "service=" + std::to_string(m->service) +
                       " client=" + std::to_string(m->client));
@@ -137,7 +131,7 @@ void SomeIpServer::on_frame(const EthernetFrame& frame, sim::SimTime at) {
 
   if (err == SomeIpError::kOk) {
     reply.payload = it->second.handler(m->payload);
-    c_served_->inc();
+    c_served_.inc();
     ASECK_TRACE(trace_, at, k_serve_,
                 "service=" + std::to_string(m->service) +
                     " method=" + std::to_string(m->method));

@@ -81,9 +81,9 @@ class SomeIpServer : public EthernetEndpoint {
 
   void on_frame(const EthernetFrame& frame, sim::SimTime at) override;
 
-  std::uint64_t served() const { return c_served_->value(); }
-  std::uint64_t denied_acl() const { return c_denied_acl_->value(); }
-  std::uint64_t denied_mac() const { return c_denied_mac_->value(); }
+  std::uint64_t served() const { return c_served_.value(); }
+  std::uint64_t denied_acl() const { return c_denied_acl_.value(); }
+  std::uint64_t denied_mac() const { return c_denied_mac_.value(); }
   std::size_t port() const { return port_; }
 
  private:
@@ -97,10 +97,12 @@ class SomeIpServer : public EthernetEndpoint {
   std::size_t port_;
   std::map<std::pair<ServiceId, MethodId>, Endpoint> methods_;
   sim::TraceScope trace_;
-  sim::Counter* c_served_ = nullptr;
-  sim::Counter* c_denied_acl_ = nullptr;
-  sim::Counter* c_denied_mac_ = nullptr;
-  sim::TraceId k_serve_ = 0, k_deny_acl_ = 0, k_deny_mac_ = 0;
+  sim::Counter& c_served_ = trace_.counter("served");
+  sim::Counter& c_denied_acl_ = trace_.counter("denied_acl");
+  sim::Counter& c_denied_mac_ = trace_.counter("denied_mac");
+  const sim::TraceId k_serve_ = trace_.kind("serve");
+  const sim::TraceId k_deny_acl_ = trace_.kind("deny_acl");
+  const sim::TraceId k_deny_mac_ = trace_.kind("deny_mac");
 };
 
 /// A service consumer.

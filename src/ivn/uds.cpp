@@ -24,14 +24,7 @@ UdsServer::UdsServer(Config cfg, std::uint64_t seed,
                      const sim::Telemetry& telemetry)
     : cfg_(std::move(cfg)),
       rng_(seed),
-      trace_("uds", "uds.", telemetry) {
-  c_unlock_ok_ = &trace_.counter("unlock_ok");
-  c_invalid_key_ = &trace_.counter("invalid_key");
-  c_lockouts_ = &trace_.counter("lockouts");
-  k_unlock_ = trace_.kind("unlock");
-  k_invalid_key_ = trace_.kind("invalid_key");
-  k_lockout_ = trace_.kind("lockout");
-}
+      trace_("uds", "uds.", telemetry) {}
 
 bool UdsServer::locked_out(double now_s) const {
   return now_s < lockout_until_s_;
@@ -76,18 +69,18 @@ UdsResponse UdsServer::send_key(util::BytesView key, double now_s) {
   if (util::ct_equal(expected, key)) {
     unlocked_ = true;
     failed_attempts_ = 0;
-    c_unlock_ok_->inc();
+    c_unlock_ok_.inc();
     ASECK_TRACE(trace_, util::SimTime::from_seconds_f(now_s), k_unlock_, "");
     return {true, UdsNrc::kNone, {}};
   }
   ++failed_attempts_;
-  c_invalid_key_->inc();
+  c_invalid_key_.inc();
   ASECK_TRACE(trace_, util::SimTime::from_seconds_f(now_s), k_invalid_key_,
               "attempt=" + std::to_string(failed_attempts_));
   if (failed_attempts_ >= cfg_.max_attempts) {
     lockout_until_s_ = now_s + cfg_.lockout_s;
     failed_attempts_ = 0;
-    c_lockouts_->inc();
+    c_lockouts_.inc();
     ASECK_TRACE(trace_, util::SimTime::from_seconds_f(now_s), k_lockout_,
                 "until_s=" + std::to_string(lockout_until_s_));
     return {false, UdsNrc::kExceededAttempts, {}};

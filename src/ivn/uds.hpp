@@ -122,10 +122,12 @@ class UdsServer {
   };
   std::map<std::uint16_t, DidEntry> dids_;
   sim::TraceScope trace_;
-  sim::Counter* c_unlock_ok_ = nullptr;
-  sim::Counter* c_invalid_key_ = nullptr;
-  sim::Counter* c_lockouts_ = nullptr;
-  sim::TraceId k_unlock_ = 0, k_invalid_key_ = 0, k_lockout_ = 0;
+  sim::Counter& c_unlock_ok_ = trace_.counter("unlock_ok");
+  sim::Counter& c_invalid_key_ = trace_.counter("invalid_key");
+  sim::Counter& c_lockouts_ = trace_.counter("lockouts");
+  const sim::TraceId k_unlock_ = trace_.kind("unlock");
+  const sim::TraceId k_invalid_key_ = trace_.kind("invalid_key");
+  const sim::TraceId k_lockout_ = trace_.kind("lockout");
 };
 
 /// Brute-force attack against the weak XOR scheme: given one observed

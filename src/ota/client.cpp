@@ -42,27 +42,6 @@ FullVerificationClient::FullVerificationClient(std::string name,
       verify_engine_(trace_.metrics()) {
   director_.trusted_root = std::move(director_root);
   image_.trusted_root = std::move(image_root);
-  c_verify_ok_ = &trace_.counter("verify_ok");
-  c_verify_fail_ = &trace_.counter("verify_fail");
-  c_fetch_attempts_ = &trace_.counter("fetch_attempts");
-  c_fetch_retries_ = &trace_.counter("fetch_retries");
-  c_bytes_fetched_ = &trace_.counter("bytes_fetched");
-  c_backoffs_ = &trace_.counter("backoffs");
-  c_backoff_ns_ = &trace_.counter("backoff_ns_total");
-  c_resume_bytes_saved_ = &trace_.counter("resume_bytes_saved");
-  c_server_deferrals_ = &trace_.counter("server_deferrals");
-  c_wire_bytes_ = &trace_.counter("wire_bytes");
-  h_backoff_ms_ = &trace_.histogram("backoff_ms", 0.0, 60'000.0, 60);
-  k_verify_ok_ = trace_.kind("verify_ok");
-  k_verify_fail_ = trace_.kind("verify_fail");
-  k_fetch_attempt_ = trace_.kind("fetch_attempt");
-  k_fetch_resume_ = trace_.kind("fetch_resume");
-  k_fetch_interrupted_ = trace_.kind("fetch_interrupted");
-  k_backoff_ = trace_.kind("backoff");
-  k_retries_exhausted_ = trace_.kind("retries_exhausted");
-  k_stage_resume_ = trace_.kind("stage_resume");
-  k_power_loss_ = trace_.kind("power_loss");
-  k_retry_after_ = trace_.kind("retry_after");
 }
 
 OtaError FullVerificationClient::verify_repo(const MetadataBundle& bundle,
@@ -209,10 +188,10 @@ InstallResult not_activated(const ecu::Flash& flash) {
 void FullVerificationClient::record_verdict(SimTime now, OtaError err,
                                             const std::string& image) {
   if (err == OtaError::kOk) {
-    c_verify_ok_->inc();
+    c_verify_ok_.inc();
     ASECK_TRACE(trace_, now, k_verify_ok_, "image=" + image);
   } else {
-    c_verify_fail_->inc();
+    c_verify_fail_.inc();
     ASECK_TRACE(trace_, now, k_verify_fail_,
                 std::string(ota_error_name(err)) + " image=" + image);
   }
@@ -336,7 +315,7 @@ void FullVerificationClient::retry_attempt(
     return;
   }
   ++st->attempt;
-  c_fetch_attempts_->inc();
+  c_fetch_attempts_.inc();
   ASECK_TRACE(trace_, now, k_fetch_attempt_,
               "n=" + std::to_string(st->attempt) + " image=" + st->image_name);
   if (mr.status == ServeStatus::kUnavailable) {
@@ -381,7 +360,7 @@ void FullVerificationClient::retry_attempt(
       // Journal survived a previous session (power cut + boot recovery):
       // these bytes never cross the link again.
       st->resume_saved = static_cast<std::size_t>(wm);
-      c_resume_bytes_saved_->inc(wm);
+      c_resume_bytes_saved_.inc(wm);
       ASECK_TRACE(trace_, now, k_stage_resume_,
                   "watermark=" + std::to_string(wm) +
                       " image=" + st->image_name);
@@ -473,8 +452,8 @@ void FullVerificationClient::retry_fetch_chunk(
   }
   st->offset += cr.chunk.size();
   st->wire_bytes += cr.wire_bytes;
-  c_bytes_fetched_->inc(cr.chunk.size());
-  c_wire_bytes_->inc(cr.wire_bytes);
+  c_bytes_fetched_.inc(cr.chunk.size());
+  c_wire_bytes_.inc(cr.wire_bytes);
   // Transfer time is paid on WIRE bytes (a delta-compressed chunk crosses
   // the link faster), plus whatever the serving front charged in queueing.
   const SimTime tx =
@@ -498,7 +477,7 @@ void FullVerificationClient::retry_defer(const std::shared_ptr<RetryState>& st,
     retry_finish(st, OtaError::kRetriesExhausted);
     return;
   }
-  c_server_deferrals_->inc();
+  c_server_deferrals_.inc();
   ASECK_TRACE(trace_, now, k_retry_after_,
               "ns=" + std::to_string(after.ns) + " at=" + at);
   st->sched->schedule_after(after, [this, st, step] { (this->*step)(st); });
@@ -512,7 +491,7 @@ void FullVerificationClient::retry_fail_transport(
     retry_finish(st, OtaError::kRetriesExhausted);
     return;
   }
-  c_fetch_retries_->inc();
+  c_fetch_retries_.inc();
   const double base = st->policy.initial_backoff.seconds() *
                       std::pow(st->policy.multiplier, st->attempt - 1);
   double capped = std::min(base, st->policy.max_backoff.seconds());
@@ -521,9 +500,9 @@ void FullVerificationClient::retry_fail_transport(
                                                   1.0 + st->policy.jitter);
   }
   const SimTime backoff = SimTime::from_seconds_f(capped);
-  c_backoffs_->inc();
-  c_backoff_ns_->inc(backoff.ns);
-  h_backoff_ms_->record(backoff.ms());
+  c_backoffs_.inc();
+  c_backoff_ns_.inc(backoff.ns);
+  h_backoff_ms_.record(backoff.ms());
   ASECK_TRACE(trace_, st->sched->now(), k_backoff_,
               "ns=" + std::to_string(backoff.ns));
   st->sched->schedule_after(backoff, [this, st] { retry_attempt(st); });

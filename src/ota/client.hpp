@@ -151,7 +151,7 @@ class FullVerificationClient {
                                   RetryPolicy policy, ecu::Flash& flash,
                                   RetryCallback done);
 
-  std::uint64_t verify_fail() const { return c_verify_fail_->value(); }
+  std::uint64_t verify_fail() const { return c_verify_fail_.value(); }
   /// Engine behind all metadata signature checks: poll cycles re-verify
   /// identical role metadata, so steady-state verification is a cache hit.
   crypto::VerifyEngine& verify_engine() { return verify_engine_; }
@@ -197,21 +197,28 @@ class FullVerificationClient {
   RepoState image_;
   sim::TraceScope trace_;
   crypto::VerifyEngine verify_engine_;
-  sim::Counter* c_verify_ok_ = nullptr;
-  sim::Counter* c_verify_fail_ = nullptr;
-  sim::Counter* c_fetch_attempts_ = nullptr;
-  sim::Counter* c_fetch_retries_ = nullptr;
-  sim::Counter* c_bytes_fetched_ = nullptr;
-  sim::Counter* c_backoffs_ = nullptr;
-  sim::Counter* c_backoff_ns_ = nullptr;
-  sim::Counter* c_resume_bytes_saved_ = nullptr;
-  sim::Counter* c_server_deferrals_ = nullptr;
-  sim::Counter* c_wire_bytes_ = nullptr;
-  sim::LatencyHistogram* h_backoff_ms_ = nullptr;
-  sim::TraceId k_verify_ok_ = 0, k_verify_fail_ = 0, k_fetch_attempt_ = 0,
-               k_fetch_resume_ = 0, k_fetch_interrupted_ = 0, k_backoff_ = 0,
-               k_retries_exhausted_ = 0, k_stage_resume_ = 0, k_power_loss_ = 0,
-               k_retry_after_ = 0;
+  sim::Counter& c_verify_ok_ = trace_.counter("verify_ok");
+  sim::Counter& c_verify_fail_ = trace_.counter("verify_fail");
+  sim::Counter& c_fetch_attempts_ = trace_.counter("fetch_attempts");
+  sim::Counter& c_fetch_retries_ = trace_.counter("fetch_retries");
+  sim::Counter& c_bytes_fetched_ = trace_.counter("bytes_fetched");
+  sim::Counter& c_backoffs_ = trace_.counter("backoffs");
+  sim::Counter& c_backoff_ns_ = trace_.counter("backoff_ns_total");
+  sim::Counter& c_resume_bytes_saved_ = trace_.counter("resume_bytes_saved");
+  sim::Counter& c_server_deferrals_ = trace_.counter("server_deferrals");
+  sim::Counter& c_wire_bytes_ = trace_.counter("wire_bytes");
+  sim::LatencyHistogram& h_backoff_ms_ =
+      trace_.histogram("backoff_ms", 0.0, 60'000.0, 60);
+  const sim::TraceId k_verify_ok_ = trace_.kind("verify_ok");
+  const sim::TraceId k_verify_fail_ = trace_.kind("verify_fail");
+  const sim::TraceId k_fetch_attempt_ = trace_.kind("fetch_attempt");
+  const sim::TraceId k_fetch_resume_ = trace_.kind("fetch_resume");
+  const sim::TraceId k_fetch_interrupted_ = trace_.kind("fetch_interrupted");
+  const sim::TraceId k_backoff_ = trace_.kind("backoff");
+  const sim::TraceId k_retries_exhausted_ = trace_.kind("retries_exhausted");
+  const sim::TraceId k_stage_resume_ = trace_.kind("stage_resume");
+  const sim::TraceId k_power_loss_ = trace_.kind("power_loss");
+  const sim::TraceId k_retry_after_ = trace_.kind("retry_after");
 };
 
 /// Partial-verification (secondary ECU) client: pinned director-targets key,

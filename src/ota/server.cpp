@@ -38,24 +38,6 @@ RepositoryServer::RepositoryServer(const Repository& director,
       trace_("ota.repo", "ota.repo.", telemetry) {
   tokens_campaign_ = cfg_.bucket_burst;
   tokens_background_ = cfg_.bucket_burst;
-  c_requests_ = &trace_.counter("requests");
-  c_served_ = &trace_.counter("served");
-  c_shed_ = &trace_.counter("shed");
-  c_shed_background_ = &trace_.counter("shed_background");
-  c_coalesced_ = &trace_.counter("coalesced");
-  c_refresh_ = &trace_.counter("snapshot_refreshes");
-  c_cache_hits_ = &trace_.counter("cache_hits");
-  c_cache_misses_ = &trace_.counter("cache_misses");
-  c_delta_chunks_ = &trace_.counter("delta_chunks");
-  c_bytes_sent_ = &trace_.counter("bytes_sent");
-  c_delta_bytes_saved_ = &trace_.counter("delta_bytes_saved");
-  c_transitions_ = &trace_.counter("degraded_transitions");
-  h_queue_delay_ms_ = &trace_.histogram("queue_delay_ms", 0, 1'000, 64);
-  k_shed_ = trace_.kind("shed");
-  k_tier_up_ = trace_.kind("tier_up");
-  k_tier_down_ = trace_.kind("tier_down");
-  k_refresh_ = trace_.kind("snapshot_refresh");
-  k_outage_defer_ = trace_.kind("outage_defer");
 }
 
 void RepositoryServer::refill_tokens(util::SimTime now) {
@@ -81,7 +63,7 @@ void RepositoryServer::set_tier(ServerTier t, util::SimTime now) {
               std::string(server_tier_name(tier_)) + " -> " +
                   server_tier_name(t));
   transitions_.push_back(TierTransition{now, tier_, t});
-  c_transitions_->inc();
+  c_transitions_.inc();
   tier_ = t;
   if (tier_rank(t) > tier_rank(peak_tier_)) peak_tier_ = t;
 }
@@ -143,7 +125,7 @@ RepositoryServer::Admission RepositoryServer::admit(ServeClass cls,
                                                     util::SimTime service,
                                                     util::SimTime now) {
   Admission a;
-  c_requests_->inc();
+  c_requests_.inc();
   refill_tokens(now);
   roll_windows(now);
 
@@ -160,7 +142,7 @@ RepositoryServer::Admission RepositoryServer::admit(ServeClass cls,
     const util::SimTime wait = start - now;
     busy_until_ = start + service;
     if (wait > max_wait_) max_wait_ = wait;
-    h_queue_delay_ms_->record(wait.ms());
+    h_queue_delay_ms_.record(wait.ms());
     a.admitted = true;
     a.latency = busy_until_ - now;
     return a;
@@ -173,8 +155,8 @@ RepositoryServer::Admission RepositoryServer::admit(ServeClass cls,
     // slotted retry-after, which is exactly what keeps the waiting herd
     // de-synchronized for the recovery stampede.
     ++win_shed_;
-    c_shed_->inc();
-    if (cls == ServeClass::kBackground) c_shed_background_->inc();
+    c_shed_.inc();
+    if (cls == ServeClass::kBackground) c_shed_background_.inc();
     a = shed_slot(now, cfg_.outage_retry_base);
     ASECK_TRACE(trace_, now, k_outage_defer_,
                 std::string(serve_class_name(cls)) +
@@ -186,8 +168,8 @@ RepositoryServer::Admission RepositoryServer::admit(ServeClass cls,
     // Policy shed, not an overload signal: intentional background rejection
     // must not feed the window ratio or the ladder could never walk down.
     --win_arrivals_;
-    c_shed_->inc();
-    c_shed_background_->inc();
+    c_shed_.inc();
+    c_shed_background_.inc();
     a = shed_slot(now, cfg_.tier_window);
     ASECK_TRACE(trace_, now, k_shed_, "background tier_policy");
     return a;
@@ -199,8 +181,8 @@ RepositoryServer::Admission RepositoryServer::admit(ServeClass cls,
       cls == ServeClass::kCampaign ? cfg_.campaign_rps : cfg_.background_rps;
   if (tokens < 1.0) {
     ++win_shed_;
-    c_shed_->inc();
-    if (cls == ServeClass::kBackground) c_shed_background_->inc();
+    c_shed_.inc();
+    if (cls == ServeClass::kBackground) c_shed_background_.inc();
     const util::SimTime refill_eta =
         rate > 0 ? util::SimTime::from_seconds_f((1.0 - tokens) / rate)
                  : cfg_.retry_slot;
@@ -222,8 +204,8 @@ RepositoryServer::Admission RepositoryServer::admit(ServeClass cls,
   const util::SimTime wait = start - now;
   if (wait > bound) {
     ++win_shed_;
-    c_shed_->inc();
-    if (cls == ServeClass::kBackground) c_shed_background_->inc();
+    c_shed_.inc();
+    if (cls == ServeClass::kBackground) c_shed_background_.inc();
     a = shed_slot(now, busy_until_ - now);
     ASECK_TRACE(trace_, now, k_shed_,
                 std::string(serve_class_name(cls)) +
@@ -234,7 +216,7 @@ RepositoryServer::Admission RepositoryServer::admit(ServeClass cls,
   tokens -= 1.0;
   busy_until_ = start + service;
   if (wait > max_wait_) max_wait_ = wait;
-  h_queue_delay_ms_->record(wait.ms());
+  h_queue_delay_ms_.record(wait.ms());
   a.admitted = true;
   a.latency = busy_until_ - now;
   return a;
@@ -266,16 +248,16 @@ MetadataResponse RepositoryServer::fetch_metadata(ServeClass cls,
     snap_.generation = next_generation_++;
     snap_director_gen_ = director_.generation();
     snap_image_gen_ = image_repo_.generation();
-    c_refresh_->inc();
+    c_refresh_.inc();
     ASECK_TRACE(trace_, now, k_refresh_,
                 "gen=" + std::to_string(snap_.generation));
   } else {
     r.coalesced = true;
-    c_coalesced_->inc();
+    c_coalesced_.inc();
   }
   r.snapshot = snap_;
   r.latency = a.latency;
-  c_served_->inc();
+  c_served_.inc();
   return r;
 }
 
@@ -321,7 +303,7 @@ ChunkResponse RepositoryServer::fetch_chunk(ServeClass cls,
   if (hit) {
     r.chunk = **cached;
     r.cache_hit = true;
-    c_cache_hits_->inc();
+    c_cache_hits_.inc();
   } else {
     std::optional<util::Bytes> bytes =
         image_repo_.download_range(image_name, offset, max_len);
@@ -331,7 +313,7 @@ ChunkResponse RepositoryServer::fetch_chunk(ServeClass cls,
       r.status = ServeStatus::kUnavailable;
       return r;
     }
-    c_cache_misses_->inc();
+    c_cache_misses_.inc();
     auto shared = std::make_shared<const util::Bytes>(std::move(*bytes));
     r.chunk = *shared;
     cache_.put(key, std::move(shared));
@@ -348,14 +330,14 @@ ChunkResponse RepositoryServer::fetch_chunk(ServeClass cls,
     if (diff + kDeltaHeader < r.chunk.size()) {
       wire = diff + kDeltaHeader;
       r.delta = true;
-      c_delta_chunks_->inc();
-      c_delta_bytes_saved_->inc(r.chunk.size() - wire);
+      c_delta_chunks_.inc();
+      c_delta_bytes_saved_.inc(r.chunk.size() - wire);
     }
   }
   r.wire_bytes = wire;
-  c_bytes_sent_->inc(wire);
+  c_bytes_sent_.inc(wire);
   r.latency = a.latency;
-  c_served_->inc();
+  c_served_.inc();
   return r;
 }
 

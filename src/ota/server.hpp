@@ -176,26 +176,26 @@ class RepositoryServer : public sim::FaultHook {
   ServerTier peak_tier() const { return peak_tier_; }
 
   // --- stats (mirrored in the ota.repo.* metrics) ----------------------------
-  std::uint64_t requests() const { return c_requests_->value(); }
-  std::uint64_t served() const { return c_served_->value(); }
-  std::uint64_t shed() const { return c_shed_->value(); }
-  std::uint64_t shed_background() const { return c_shed_background_->value(); }
-  std::uint64_t coalesced() const { return c_coalesced_->value(); }
-  std::uint64_t snapshot_refreshes() const { return c_refresh_->value(); }
-  std::uint64_t cache_hits() const { return c_cache_hits_->value(); }
-  std::uint64_t cache_misses() const { return c_cache_misses_->value(); }
+  std::uint64_t requests() const { return c_requests_.value(); }
+  std::uint64_t served() const { return c_served_.value(); }
+  std::uint64_t shed() const { return c_shed_.value(); }
+  std::uint64_t shed_background() const { return c_shed_background_.value(); }
+  std::uint64_t coalesced() const { return c_coalesced_.value(); }
+  std::uint64_t snapshot_refreshes() const { return c_refresh_.value(); }
+  std::uint64_t cache_hits() const { return c_cache_hits_.value(); }
+  std::uint64_t cache_misses() const { return c_cache_misses_.value(); }
   double cache_hit_rate() const {
     const std::uint64_t h = cache_hits(), m = cache_misses();
     return h + m == 0 ? 0.0
                       : static_cast<double>(h) / static_cast<double>(h + m);
   }
-  std::uint64_t delta_chunks() const { return c_delta_chunks_->value(); }
-  std::uint64_t bytes_sent() const { return c_bytes_sent_->value(); }
+  std::uint64_t delta_chunks() const { return c_delta_chunks_.value(); }
+  std::uint64_t bytes_sent() const { return c_bytes_sent_.value(); }
   std::uint64_t delta_bytes_saved() const {
-    return c_delta_bytes_saved_->value();
+    return c_delta_bytes_saved_.value();
   }
   std::uint64_t degraded_transitions() const {
-    return c_transitions_->value();
+    return c_transitions_.value();
   }
   /// Worst queueing delay any admitted request experienced.
   util::SimTime max_queue_delay_seen() const { return max_wait_; }
@@ -252,21 +252,25 @@ class RepositoryServer : public sim::FaultHook {
 
   // telemetry
   sim::TraceScope trace_;
-  sim::Counter* c_requests_ = nullptr;
-  sim::Counter* c_served_ = nullptr;
-  sim::Counter* c_shed_ = nullptr;
-  sim::Counter* c_shed_background_ = nullptr;
-  sim::Counter* c_coalesced_ = nullptr;
-  sim::Counter* c_refresh_ = nullptr;
-  sim::Counter* c_cache_hits_ = nullptr;
-  sim::Counter* c_cache_misses_ = nullptr;
-  sim::Counter* c_delta_chunks_ = nullptr;
-  sim::Counter* c_bytes_sent_ = nullptr;
-  sim::Counter* c_delta_bytes_saved_ = nullptr;
-  sim::Counter* c_transitions_ = nullptr;
-  sim::LatencyHistogram* h_queue_delay_ms_ = nullptr;
-  sim::TraceId k_shed_ = 0, k_tier_up_ = 0, k_tier_down_ = 0, k_refresh_ = 0,
-               k_outage_defer_ = 0;
+  sim::Counter& c_requests_ = trace_.counter("requests");
+  sim::Counter& c_served_ = trace_.counter("served");
+  sim::Counter& c_shed_ = trace_.counter("shed");
+  sim::Counter& c_shed_background_ = trace_.counter("shed_background");
+  sim::Counter& c_coalesced_ = trace_.counter("coalesced");
+  sim::Counter& c_refresh_ = trace_.counter("snapshot_refreshes");
+  sim::Counter& c_cache_hits_ = trace_.counter("cache_hits");
+  sim::Counter& c_cache_misses_ = trace_.counter("cache_misses");
+  sim::Counter& c_delta_chunks_ = trace_.counter("delta_chunks");
+  sim::Counter& c_bytes_sent_ = trace_.counter("bytes_sent");
+  sim::Counter& c_delta_bytes_saved_ = trace_.counter("delta_bytes_saved");
+  sim::Counter& c_transitions_ = trace_.counter("degraded_transitions");
+  sim::LatencyHistogram& h_queue_delay_ms_ =
+      trace_.histogram("queue_delay_ms", 0, 1'000, 64);
+  const sim::TraceId k_shed_ = trace_.kind("shed");
+  const sim::TraceId k_tier_up_ = trace_.kind("tier_up");
+  const sim::TraceId k_tier_down_ = trace_.kind("tier_down");
+  const sim::TraceId k_refresh_ = trace_.kind("snapshot_refresh");
+  const sim::TraceId k_outage_defer_ = trace_.kind("outage_defer");
 };
 
 }  // namespace aseck::ota

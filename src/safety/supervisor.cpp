@@ -19,26 +19,7 @@ HealthSupervisor::HealthSupervisor(Scheduler& sched, std::string name,
                                    const sim::Telemetry& telemetry)
     : sched_(sched),
       name_(std::move(name)),
-      trace_("supervisor." + name_, "supervisor." + name_ + ".", telemetry) {
-  c_cycles_ = &trace_.counter("cycles");
-  c_heartbeats_ = &trace_.counter("heartbeats");
-  c_failed_ = &trace_.counter("failed_cycles");
-  c_expired_ = &trace_.counter("expirations");
-  c_reset_attempts_ = &trace_.counter("reset_attempts");
-  c_reset_ok_ = &trace_.counter("resets_ok");
-  c_escalations_ = &trace_.counter("escalations");
-  h_detect_ms_ = &trace_.histogram("detect_ms", 0.0, 1000.0, 50);
-  k_ok_ = trace_.kind("entity_ok");
-  k_failed_ = trace_.kind("entity_failed");
-  k_expired_ = trace_.kind("entity_expired");
-  k_reset_attempt_ = trace_.kind("reset_attempt");
-  k_reset_ok_ = trace_.kind("reset_ok");
-  k_reset_backoff_ = trace_.kind("reset_backoff");
-  k_escalate_ = trace_.kind("escalate");
-  k_recovered_ = trace_.kind("entity_recovered");
-  k_deadline_violation_ = trace_.kind("deadline_violation");
-  k_logical_violation_ = trace_.kind("logical_violation");
-}
+      trace_("supervisor." + name_, "supervisor." + name_ + ".", telemetry) {}
 
 HealthSupervisor::~HealthSupervisor() { stop(); }
 
@@ -104,7 +85,7 @@ void HealthSupervisor::alive(const std::string& name) {
   Entity& e = entity(name);
   ++e.alive_count;
   e.last_alive_at = sched_.now();
-  c_heartbeats_->inc();
+  c_heartbeats_.inc();
 }
 
 void HealthSupervisor::deadline_start(const std::string& name) {
@@ -183,7 +164,7 @@ void HealthSupervisor::set_status(const std::string& name, Entity& e,
 }
 
 void HealthSupervisor::evaluate_cycle(const std::string& name, Entity& e) {
-  c_cycles_->inc();
+  c_cycles_.inc();
   // An expired entity is owned by the escalation machinery; its cycle keeps
   // ticking but contributes nothing until a reset re-arms it.
   if (e.status == EntityStatus::kExpired) {
@@ -211,7 +192,7 @@ void HealthSupervisor::evaluate_cycle(const std::string& name, Entity& e) {
     set_status(name, e, EntityStatus::kOk);
     return;
   }
-  c_failed_->inc();
+  c_failed_.inc();
   ++e.failed_streak;
   if (e.failed_streak > e.esc.failed_tolerance) {
     expire(name, e);
@@ -221,17 +202,17 @@ void HealthSupervisor::evaluate_cycle(const std::string& name, Entity& e) {
 }
 
 void HealthSupervisor::expire(const std::string& name, Entity& e) {
-  c_expired_->inc();
+  c_expired_.inc();
   e.expired_at = sched_.now();
   // Detection latency: from the last good alive indication (or from start
   // if none ever arrived) to the supervision decision.
   e.detection_latency = sched_.now() - e.last_alive_at;
-  h_detect_ms_->record(e.detection_latency.ms());
+  h_detect_ms_.record(e.detection_latency.ms());
   set_status(name, e, EntityStatus::kExpired);
   e.level = EscalationLevel::kLocalReset;
   e.reset_attempts = 0;
   ASECK_TRACE(trace_, sched_.now(), k_escalate_, name + " local_reset");
-  c_escalations_->inc();
+  c_escalations_.inc();
   attempt_reset(name);
 }
 
@@ -240,12 +221,12 @@ void HealthSupervisor::attempt_reset(const std::string& name) {
   e.reset_timer = {};
   if (e.status != EntityStatus::kExpired) return;  // incident already over
   ++e.reset_attempts;
-  c_reset_attempts_->inc();
+  c_reset_attempts_.inc();
   ASECK_TRACE(trace_, sched_.now(), k_reset_attempt_,
               name + " n=" + std::to_string(e.reset_attempts));
   const bool up = e.reset && e.reset(name);
   if (up) {
-    c_reset_ok_->inc();
+    c_reset_ok_.inc();
     ASECK_TRACE(trace_, sched_.now(), k_reset_ok_, name);
     recover(name, e);
     return;
@@ -274,7 +255,7 @@ void HealthSupervisor::escalate(const std::string& name, Entity& e) {
   e.level = e.level == EscalationLevel::kLocalReset
                 ? EscalationLevel::kDomainDegrade
                 : EscalationLevel::kLimpHome;
-  c_escalations_->inc();
+  c_escalations_.inc();
   ASECK_TRACE(trace_, sched_.now(), k_escalate_,
               name + " " + escalation_level_name(e.level));
   if (degrade_) degrade_(e.esc.domain, e.level);

@@ -142,12 +142,12 @@ class HealthSupervisor {
   SimTime detection_latency(const std::string& entity) const;
 
   /// Supervision cycles evaluated (the CPU-overhead proxy for E16).
-  std::uint64_t cycles() const { return c_cycles_->value(); }
+  std::uint64_t cycles() const { return c_cycles_.value(); }
   /// Alive indications received.
-  std::uint64_t heartbeats() const { return c_heartbeats_->value(); }
-  std::uint64_t resets_attempted() const { return c_reset_attempts_->value(); }
-  std::uint64_t resets_succeeded() const { return c_reset_ok_->value(); }
-  std::uint64_t expirations() const { return c_expired_->value(); }
+  std::uint64_t heartbeats() const { return c_heartbeats_.value(); }
+  std::uint64_t resets_attempted() const { return c_reset_attempts_.value(); }
+  std::uint64_t resets_succeeded() const { return c_reset_ok_.value(); }
+  std::uint64_t expirations() const { return c_expired_.value(); }
 
  private:
   struct Entity {
@@ -189,18 +189,25 @@ class HealthSupervisor {
   DegradeHandler degrade_;
   StatusHandler status_handler_;
   sim::TraceScope trace_;
-  sim::Counter* c_cycles_ = nullptr;
-  sim::Counter* c_heartbeats_ = nullptr;
-  sim::Counter* c_failed_ = nullptr;
-  sim::Counter* c_expired_ = nullptr;
-  sim::Counter* c_reset_attempts_ = nullptr;
-  sim::Counter* c_reset_ok_ = nullptr;
-  sim::Counter* c_escalations_ = nullptr;
-  sim::LatencyHistogram* h_detect_ms_ = nullptr;
-  sim::TraceId k_ok_ = 0, k_failed_ = 0, k_expired_ = 0, k_reset_attempt_ = 0,
-               k_reset_ok_ = 0, k_reset_backoff_ = 0, k_escalate_ = 0,
-               k_recovered_ = 0, k_deadline_violation_ = 0,
-               k_logical_violation_ = 0;
+  sim::Counter& c_cycles_ = trace_.counter("cycles");
+  sim::Counter& c_heartbeats_ = trace_.counter("heartbeats");
+  sim::Counter& c_failed_ = trace_.counter("failed_cycles");
+  sim::Counter& c_expired_ = trace_.counter("expirations");
+  sim::Counter& c_reset_attempts_ = trace_.counter("reset_attempts");
+  sim::Counter& c_reset_ok_ = trace_.counter("resets_ok");
+  sim::Counter& c_escalations_ = trace_.counter("escalations");
+  sim::LatencyHistogram& h_detect_ms_ =
+      trace_.histogram("detect_ms", 0.0, 1000.0, 50);
+  const sim::TraceId k_ok_ = trace_.kind("entity_ok");
+  const sim::TraceId k_failed_ = trace_.kind("entity_failed");
+  const sim::TraceId k_expired_ = trace_.kind("entity_expired");
+  const sim::TraceId k_reset_attempt_ = trace_.kind("reset_attempt");
+  const sim::TraceId k_reset_ok_ = trace_.kind("reset_ok");
+  const sim::TraceId k_reset_backoff_ = trace_.kind("reset_backoff");
+  const sim::TraceId k_escalate_ = trace_.kind("escalate");
+  const sim::TraceId k_recovered_ = trace_.kind("entity_recovered");
+  const sim::TraceId k_deadline_violation_ = trace_.kind("deadline_violation");
+  const sim::TraceId k_logical_violation_ = trace_.kind("logical_violation");
 };
 
 /// Producer-side heartbeat source: a periodic scheduler task that emits an

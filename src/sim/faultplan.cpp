@@ -46,16 +46,7 @@ FaultPlan::FaultPlan(Scheduler& sched, std::uint64_t seed,
     : sched_(sched),
       seed_(seed),
       rng_(seed),
-      trace_("faultplan", "faultplan.", telemetry) {
-  c_injected_ = &trace_.counter("injected");
-  c_cleared_ = &trace_.counter("cleared");
-  c_recovered_ = &trace_.counter("recovered");
-  h_recovery_ms_ = &trace_.histogram("recovery_ms", 0, 10'000, 64);
-  k_inject_ = trace_.kind("inject");
-  k_clear_ = trace_.kind("clear");
-  k_recovered_ = trace_.kind("recovered");
-  k_campaign_ = trace_.kind("campaign");
-}
+      trace_("faultplan", "faultplan.", telemetry) {}
 
 FaultPort& FaultPlan::port(const std::string& target) {
   auto it = ports_.find(target);
@@ -131,7 +122,7 @@ void FaultPlan::begin_fault(std::uint64_t id) {
   FaultRecord& r = records_[id - 1];
   r.injected = true;
   r.injected_at = sched_.now();
-  c_injected_->inc();
+  c_injected_.inc();
   ASECK_TRACE(trace_, sched_.now(), k_inject_,
               r.spec.target + " kind=" + fault_kind_name(r.spec.kind) +
                   " id=" + std::to_string(id));
@@ -143,7 +134,7 @@ void FaultPlan::end_fault(std::uint64_t id) {
   apply(r.spec, false);
   r.cleared = true;
   r.cleared_at = sched_.now();
-  c_cleared_->inc();
+  c_cleared_.inc();
   ASECK_TRACE(trace_, sched_.now(), k_clear_,
               r.spec.target + " kind=" + fault_kind_name(r.spec.kind) +
                   " id=" + std::to_string(id));
@@ -151,8 +142,8 @@ void FaultPlan::end_fault(std::uint64_t id) {
     // The channel is healthy the moment the window clears.
     r.recovered = true;
     r.recovered_at = r.cleared_at;
-    c_recovered_->inc();
-    h_recovery_ms_->record(r.recovery_latency().ms());
+    c_recovered_.inc();
+    h_recovery_ms_.record(r.recovery_latency().ms());
     ASECK_TRACE(trace_, sched_.now(), k_recovered_,
                 r.spec.target + " id=" + std::to_string(id));
   }
@@ -192,8 +183,8 @@ std::size_t FaultPlan::notify_recovered(const std::string& target) {
     if (!r.injected || r.recovered || r.spec.target != target) continue;
     r.recovered = true;
     r.recovered_at = sched_.now();
-    c_recovered_->inc();
-    h_recovery_ms_->record(r.recovery_latency().ms());
+    c_recovered_.inc();
+    h_recovery_ms_.record(r.recovery_latency().ms());
     ASECK_TRACE(trace_, sched_.now(), k_recovered_,
                 target + " id=" + std::to_string(r.id));
     ++n;

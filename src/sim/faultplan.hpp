@@ -256,11 +256,15 @@ class FaultPlan {
   std::map<HandlerKey, std::vector<Handler>> handlers_;
   std::vector<FaultRecord> records_;  // id == index + 1
   sim::TraceScope trace_;
-  sim::Counter* c_injected_ = nullptr;
-  sim::Counter* c_cleared_ = nullptr;
-  sim::Counter* c_recovered_ = nullptr;
-  sim::LatencyHistogram* h_recovery_ms_ = nullptr;
-  sim::TraceId k_inject_ = 0, k_clear_ = 0, k_recovered_ = 0, k_campaign_ = 0;
+  sim::Counter& c_injected_ = trace_.counter("injected");
+  sim::Counter& c_cleared_ = trace_.counter("cleared");
+  sim::Counter& c_recovered_ = trace_.counter("recovered");
+  sim::LatencyHistogram& h_recovery_ms_ =
+      trace_.histogram("recovery_ms", 0, 10'000, 64);
+  const sim::TraceId k_inject_ = trace_.kind("inject");
+  const sim::TraceId k_clear_ = trace_.kind("clear");
+  const sim::TraceId k_recovered_ = trace_.kind("recovered");
+  const sim::TraceId k_campaign_ = trace_.kind("campaign");
 };
 
 }  // namespace aseck::sim

@@ -355,39 +355,13 @@ TraceScope::TraceScope(std::string component, std::string metric_prefix,
       prefix_(std::move(metric_prefix)),
       component_(t_.bus->intern(component_name_)) {}
 
-void TraceScope::bind(const Telemetry& t) {
-  const Telemetry old = std::exchange(t_, t);  // keeps the old registry alive
-  component_ = t_.bus->intern(component_name_);
-  if (old.metrics == t_.metrics) return;
-  for (const std::string& name : counters_) {
-    t_.metrics->counter(name).inc(old.metrics->counter_value(name));
-  }
-  for (const std::string& name : histograms_) {
-    const LatencyHistogram& h = *old.metrics->find_histogram(name);
-    t_.metrics->histogram(name, h.low(), h.high(), h.buckets()).merge_from(h);
-  }
-}
-
-namespace {
-// Remembers `name` once; binding happens at set-up, so a linear scan is fine.
-void remember(std::vector<std::string>& names, const std::string& name) {
-  if (std::find(names.begin(), names.end(), name) == names.end()) {
-    names.push_back(name);
-  }
-}
-}  // namespace
-
 Counter& TraceScope::counter(std::string_view key) {
-  const std::string name = prefix_ + std::string(key);
-  remember(counters_, name);
-  return t_.metrics->counter(name);
+  return t_.metrics->counter(prefix_ + std::string(key));
 }
 
 LatencyHistogram& TraceScope::histogram(std::string_view key, double lo,
                                         double hi, std::size_t buckets) {
-  const std::string name = prefix_ + std::string(key);
-  remember(histograms_, name);
-  return t_.metrics->histogram(name, lo, hi, buckets);
+  return t_.metrics->histogram(prefix_ + std::string(key), lo, hi, buckets);
 }
 
 }  // namespace aseck::sim

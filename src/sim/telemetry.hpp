@@ -14,7 +14,11 @@
 //    strings, and queries compare ints instead of strings.
 //  * Optional bounded ring-buffer mode (`set_capacity`) keeps long campaigns
 //    at fixed memory; the newest events win, `evicted()` counts the loss.
-//  * Subscribers tap the stream live (the IDS/forensics hook).
+//  * The plane is write-only for the model: subscribers tap the stream live
+//    for observation (forensics, tests, bench reports), and no model
+//    decision reads an event or depends on the bus being enabled. A
+//    component that reacts to another reads that component's own state
+//    (e.g. the gateway reads its buses' error counts).
 //  * `TraceScope` is the per-component handle. A component is built on its
 //    plane and stays there: `core::VehiclePlatform` owns the shared instance
 //    and constructs everything on it; a component given no plane gets a
@@ -97,7 +101,8 @@ class TraceBus {
   const TraceEvent* find_first(std::string_view component,
                                std::string_view kind = {}) const;
 
-  /// Live tap; returns a token for unsubscribe.
+  /// Live observation tap (forensics, tests, bench reports); returns a token
+  /// for unsubscribe.
   using Subscriber = std::function<void(const TraceEvent&)>;
   std::uint64_t subscribe(Subscriber fn);
   void unsubscribe(std::uint64_t token);
@@ -262,34 +267,28 @@ struct Telemetry {
 };
 
 /// Per-component telemetry handle: the component's name on a TraceBus and
-/// its metric prefix on a MetricsRegistry. The handle stores names and
-/// registry pointers only, so the owning component stays movable.
+/// its metric prefix on a MetricsRegistry. The handle holds its plane by
+/// shared pointer, so the owning component stays movable and the
+/// instruments it resolved stay valid.
 ///
 /// Wiring pattern: a component takes its plane as a constructor argument
-/// (defaulting to a fresh private one), builds its scope on it, and in its
-/// constructor resolves its instruments through `counter` / `histogram` and
-/// its kinds through `kind`, caching the results for the component's life.
+/// (defaulting to a fresh private one), declares its scope first, and binds
+/// each instrument and kind once in its member declaration:
+///   sim::TraceScope trace_;
+///   sim::Counter& c_sent_ = trace_.counter("sent");
+///   const sim::TraceId k_tx_ = trace_.kind("tx");
+/// A scope never changes planes.
 class TraceScope {
  public:
   explicit TraceScope(std::string component, std::string metric_prefix = {},
                       const Telemetry& t = {});
 
-  /// Moves the component onto `t`: re-interns its name on `t.bus` and moves
-  /// every instrument resolved so far onto `t.metrics`, carrying its value
-  /// (counters add, histograms merge; nothing moves when the registry is
-  /// unchanged). Events already recorded stay on the previous bus. Cached
-  /// kinds and instrument references must be re-resolved afterwards. Only
-  /// `ids::IdsEnsemble::bind_telemetry` uses this: the ensemble factories
-  /// return an ensemble that a caller may join to a plane afterwards.
-  void bind(const Telemetry& t);
-
   const std::shared_ptr<TraceBus>& bus() const { return t_.bus; }
-  /// Current registry (for gauges and ad-hoc instruments, which `bind` does
-  /// not carry).
+  /// The plane's registry (for gauges and ad-hoc instruments).
   MetricsRegistry& metrics() const { return *t_.metrics; }
   const std::string& component() const { return component_name_; }
 
-  /// `prefix + key` on the current registry; `bind` carries it.
+  /// `prefix + key` on the plane's registry.
   Counter& counter(std::string_view key);
   LatencyHistogram& histogram(std::string_view key, double lo, double hi,
                               std::size_t buckets);
@@ -319,8 +318,6 @@ class TraceScope {
   std::string prefix_;
   TraceId component_ = 0;
   bool enabled_ = true;
-  std::vector<std::string> counters_;    // full names resolved via counter()
-  std::vector<std::string> histograms_;  // full names resolved via histogram()
 };
 
 }  // namespace aseck::sim

@@ -149,10 +149,6 @@ VehicleNode::VehicleNode(Scheduler& sched, V2xMedium& medium, std::string name,
   // A node without a plane stays silent: an unbounded private buffer for
   // each of thousands of nodes would dominate memory.
   trace_.set_enabled(telemetry != nullptr);
-  k_bsm_tx_ = trace_.kind("bsm_tx");
-  k_verify_fail_ = trace_.kind("verify_fail");
-  k_misbehavior_ = trace_.kind("misbehavior");
-  k_revoke_ = trace_.kind("bsm_revoke");
   medium_.attach(this);
 }
 

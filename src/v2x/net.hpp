@@ -223,12 +223,14 @@ class VehicleNode : public V2xRadio {
   sim::TraceScope trace_;
   crypto::VerifyEngine verify_engine_;
   VehicleStats stats_;
-  sim::TraceId k_bsm_tx_ = 0, k_verify_fail_ = 0, k_misbehavior_ = 0;
+  const sim::TraceId k_bsm_tx_ = trace_.kind("bsm_tx");
+  const sim::TraceId k_verify_fail_ = trace_.kind("verify_fail");
+  const sim::TraceId k_misbehavior_ = trace_.kind("misbehavior");
   BsmSink bsm_sink_;
   RevokeSink revoke_sink_;
   DeferredSpduVerifier* deferred_ = nullptr;
   std::size_t deferred_producer_ = 0;
-  sim::TraceId k_revoke_ = 0;
+  const sim::TraceId k_revoke_ = trace_.kind("bsm_revoke");
   std::unique_ptr<sim::PeriodicTask> bsm_task_;
   std::unique_ptr<sim::PeriodicTask> rotate_task_;
 };

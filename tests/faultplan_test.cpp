@@ -647,23 +647,64 @@ TEST(GatewayDegraded, LinkPartitionViaFaultPlanHandler) {
   EXPECT_LT(up, recovered);
 }
 
+// An adversary destroys every body frame, so the one queued frame is
+// retransmitted until the sender goes bus-off. TEC rises by 8 per error:
+// 32 errored frames, then one bus-off, for 32 * 1 + 1 * 10 = 42 faults early
+// in a 10 ms window. That degrades (threshold 5) but stays under limp-home
+// (default 60).
+void jam_body_bus(GatewayRig& rig) {
+  gateway::DegradedModeConfig cfg;
+  cfg.window = SimTime::from_ms(10);
+  cfg.degrade_threshold = 5;
+  rig.gw.enable_degraded_mode(cfg);
+  rig.gw.enable_bus_fault_watch();
+  rig.body.set_error_injector(
+      [](const ivn::CanFrame&, const ivn::CanNode&) { return true; });
+  rig.sched.schedule_at(SimTime::from_ms(1),
+                        [&] { rig.body.send(&rig.sender, make_frame(0x100)); });
+}
+
 TEST(GatewayDegraded, BusFaultWatchDrivesDegradation) {
+  GatewayRig rig;
+  jam_body_bus(rig);
+  rig.sched.run_until(SimTime::from_ms(9));
+  ASSERT_EQ(rig.body.stats().frames_error, 32u);
+  ASSERT_EQ(rig.body.bus_offs(), 1u);
+  // A sync mid-window carries the pending bus faults, bus-off weighing 10.
+  EXPECT_EQ(rig.gw.export_state().domains.at("body").fault_count, 42u);
+  EXPECT_EQ(rig.gw.export_state().domains.at("chassis").fault_count, 0u);
+  rig.sched.run_until(SimTime::from_ms(10));
+  EXPECT_EQ(rig.gw.mode("body"), gateway::GatewayMode::kDegraded);
+  EXPECT_EQ(rig.gw.mode("chassis"), gateway::GatewayMode::kNormal);
+  // The window closed: its faults were consumed by the tick.
+  EXPECT_EQ(rig.gw.export_state().domains.at("body").fault_count, 0u);
+}
+
+TEST(GatewayDegraded, BusFaultWatchWorksWithTracingDisabled) {
+  GatewayRig rig;
+  rig.t.bus->set_enabled(false);
+  jam_body_bus(rig);
+  rig.sched.run_until(SimTime::from_ms(10));
+  EXPECT_EQ(rig.t.bus->total_recorded(), 0u);
+  EXPECT_EQ(rig.gw.mode("body"), gateway::GatewayMode::kDegraded);
+}
+
+TEST(GatewayDegraded, ForgedTraceEventsDoNotDegrade) {
   GatewayRig rig;
   gateway::DegradedModeConfig cfg;
   cfg.window = SimTime::from_ms(10);
   cfg.degrade_threshold = 5;
   rig.gw.enable_degraded_mode(cfg);
-  rig.gw.enable_bus_fault_watch(rig.t);
-
-  // Six tx_error events on the watched body bus within one health window.
+  rig.gw.enable_bus_fault_watch();
+  // Events that claim errors on the watched bus, with no error on the wire.
   rig.sched.schedule_at(SimTime::from_ms(1), [&] {
     for (int i = 0; i < 6; ++i) {
-      rig.t.bus->record(rig.sched.now(), "can.body", "tx_error", "n");
+      rig.t.bus->record(rig.sched.now(), "can.body", "tx_error", "sender");
+      rig.t.bus->record(rig.sched.now(), "can.body", "bus_off", "sender");
     }
   });
   rig.sched.run_until(SimTime::from_ms(10));
-  EXPECT_EQ(rig.gw.mode("body"), gateway::GatewayMode::kDegraded);
-  EXPECT_EQ(rig.gw.mode("chassis"), gateway::GatewayMode::kNormal);
+  EXPECT_EQ(rig.gw.mode("body"), gateway::GatewayMode::kNormal);
 }
 
 // ---------------------------------------------------------------------------

@@ -129,38 +129,32 @@ TEST(TraceBus, TimelineFormatsFilteredOrderedLines) {
   EXPECT_NE(only_gw.find("cgw drop"), std::string::npos);
 }
 
-TEST(TraceScope, PrivateBusByDefaultThenRebinds) {
+TEST(TraceScope, PrivateBusByDefault) {
   TraceScope scope("can0");
   const std::shared_ptr<TraceBus> private_bus = scope.bus();
   const TraceId k = scope.kind("tx");
   scope.record(SimTime::from_us(1), k, "id=1");
   EXPECT_EQ(private_bus->count("can0", "tx"), 1u);
 
-  Telemetry shared;
-  scope.bind(shared);
-  EXPECT_EQ(scope.bus(), shared.bus);
-  const TraceId k2 = scope.kind("tx");
-  scope.record(SimTime::from_us(2), k2);
-  EXPECT_EQ(shared.bus->count("can0", "tx"), 1u);  // lands on the shared bus
-  EXPECT_EQ(private_bus->count("can0", "tx"), 1u);  // old events not migrated
+  // A second default scope gets its own plane, not the first one's.
+  TraceScope other("can0");
+  EXPECT_NE(other.bus(), private_bus);
+  EXPECT_NE(&other.metrics(), &scope.metrics());
 }
 
-TEST(TraceScope, BindMovesPrefixedInstrumentsAndCarriesValues) {
-  TraceScope scope("can0", "can.can0.");
-  scope.counter("frames_ok").inc(3);
-  scope.histogram("lat_us", 0.0, 10.0, 5).record(2.0);
-  scope.metrics().gauge("can.can0.load").set(0.5);  // gauges are not carried
-
+TEST(TraceScope, PrefixedInstrumentsLandOnItsPlane) {
   Telemetry shared;
-  scope.bind(shared);
+  TraceScope scope("can0", "can.can0.", shared);
+  Counter& c = scope.counter("frames_ok");
+  c.inc(3);
+  scope.histogram("lat_us", 0.0, 10.0, 5).record(2.0);
   EXPECT_EQ(&scope.metrics(), shared.metrics.get());
+  EXPECT_EQ(&c, &shared.metrics->counter("can.can0.frames_ok"));
   EXPECT_EQ(shared.metrics->counter_value("can.can0.frames_ok"), 3u);
   ASSERT_NE(shared.metrics->find_histogram("can.can0.lat_us"), nullptr);
   EXPECT_EQ(shared.metrics->find_histogram("can.can0.lat_us")->count(), 1u);
-  EXPECT_EQ(shared.metrics->find_gauge("can.can0.load"), nullptr);
-  // Resolving again after the bind hands out the shared instrument.
-  EXPECT_EQ(&scope.counter("frames_ok"),
-            &shared.metrics->counter("can.can0.frames_ok"));
+  // Resolving again hands out the same instrument.
+  EXPECT_EQ(&scope.counter("frames_ok"), &c);
 }
 
 TEST(TraceScope, LocalDisableGatesRecording) {
@@ -348,10 +342,9 @@ struct VehicleFixture {
       sched, "cgw", gateway::SecurityGateway::kDefaultProcessingDelay, telemetry};
   ecu::Ecu engine{sched, "engine", 1};
   ecu::Ecu radio{sched, "radio", 2};
-  ids::IdsEnsemble ids = ids::make_default_ensemble();
+  ids::IdsEnsemble ids = ids::make_default_ensemble(telemetry);
 
   VehicleFixture() {
-    ids.bind_telemetry(telemetry);
     gw.add_domain("powertrain", &powertrain);
     gw.add_domain("infotainment", &infotainment);
     provision(engine);
@@ -433,8 +426,7 @@ TEST(CrossLayer, EverySubstrateBindsOntoOneRegistry) {
   ivn::UdsServer uds{{ivn::weak_xor_algorithm(0xC0FFEE)}, 7, t};
   gateway::SecurityGateway gw{
       sched, "cgw", gateway::SecurityGateway::kDefaultProcessingDelay, t};
-  ids::IdsEnsemble ids = ids::make_default_ensemble();
-  ids.bind_telemetry(t);
+  ids::IdsEnsemble ids = ids::make_default_ensemble(t);
 
   const std::string json = t.metrics->to_json();
   for (const char* key :
@@ -446,16 +438,15 @@ TEST(CrossLayer, EverySubstrateBindsOntoOneRegistry) {
   EXPECT_EQ(t.metrics->counter_value("can.can0.frames_ok"), 0u);
 }
 
-TEST(CrossLayer, MovedIdsEnsembleStillCountsAfterBind) {
-  // The factories return the ensemble by value, so the handle must not hold
-  // pointers into it.
-  ids::IdsEnsemble ids = ids::make_extended_ensemble();
+TEST(CrossLayer, MovedIdsEnsembleStillCountsOnItsPlane) {
+  // The factories return the ensemble by value, so its cached counters must
+  // stay valid across a move.
+  Telemetry t;
+  ids::IdsEnsemble ids = ids::make_extended_ensemble(t);
+  ids::IdsEnsemble moved = std::move(ids);
   const ivn::CanFrame frame{0x123, false, false, ivn::CanFormat::kClassic,
                             false, util::Bytes{1, 2}};
-  ids.observe(frame, SimTime::from_ms(1));
-  ids::IdsEnsemble moved = std::move(ids);
-  Telemetry t;
-  moved.bind_telemetry(t);
+  moved.observe(frame, SimTime::from_ms(1));
   moved.observe(frame, SimTime::from_ms(2));
   EXPECT_EQ(t.metrics->counter_value("ids.observed"), 2u);
 }
