@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   for (const double limit : {0.0, 305.0, 310.0, 320.0, 360.0, 1000.0, 10000.0}) {
     // Legitimate success rate over jittered attempts.
-    PkesCar car(key_of(0x77), PkesConfig{}, 7);
+    PkesCar car(key_of(0x77), 7);
     car.set_rtt_limit(limit);
     KeyFob fob(key_of(0x77));
     int legit_ok = 0;

@@ -152,8 +152,8 @@ ScoreRow play_flood() {
 
 /// PKES relay theft.
 ScoreRow play_relay() {
-  access::PkesCar base_car(key_of(0x77), access::PkesConfig{}, 1);
-  access::PkesCar hard_car(key_of(0x77), access::PkesConfig{}, 1);
+  access::PkesCar base_car(key_of(0x77), 1);
+  access::PkesCar hard_car(key_of(0x77), 1);
   hard_car.set_rtt_limit(310.0);
   access::KeyFob fob(key_of(0x77));
   access::RelayAttacker relay;
@@ -184,8 +184,7 @@ ScoreRow play_sidechannel() {
 
 /// GPS spoofing.
 ScoreRow play_gps() {
-  attacks::GpsSpoofScenario::Config cfg;
-  attacks::GpsSpoofScenario scenario(cfg, 11);
+  attacks::GpsSpoofScenario scenario(11);
   const auto steps = scenario.run(120.0, 30.0);
   const double latency =
       attacks::GpsSpoofScenario::detection_latency_s(steps, 30.0);

@@ -2,6 +2,11 @@
 
 namespace aseck::access {
 
+namespace {
+constexpr double kLfRangeM = 2.0;  // challenge reach
+constexpr double kSpeedOfLightMPerUs = 299.8;
+}  // namespace
+
 KeyFob::KeyFob(const crypto::Block& key, double process_us)
     : cmac_(util::BytesView(key.data(), key.size())), process_us_(process_us) {}
 
@@ -9,8 +14,8 @@ crypto::Block KeyFob::respond(const crypto::Block& challenge) const {
   return cmac_.tag(util::BytesView(challenge.data(), challenge.size()));
 }
 
-PkesCar::PkesCar(const crypto::Block& key, PkesConfig cfg, std::uint64_t seed)
-    : cmac_(util::BytesView(key.data(), key.size())), cfg_(cfg), rng_(seed) {}
+PkesCar::PkesCar(const crypto::Block& key, std::uint64_t seed)
+    : cmac_(util::BytesView(key.data(), key.size())), rng_(seed) {}
 
 PkesCar::Attempt PkesCar::try_unlock(const KeyFob& fob, double fob_distance_m,
                                      const RelayAttacker& relay) {
@@ -22,17 +27,16 @@ PkesCar::Attempt PkesCar::try_unlock(const KeyFob& fob, double fob_distance_m,
   if (relay.active) {
     // The relay captures the LF field near the car and replays it near the
     // fob: range check is against the station distances instead.
-    if (relay.station_to_car_m > cfg_.lf_range_m ||
-        relay.station_to_fob_m > cfg_.lf_range_m) {
+    if (relay.station_to_car_m > kLfRangeM || relay.station_to_fob_m > kLfRangeM) {
       a.out_of_range = true;
       return a;
     }
     // Two relay hops (challenge out, response back) over the link.
     extra_delay_us = 2.0 * (relay.link_latency_us + relay.process_us) +
                      (relay.station_to_car_m + relay.station_to_fob_m) /
-                         cfg_.speed_of_light_m_per_us;
+                         kSpeedOfLightMPerUs;
     effective_distance = relay.station_to_car_m;  // fob hears the station
-  } else if (fob_distance_m > cfg_.lf_range_m) {
+  } else if (fob_distance_m > kLfRangeM) {
     a.out_of_range = true;
     return a;
   }
@@ -46,11 +50,11 @@ PkesCar::Attempt PkesCar::try_unlock(const KeyFob& fob, double fob_distance_m,
                      util::BytesView(cmac_.tag(util::BytesView(challenge.data(), 16)).data(), 16));
 
   // Round-trip time: propagation both ways + fob processing + relay delays.
-  const double prop_us = 2.0 * effective_distance / cfg_.speed_of_light_m_per_us;
+  const double prop_us = 2.0 * effective_distance / kSpeedOfLightMPerUs;
   a.rtt_us = prop_us + fob.processing_us() + extra_delay_us +
              rng_.gaussian(0.0, 0.5);  // measurement jitter
 
-  if (cfg_.rtt_limit_us > 0 && a.rtt_us > cfg_.rtt_limit_us) {
+  if (rtt_limit_us_ > 0 && a.rtt_us > rtt_limit_us_) {
     a.rtt_rejected = true;
     a.unlocked = false;
     return a;

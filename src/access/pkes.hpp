@@ -31,12 +31,6 @@ class KeyFob {
   double process_us_;
 };
 
-struct PkesConfig {
-  double lf_range_m = 2.0;           // challenge reach
-  double speed_of_light_m_per_us = 299.8;
-  double rtt_limit_us = 0;           // 0 = no distance bounding
-};
-
 /// Relay attacker: one station near the car, one near the fob, connected by
 /// a link with `link_latency_us` one-way (cable, RF, or IP).
 struct RelayAttacker {
@@ -50,7 +44,7 @@ struct RelayAttacker {
 /// Vehicle-side PKES unit.
 class PkesCar {
  public:
-  PkesCar(const crypto::Block& key, PkesConfig cfg, std::uint64_t seed);
+  PkesCar(const crypto::Block& key, std::uint64_t seed);
 
   struct Attempt {
     bool unlocked = false;
@@ -65,12 +59,13 @@ class PkesCar {
   Attempt try_unlock(const KeyFob& fob, double fob_distance_m,
                      const RelayAttacker& relay = {});
 
-  const PkesConfig& config() const { return cfg_; }
-  void set_rtt_limit(double us) { cfg_.rtt_limit_us = us; }
+  /// Round-trip bound in microseconds; 0 = no distance bounding.
+  void set_rtt_limit(double us) { rtt_limit_us_ = us; }
+  double rtt_limit_us() const { return rtt_limit_us_; }
 
  private:
   crypto::Cmac cmac_;
-  PkesConfig cfg_;
+  double rtt_limit_us_ = 0;
   util::Rng rng_;
 };
 

@@ -5,6 +5,15 @@
 
 namespace aseck::adas {
 
+namespace {
+/// Detections within this range gate are considered the same object.
+constexpr double kAssociationGateM = 5.0;
+constexpr double kAebTtcThresholdS = 1.8;
+constexpr double kAebMinRangeM = 1.0;
+constexpr double kImuResidualThresholdMps2 = 1.5;
+constexpr int kImuRequiredConsecutive = 5;
+}  // namespace
+
 SensorFusion::FusionOutput SensorFusion::fuse(
     const std::vector<TruthObject>& truth) {
   FusionOutput out;
@@ -32,8 +41,7 @@ SensorFusion::FusionOutput SensorFusion::fuse(
     used[i] = true;
     for (std::size_t j = i + 1; j < all.size(); ++j) {
       if (used[j]) continue;
-      if (std::abs(all[j].d.range_m - all[i].d.range_m) >
-          cfg_.association_gate_m) {
+      if (std::abs(all[j].d.range_m - all[i].d.range_m) > kAssociationGateM) {
         break;  // sorted: nothing further can associate
       }
       if (sensor_seen[all[j].sensor]) continue;  // one det per sensor
@@ -65,11 +73,11 @@ AebController::Decision AebController::evaluate(
   Decision d;
   for (const FusedObject& o : actionable) {
     if (o.rel_speed_mps <= 0.1) continue;  // not closing
-    if (o.range_m < cfg_.min_range_m) continue;
+    if (o.range_m < kAebMinRangeM) continue;
     const double ttc = o.range_m / o.rel_speed_mps;
     if (ttc < d.ttc_s) d.ttc_s = ttc;
   }
-  d.brake = d.ttc_s < cfg_.ttc_threshold_s;
+  d.brake = d.ttc_s < kAebTtcThresholdS;
   return d;
 }
 
@@ -78,8 +86,8 @@ bool ImuPlausibilityMonitor::feed(double imu_accel_mps2,
   if (last_speed_ && dt_s > 0) {
     const double wheel_accel = (wheel_speed_mps - *last_speed_) / dt_s;
     const double residual = std::abs(imu_accel_mps2 - wheel_accel);
-    if (residual > cfg_.residual_threshold_mps2) {
-      if (++consecutive_ >= cfg_.required_consecutive) alarmed_ = true;
+    if (residual > kImuResidualThresholdMps2) {
+      if (++consecutive_ >= kImuRequiredConsecutive) alarmed_ = true;
     } else {
       consecutive_ = 0;
     }

@@ -20,10 +20,8 @@ struct FusedObject {
   int corroboration = 0;  // sensors agreeing on this object
 };
 
-/// Fusion association/voting parameters.
+/// Fusion voting parameters.
 struct FusionConfig {
-  /// Detections within this range gate are considered the same object.
-  double association_gate_m = 5.0;
   /// Minimum corroborating sensors for an *actionable* object.
   int min_corroboration = 2;
 };
@@ -52,45 +50,25 @@ class SensorFusion {
 
 /// Automated emergency braking: brakes when an actionable object's
 /// time-to-collision drops below the threshold.
-struct AebConfig {
-  double ttc_threshold_s = 1.8;
-  double min_range_m = 1.0;
-};
-
 class AebController {
  public:
-  using Config = AebConfig;
-  explicit AebController(Config cfg = {}) : cfg_(cfg) {}
-
   struct Decision {
     bool brake = false;
     double ttc_s = 1e9;
   };
   Decision evaluate(const std::vector<FusedObject>& actionable) const;
-
- private:
-  Config cfg_;
 };
 
 /// Longitudinal plausibility monitor: cross-checks MEMS acceleration against
 /// differentiated wheel speed; acoustic-injection bias shows up as a
 /// persistent residual (the defense against [13]).
-struct ImuMonitorConfig {
-  double residual_threshold_mps2 = 1.5;
-  int required_consecutive = 5;
-};
-
 class ImuPlausibilityMonitor {
  public:
-  using Config = ImuMonitorConfig;
-  explicit ImuPlausibilityMonitor(Config cfg = {}) : cfg_(cfg) {}
-
   /// Feeds one 10 Hz sample pair; returns true when an inconsistency alarm
   /// is active.
   bool feed(double imu_accel_mps2, double wheel_speed_mps, double dt_s);
 
  private:
-  Config cfg_;
   std::optional<double> last_speed_;
   int consecutive_ = 0;
   bool alarmed_ = false;

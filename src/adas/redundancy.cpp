@@ -5,10 +5,21 @@
 
 namespace aseck::adas {
 
-DualChannelVoter::DualChannelVoter(DualChannelConfig cfg,
-                                   PerceptionSensor* channel_a,
+namespace {
+/// Association gates: detections from the two channels within both gates
+/// are the same physical object.
+constexpr double kRangeGateM = 2.0;
+constexpr double kSpeedGateMps = 1.5;
+/// Confidence multiplier applied in single-channel degraded mode.
+constexpr double kDegradedConfidence = 0.5;
+/// Consecutive disagreeing 2oo2 frames before the plausibility alarm
+/// latches (transient noise should not alarm).
+constexpr std::uint32_t kDisagreeAlarmThreshold = 3;
+}  // namespace
+
+DualChannelVoter::DualChannelVoter(PerceptionSensor* channel_a,
                                    PerceptionSensor* channel_b)
-    : cfg_(cfg), a_(channel_a), b_(channel_b) {
+    : a_(channel_a), b_(channel_b) {
   if (!a_ || !b_) {
     throw std::invalid_argument("DualChannelVoter: null channel");
   }
@@ -41,9 +52,7 @@ DualChannelVoter::Output DualChannelVoter::vote(
   if (failed_[0] || failed_[1]) {
     const std::vector<Detection>& survivor = failed_[0] ? b : a;
     out.detections = survivor;
-    for (Detection& d : out.detections) {
-      d.confidence *= cfg_.degraded_confidence;
-    }
+    for (Detection& d : out.detections) d.confidence *= kDegradedConfidence;
     out.verdict = VoteVerdict::kDegradedSingle;
     out.matched = out.detections.size();
     ++degraded_;
@@ -53,12 +62,12 @@ DualChannelVoter::Output DualChannelVoter::vote(
   std::vector<bool> used_b(b.size(), false);
   for (const Detection& da : a) {
     std::size_t best = b.size();
-    double best_dist = cfg_.range_gate_m;
+    double best_dist = kRangeGateM;
     for (std::size_t j = 0; j < b.size(); ++j) {
       if (used_b[j]) continue;
       const double dr = std::fabs(da.range_m - b[j].range_m);
       const double dv = std::fabs(da.rel_speed_mps - b[j].rel_speed_mps);
-      if (dr <= best_dist && dv <= cfg_.speed_gate_mps) {
+      if (dr <= best_dist && dv <= kSpeedGateMps) {
         best = j;
         best_dist = dr;
       }
@@ -87,7 +96,7 @@ DualChannelVoter::Output DualChannelVoter::vote(
   } else {
     out.verdict = VoteVerdict::kDisagree;
     ++disagreed_;
-    if (++disagree_streak_ >= cfg_.disagree_alarm_threshold) alarm_ = true;
+    if (++disagree_streak_ >= kDisagreeAlarmThreshold) alarm_ = true;
   }
   return out;
 }

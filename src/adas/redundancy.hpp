@@ -5,14 +5,15 @@
 // cross-checks them per frame:
 //
 //   * both channels healthy  -> 2oo2: only detections corroborated by both
-//     channels (within the association gates) pass, averaged, at full
+//     channels (within 2 m range and 1.5 m/s speed) pass, averaged, at full
 //     confidence. Unmatched detections on either side are suppressed
 //     (fail-safe: a ghost injected into one channel is *not* acted on) and
-//     a persistent mismatch raises the plausibility alarm;
+//     a mismatch in 3 consecutive frames raises the plausibility alarm
+//     (transient noise should not alarm);
 //   * one channel failed (flagged by the safety::HealthSupervisor via
 //     `set_channel_failed`) -> 1oo1 degraded: the surviving channel passes
-//     through with confidence scaled by `degraded_confidence`, so consumers
-//     (AEB) can demand corroboration elsewhere or lengthen their thresholds;
+//     through with its confidence halved, so consumers (AEB) can demand
+//     corroboration elsewhere or lengthen their thresholds;
 //   * both channels failed  -> no data (the consumer must fail safe).
 //
 // This is the sensing-side counterpart of the gateway's hot-standby pair:
@@ -33,22 +34,9 @@ enum class VoteVerdict {
   kNoData,          // both channels failed
 };
 
-struct DualChannelConfig {
-  /// Association gates: detections from the two channels within both gates
-  /// are the same physical object.
-  double range_gate_m = 2.0;
-  double speed_gate_mps = 1.5;
-  /// Confidence multiplier applied in single-channel degraded mode.
-  double degraded_confidence = 0.5;
-  /// Consecutive disagreeing 2oo2 frames before the plausibility alarm
-  /// latches (transient noise should not alarm).
-  std::uint32_t disagree_alarm_threshold = 3;
-};
-
 class DualChannelVoter {
  public:
-  DualChannelVoter(DualChannelConfig cfg, PerceptionSensor* channel_a,
-                   PerceptionSensor* channel_b);
+  DualChannelVoter(PerceptionSensor* channel_a, PerceptionSensor* channel_b);
 
   /// Marks a channel failed/recovered (0 = A, 1 = B); wired to the
   /// supervisor's status handler.
@@ -71,11 +59,10 @@ class DualChannelVoter {
   std::uint64_t frames_disagreed() const { return disagreed_; }
   std::uint64_t frames_degraded() const { return degraded_; }
   std::uint64_t suppressed_detections() const { return suppressed_; }
-  /// Latched after `disagree_alarm_threshold` consecutive mismatching frames.
+  /// Latched after 3 consecutive mismatching frames.
   bool plausibility_alarm() const { return alarm_; }
 
  private:
-  DualChannelConfig cfg_;
   PerceptionSensor* a_;
   PerceptionSensor* b_;
   bool failed_[2] = {false, false};

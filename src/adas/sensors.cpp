@@ -4,6 +4,10 @@
 
 namespace aseck::adas {
 
+namespace {
+constexpr double kMaxRangeM = 150;
+}  // namespace
+
 const char* sensor_kind_name(SensorKind k) {
   switch (k) {
     case SensorKind::kRadar: return "radar";
@@ -21,7 +25,7 @@ std::vector<Detection> PerceptionSensor::sense(
   std::vector<Detection> out;
   if (!blinded_) {
     for (const TruthObject& t : truth) {
-      if (t.range_m > cfg_.max_range_m) continue;
+      if (t.range_m > kMaxRangeM) continue;
       if (rng_.chance(cfg_.dropout_prob)) continue;
       Detection d;
       d.range_m = t.range_m + rng_.gaussian(0.0, cfg_.range_noise_m);

@@ -36,12 +36,12 @@ struct TruthObject {
 enum class SensorKind { kRadar, kLidar, kCamera };
 const char* sensor_kind_name(SensorKind k);
 
-/// Ranging/perception sensor with noise and attack injection.
+/// Ranging/perception sensor with noise and attack injection. Objects
+/// beyond 150 m are not seen (kMaxRangeM in sensors.cpp).
 class PerceptionSensor {
  public:
   struct Config {
     SensorKind kind = SensorKind::kRadar;
-    double max_range_m = 150;
     double range_noise_m = 0.5;
     double dropout_prob = 0.02;
   };

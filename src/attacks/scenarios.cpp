@@ -6,8 +6,13 @@
 
 namespace aseck::attacks {
 
-GpsSpoofScenario::GpsSpoofScenario(Config cfg, std::uint64_t seed)
-    : cfg_(cfg), rng_(seed) {}
+namespace {
+constexpr double kTrueSpeedMps = 25.0;   // along +x
+constexpr double kDragRateMps = 3.0;     // spoofer-induced drift, along +y
+constexpr double kGpsNoiseM = 2.0;
+constexpr double kOdomNoiseFrac = 0.01;  // wheel odometry relative error
+constexpr double kDetectThresholdM = 25.0;
+}  // namespace
 
 std::vector<GpsSpoofScenario::Step> GpsSpoofScenario::run(double seconds,
                                                           double spoof_start_s) {
@@ -18,15 +23,14 @@ std::vector<GpsSpoofScenario::Step> GpsSpoofScenario::run(double seconds,
   double dr_x = 0.0;
   for (double t = 0.0; t < seconds; t += 1.0) {
     const bool spoofing = t >= spoof_start_s;
-    if (spoofing) spoof_offset += cfg_.drag_rate_mps;
+    if (spoofing) spoof_offset += kDragRateMps;
 
-    const double true_x = cfg_.true_speed_mps * t;
-    const double gps_x = true_x + rng_.gaussian(0.0, cfg_.gps_noise_m);
-    const double gps_y = spoof_offset + rng_.gaussian(0.0, cfg_.gps_noise_m);
+    const double true_x = kTrueSpeedMps * t;
+    const double gps_x = true_x + rng_.gaussian(0.0, kGpsNoiseM);
+    const double gps_y = spoof_offset + rng_.gaussian(0.0, kGpsNoiseM);
 
     if (t > 0.0) {
-      dr_x += cfg_.true_speed_mps *
-              (1.0 + rng_.gaussian(0.0, cfg_.odom_noise_frac));
+      dr_x += kTrueSpeedMps * (1.0 + rng_.gaussian(0.0, kOdomNoiseFrac));
     }
 
     Step s;
@@ -36,7 +40,7 @@ std::vector<GpsSpoofScenario::Step> GpsSpoofScenario::run(double seconds,
     s.gps_error_m = std::sqrt(ex * ex + gps_y * gps_y);
     // Defense: GPS fix vs dead-reckoned position disagreement.
     const double dx = gps_x - dr_x, dy = gps_y - 0.0;
-    s.detected = std::sqrt(dx * dx + dy * dy) > cfg_.detect_threshold_m;
+    s.detected = std::sqrt(dx * dx + dy * dy) > kDetectThresholdM;
     out.push_back(s);
   }
   return out;

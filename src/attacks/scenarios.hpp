@@ -22,14 +22,7 @@ namespace aseck::attacks {
 /// position fix away from the true trajectory (a "carry-off" attack).
 class GpsSpoofScenario {
  public:
-  struct Config {
-    double true_speed_mps = 25.0;   // along +x
-    double drag_rate_mps = 3.0;     // spoofer-induced drift, along +y
-    double gps_noise_m = 2.0;
-    double odom_noise_frac = 0.01;  // wheel odometry relative error
-    double detect_threshold_m = 25.0;
-  };
-  GpsSpoofScenario(Config cfg, std::uint64_t seed);
+  explicit GpsSpoofScenario(std::uint64_t seed) : rng_(seed) {}
 
   struct Step {
     double t_s;
@@ -45,7 +38,6 @@ class GpsSpoofScenario {
                                     double spoof_start_s);
 
  private:
-  Config cfg_;
   util::Rng rng_;
 };
 

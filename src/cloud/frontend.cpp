@@ -2,6 +2,15 @@
 
 namespace aseck::cloud {
 
+namespace {
+constexpr std::size_t kTicketCacheEntries = 1024;
+/// Modeled wall time of a full handshake vs a ticket resumption (the
+/// asymmetric crypto actually runs either way the full path is taken; the
+/// latency constants are what the sim schedules against).
+constexpr util::SimTime kFullHandshakeLatency = util::SimTime::from_ms(12);
+constexpr util::SimTime kResumeLatency = util::SimTime::from_ms(1);
+}  // namespace
+
 SessionFrontend::SessionFrontend(ServerCredential cred,
                                  crypto::EcdsaPrivateKey identity,
                                  crypto::EcdsaPublicKey authority,
@@ -11,7 +20,7 @@ SessionFrontend::SessionFrontend(ServerCredential cred,
       server_(std::move(cred), std::move(identity), rng),
       authority_(std::move(authority)),
       rng_(rng),
-      tickets_(cfg.ticket_cache_entries),
+      tickets_(kTicketCacheEntries),
       trace_("cloud.front", "cloud.front.", telemetry) {}
 
 SessionFrontend SessionFrontend::create(const std::string& name,
@@ -30,7 +39,7 @@ ConnectResult SessionFrontend::connect(const std::string& vehicle_id,
   if (Ticket* t = tickets_.find(vehicle_id); t && now < t->expires) {
     r.ok = true;
     r.resumed = true;
-    r.latency = cfg_.resume_latency;
+    r.latency = kResumeLatency;
     r.ticket_id = t->id;
     ASECK_TRACE(trace_, now, k_resume_, vehicle_id);
     c_resumed_.inc();
@@ -50,7 +59,7 @@ ConnectResult SessionFrontend::connect(const std::string& vehicle_id,
   t.id = next_ticket_++;
   t.expires = now + cfg_.ticket_lifetime;
   r.ok = true;
-  r.latency = cfg_.full_handshake_latency;
+  r.latency = kFullHandshakeLatency;
   r.ticket_id = t.id;
   tickets_.put(vehicle_id, t);
   c_handshakes_.inc();

@@ -22,13 +22,7 @@
 namespace aseck::cloud {
 
 struct FrontendConfig {
-  std::size_t ticket_cache_entries = 1024;
   util::SimTime ticket_lifetime = util::SimTime::from_s(3600);
-  /// Modeled wall time of a full handshake vs a ticket resumption (the
-  /// asymmetric crypto actually runs either way the full path is taken; the
-  /// latency constants are what the sim schedules against).
-  util::SimTime full_handshake_latency = util::SimTime::from_ms(12);
-  util::SimTime resume_latency = util::SimTime::from_ms(1);
 };
 
 struct ConnectResult {

@@ -1,6 +1,7 @@
 #include "core/policy.hpp"
 
 #include <cstring>
+#include <stdexcept>
 
 namespace aseck::core {
 
@@ -94,6 +95,18 @@ bool SecurityPolicy::get_bool(const std::string& key, bool def) const {
   return it->second.as_bool().value_or(def);
 }
 
+const char* SecurityPolicy::first_invalid_key() const {
+  for (const keys::Range& r : keys::kRanges) {
+    const auto it = values.find(r.key);
+    if (it == values.end()) continue;
+    const std::optional<double> v = r.integral && !it->second.as_int()
+                                         ? std::nullopt
+                                         : it->second.as_double();
+    if (!v || !(*v >= r.min && *v <= r.max)) return r.key;  // NaN fails too
+  }
+  return nullptr;
+}
+
 SignedPolicy SignedPolicy::sign(SecurityPolicy p,
                                 const crypto::EcdsaPrivateKey& key) {
   SignedPolicy sp;
@@ -104,7 +117,11 @@ SignedPolicy SignedPolicy::sign(SecurityPolicy p,
 
 PolicyStore::PolicyStore(crypto::EcdsaPublicKey authority,
                          SecurityPolicy initial)
-    : authority_(std::move(authority)), active_(std::move(initial)) {}
+    : authority_(std::move(authority)), active_(std::move(initial)) {
+  if (const char* key = active_.first_invalid_key()) {
+    throw std::invalid_argument(std::string("PolicyStore: invalid ") + key);
+  }
+}
 
 PolicyStore::UpdateResult PolicyStore::apply_update(const SignedPolicy& update) {
   if (!crypto::ecdsa_verify(authority_, update.policy.serialize(),
@@ -115,6 +132,10 @@ PolicyStore::UpdateResult PolicyStore::apply_update(const SignedPolicy& update) 
   if (update.policy.version <= active_.version) {
     ++rejected_;
     return UpdateResult::kVersionRollback;
+  }
+  if (update.policy.first_invalid_key()) {
+    ++rejected_;
+    return UpdateResult::kInvalidValue;
   }
   active_ = update.policy;
   ++accepted_;

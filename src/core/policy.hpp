@@ -61,6 +61,21 @@ inline constexpr const char* kV2xRelevanceM = "interfaces.v2x.relevance_m";
 inline constexpr const char* kPseudonymPeriodS = "interfaces.v2x.pseudonym_period_s";
 inline constexpr const char* kPkesRttLimitUs = "access.pkes.rtt_limit_us";
 inline constexpr const char* kModeTable = "modes.active_profile";
+
+/// Accepted numeric values, inclusive. PolicyStore enforces them, so
+/// compile_policy() can trust a policy that came through a PolicyStore;
+/// LayerManager::apply() on a hand-built policy is not checked.
+struct Range { const char* key; bool integral; double min, max; };
+inline constexpr Range kRanges[] = {
+    {kSecocMacBytes, true, 1, 16},  // SecOcChannel's truncation bound
+    {kSecocFreshnessBytes, true, 0, 8},
+    {kIdsSensitivity, false, 0, 100},      // sigma threshold
+    {kGatewayRateLimit, false, 0, 1e6},    // frames/s; 0 = no limit
+    {kV2xMaxAgeMs, true, 1, 3'600'000},    // up to an hour
+    {kV2xRelevanceM, false, 0, 1e6},
+    {kPseudonymPeriodS, true, 1, 31'536'000},  // up to a year
+    {kPkesRttLimitUs, false, 0, 1e6},      // 0 = no distance bounding
+};
 }  // namespace keys
 
 /// The policy document.
@@ -77,6 +92,9 @@ struct SecurityPolicy {
   double get_double(const std::string& key, double def) const;
   std::string get_string(const std::string& key, std::string def) const;
   bool get_bool(const std::string& key, bool def) const;
+  /// First key whose value is NaN, outside keys::kRanges or of the wrong
+  /// kind (an integral key must hold an int), or nullptr.
+  const char* first_invalid_key() const;
 };
 
 /// Signed policy envelope for in-field distribution.
@@ -87,13 +105,15 @@ struct SignedPolicy {
   static SignedPolicy sign(SecurityPolicy p, const crypto::EcdsaPrivateKey& key);
 };
 
-/// Device-side policy store: verifies signature + version monotonicity
-/// before accepting an update (the OTA-delivered policy path).
+/// Device-side policy store: verifies signature, version monotonicity and
+/// value ranges before accepting an update (the OTA-delivered policy path).
 class PolicyStore {
  public:
+  /// Throws std::invalid_argument when `initial` has an invalid value.
   explicit PolicyStore(crypto::EcdsaPublicKey authority, SecurityPolicy initial);
 
-  enum class UpdateResult { kAccepted, kBadSignature, kVersionRollback };
+  /// A rejected update leaves the active policy as it was.
+  enum class UpdateResult { kAccepted, kBadSignature, kVersionRollback, kInvalidValue };
   UpdateResult apply_update(const SignedPolicy& update);
 
   const SecurityPolicy& active() const { return active_; }

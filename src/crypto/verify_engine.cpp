@@ -4,6 +4,11 @@
 
 namespace aseck::crypto {
 
+namespace {
+/// Fewest cache misses in one burst that go through the batch kernel.
+constexpr std::size_t kBatchMin = 2;
+}  // namespace
+
 Digest VerifyEngine::cache_key(const EcdsaPublicKey& pub, const Digest& digest,
                                const EcdsaSignature& sig) {
   Sha256 h;
@@ -83,7 +88,7 @@ std::vector<bool> VerifyEngine::verify_batch(
   // bit-identical either way (the kernel is differentially tested).
   primitive_ += misses.size();
   c_primitive_.inc(misses.size());
-  if (batch_kernel_ && misses.size() >= batch_min_) {
+  if (batch_kernel_ && misses.size() >= kBatchMin) {
     std::vector<BatchVerifyItem> work;
     work.reserve(misses.size());
     for (const Miss& m : misses) work.push_back(items[m.slot]);

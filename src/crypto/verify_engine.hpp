@@ -68,11 +68,8 @@ class VerifyEngine {
   std::vector<bool> verify_batch(const std::vector<BatchItem>& items);
 
   /// Routes verify_batch misses through the RLC batch kernel when the burst
-  /// has at least `min_batch` of them. Off by default (per-item path).
-  void set_batch_kernel(bool on, std::size_t min_batch = 2) {
-    batch_kernel_ = on;
-    batch_min_ = min_batch < 1 ? 1 : min_batch;
-  }
+  /// has at least 2 of them. Off by default (per-item path).
+  void set_batch_kernel(bool on) { batch_kernel_ = on; }
 
   std::uint64_t calls() const { return calls_; }
   /// LRU hits plus in-burst duplicate resolutions.
@@ -99,7 +96,6 @@ class VerifyEngine {
   std::uint64_t primitive_ = 0;
   std::uint64_t batched_ = 0;
   bool batch_kernel_ = false;
-  std::size_t batch_min_ = 2;
   sim::Counter& c_calls_ = metrics_.counter("crypto.verify.calls");
   sim::Counter& c_hits_ = metrics_.counter("crypto.verify.cache_hits");
   sim::Counter& c_evictions_ = metrics_.counter("crypto.verify.evictions");

@@ -53,6 +53,10 @@ crypto::Digest MeasurementRegister::replay(const std::vector<Measurement>& log) 
 
 namespace {
 constexpr std::uint8_t kEvidenceMagic[4] = {'A', 'T', 'E', 'V'};
+/// Extra attempts per stage before degrading (1 retry = 2 attempts).
+constexpr int kStageRetries = 1;
+/// Modeled cost of one app-image ECDSA verification.
+constexpr double kSigVerifyUs = 200.0;
 }  // namespace
 
 util::Bytes AttestationEvidence::tbs() const {
@@ -248,7 +252,7 @@ BootChain::Report BootChain::run(util::SimTime now) {
   // --- stage 0: ROM measures the bootloader against the fused anchor ------
   StageRecord rom{BootStage::kRom, 0, false};
   const crypto::Digest bl_digest = crypto::sha256(cfg_.bootloader);
-  for (int a = 0; a <= cfg_.stage_retries && !rom.passed; ++a) {
+  for (int a = 0; a <= kStageRetries && !rom.passed; ++a) {
     ++rom.attempts;
     if (hang(BootStage::kRom, a)) {
       rep.stages.push_back(rom);
@@ -272,7 +276,7 @@ BootChain::Report BootChain::run(util::SimTime now) {
   // with boot-protected keys locked (she_.boot_ok() false => measurement
   // verdict false => service kFailedBoot).
   StageRecord mac{BootStage::kBootloader, 0, false};
-  for (int a = 0; a <= cfg_.stage_retries && !mac.passed; ++a) {
+  for (int a = 0; a <= kStageRetries && !mac.passed; ++a) {
     ++mac.attempts;
     if (hang(BootStage::kBootloader, a)) {
       rep.stages.push_back(mac);
@@ -310,10 +314,10 @@ BootChain::Report BootChain::run(util::SimTime now) {
     }
     const crypto::Digest d = img->digest();
     const util::Bytes* sig_bytes = kv_value(boot_sig_key(d));
-    for (int a = 0; a <= cfg_.stage_retries; ++a) {
+    for (int a = 0; a <= kStageRetries; ++a) {
       ++sr->attempts;
       if (hang(BootStage::kApp, a)) return false;
-      rep.boot_us += cfg_.sig_verify_us;
+      rep.boot_us += kSigVerifyUs;
       if (!sig_bytes) continue;
       const auto sig = crypto::EcdsaSignature::from_bytes(*sig_bytes);
       if (sig && engine_.verify_digest(*anchor, d, *sig)) return true;

@@ -117,12 +117,8 @@ struct BootChainConfig {
   util::Bytes bootloader;
   /// ROM-fused digest the bootloader must match (the root of trust).
   crypto::Digest rom_anchor{};
-  /// Extra attempts per stage before degrading (1 retry = 2 attempts).
-  int stage_retries = 1;
   /// ROM-resident limp-home image booted when no slot verifies.
   std::optional<FirmwareImage> recovery_image;
-  /// Modeled cost of one app-image ECDSA verification.
-  double sig_verify_us = 200.0;
 };
 
 /// KvStore keys the chain (and fleet campaigns) use.

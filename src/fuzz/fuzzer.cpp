@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <set>
 
+#include "fuzz/mutator.hpp"
 #include "util/rng.hpp"
 
 namespace aseck::fuzz {
@@ -150,7 +151,7 @@ CampaignResult Fuzzer::run(const FuzzTarget& target) {
   CoverageMap cov;
   const util::cov::ScopedSink guard(&cov);
 
-  Mutator mutator(cfg_.mutator);
+  Mutator mutator;
   mutator.set_dictionary(target.dictionary);
 
   std::vector<util::Bytes> corpus = target.seeds;

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "fuzz/mutator.hpp"
 #include "util/bytes.hpp"
 #include "util/coverage.hpp"
 
@@ -106,7 +105,6 @@ class Fuzzer {
   struct Config {
     std::uint64_t seed = 42;
     std::uint64_t iterations = 10'000;
-    MutatorConfig mutator;
   };
 
   explicit Fuzzer(Config cfg) : cfg_(cfg) {}

@@ -88,7 +88,7 @@ FuzzTarget uds_target() {
                   tok({0xFF, 0x00})};
   t.execute = [](util::BytesView b) -> ExecResult {
     const ivn::SeedKeyFn seed_key = ivn::cmac_algorithm(fixed_key16());
-    ivn::UdsServer server({seed_key, 3, 600.0, 4}, 0x5eed);
+    ivn::UdsServer server({seed_key, 3, 600.0}, 0x5eed);
     server.define_did(0xF190, {0x01, 0x02, 0x03}, false);
     server.define_did(0x1234, {0x00}, false);
     server.define_did(0x2F01, {0x00}, true);  // write-protected

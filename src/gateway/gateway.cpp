@@ -5,6 +5,11 @@
 
 namespace aseck::gateway {
 
+namespace {
+/// Consecutive calm health windows that step a domain's mode down one level.
+constexpr std::uint32_t kHealthyWindows = 2;
+}  // namespace
+
 bool FirewallRule::matches(const std::string& from, const std::string& to,
                            const CanFrame& f) const {
   if (from_domain != "*" && from_domain != from) return false;
@@ -181,7 +186,7 @@ void SecurityGateway::health_tick() {
       // Escalate to degraded; an already-limp domain stays limp until calm.
       if (d.mode == GatewayMode::kNormal) set_mode(dom, d, GatewayMode::kDegraded);
     } else if (d.mode != GatewayMode::kNormal) {
-      if (++d.calm_windows >= degraded_cfg_.healthy_windows) {
+      if (++d.calm_windows >= kHealthyWindows) {
         d.calm_windows = 0;
         set_mode(dom, d,
                  d.mode == GatewayMode::kLimpHome ? GatewayMode::kDegraded

@@ -44,13 +44,12 @@ enum class GatewayMode { kNormal, kDegraded, kLimpHome };
 
 /// Health-tick policy for automatic mode transitions. Every `window`, each
 /// domain's fault count (reported faults + link-down drops + errors on a
-/// watched domain bus) is compared against the thresholds; `healthy_windows`
-/// consecutive calm windows step the mode back down one level.
+/// watched domain bus) is compared against the thresholds; 2 consecutive
+/// calm windows step the mode back down one level.
 struct DegradedModeConfig {
   SimTime window = SimTime::from_ms(500);
   std::uint32_t degrade_threshold = 20;  // faults/window -> kDegraded
   std::uint32_t limp_threshold = 60;     // faults/window -> kLimpHome
-  std::uint32_t healthy_windows = 2;
 };
 
 /// Firewall rule: matches a frame by source domain, destination domain, and

@@ -5,6 +5,10 @@
 
 namespace aseck::ivn {
 
+namespace {
+constexpr std::uint64_t kBitrateBps = 10'000'000;  // 10 Mbit/s
+}  // namespace
+
 FlexRayBus::FlexRayBus(Scheduler& sched, std::string name, FlexRayConfig cfg,
                        const sim::Telemetry& telemetry)
     : sched_(sched),
@@ -55,7 +59,7 @@ void FlexRayBus::run_cycle() {
 
   // Static segment: fixed slot grid.
   for (std::uint16_t slot = 1; slot <= cfg_.static_slots; ++slot) {
-    const SimTime at = cycle_start + cfg_.static_slot_len * (slot - 1);
+    const SimTime at = cycle_start + FlexRayConfig::kStaticSlotLen * (slot - 1);
     auto it = static_owners_.find(slot);
     if (it == static_owners_.end()) continue;
     FlexRayNode* owner = it->second;
@@ -90,11 +94,11 @@ void FlexRayBus::run_cycle() {
   // Dynamic segment: minislot counting; lower dyn_id transmits first. A
   // frame occupies ceil(bits / minislot_bits) minislots; frames that do not
   // fit before the segment end wait for the next cycle.
-  const SimTime dyn_start = cycle_start + cfg_.static_slot_len * cfg_.static_slots;
+  const SimTime dyn_start = cycle_start + FlexRayConfig::kStaticSlotLen * cfg_.static_slots;
   std::sort(dyn_queue_.begin(), dyn_queue_.end(),
             [](const DynEntry& a, const DynEntry& b) { return a.dyn_id < b.dyn_id; });
   const double minislot_bits =
-      cfg_.minislot_len.seconds() * static_cast<double>(cfg_.bitrate_bps);
+      FlexRayConfig::kMinislotLen.seconds() * static_cast<double>(kBitrateBps);
   std::uint32_t used_minislots = 0;
   std::vector<DynEntry> carry;
   for (auto& e : dyn_queue_) {
@@ -106,7 +110,7 @@ void FlexRayBus::run_cycle() {
       c_dynamic_dropped_.inc();
       continue;
     }
-    const SimTime at = dyn_start + cfg_.minislot_len * used_minislots;
+    const SimTime at = dyn_start + FlexRayConfig::kMinislotLen * used_minislots;
     used_minislots += need;
     FlexRayFrame frame;
     frame.slot_id = static_cast<std::uint16_t>(cfg_.static_slots + e.dyn_id);

@@ -29,16 +29,15 @@ struct FlexRayFrame {
 };
 
 struct FlexRayConfig {
+  static constexpr SimTime kStaticSlotLen = SimTime::from_us(50);
+  static constexpr SimTime kMinislotLen = SimTime::from_us(5);
+  static constexpr SimTime kNitLen = SimTime::from_us(100);  // network idle time
+
   std::uint16_t static_slots = 20;
   std::uint16_t dynamic_minislots = 40;
-  SimTime static_slot_len = SimTime::from_us(50);
-  SimTime minislot_len = SimTime::from_us(5);
-  SimTime nit_len = SimTime::from_us(100);  // network idle time
-  std::uint64_t bitrate_bps = 10'000'000;   // 10 Mbit/s
 
   SimTime cycle_length() const {
-    return static_slot_len * static_slots + minislot_len * dynamic_minislots +
-           nit_len;
+    return kStaticSlotLen * static_slots + kMinislotLen * dynamic_minislots + kNitLen;
   }
 };
 

@@ -4,6 +4,10 @@
 
 namespace aseck::ivn {
 
+namespace {
+constexpr std::size_t kSeedBytes = 4;  // SecurityAccess seed length
+}  // namespace
+
 SeedKeyFn weak_xor_algorithm(std::uint32_t secret_constant) {
   return [secret_constant](util::BytesView seed) {
     util::Bytes key(seed.begin(), seed.end());
@@ -51,9 +55,9 @@ UdsResponse UdsServer::request_seed(double now_s) {
   }
   if (unlocked_) {
     // Already unlocked: spec returns a zero seed.
-    return {true, UdsNrc::kNone, util::Bytes(cfg_.seed_bytes, 0)};
+    return {true, UdsNrc::kNone, util::Bytes(kSeedBytes, 0)};
   }
-  pending_seed_ = rng_.bytes(cfg_.seed_bytes);
+  pending_seed_ = rng_.bytes(kSeedBytes);
   return {true, UdsNrc::kNone, *pending_seed_};
 }
 
@@ -184,7 +188,7 @@ util::Bytes UdsServer::handle_request(util::BytesView req, double now_s) {
       }
       // even = sendKey; the key must be present and exactly as long as the
       // seed it answers (reject-with-NRC, never clamp a short key).
-      if (body.size() != 1 + cfg_.seed_bytes) {
+      if (body.size() != 1 + kSeedBytes) {
         ASECK_COV("uds.sec.key_bad_len");
         return negative(sid, UdsNrc::kIncorrectLength);
       }

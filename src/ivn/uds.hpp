@@ -74,7 +74,6 @@ class UdsServer {
     std::uint32_t max_attempts = 3;
     /// Lockout after exceeding attempts, in simulated seconds.
     double lockout_s = 600.0;
-    std::size_t seed_bytes = 4;
   };
   UdsServer(Config cfg, std::uint64_t seed,
             const sim::Telemetry& telemetry = {});

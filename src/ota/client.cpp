@@ -125,6 +125,10 @@ OtaError FullVerificationClient::verify_chain(const MetadataBundle& bundle,
 
 namespace {
 
+/// Safety valve: total kRetryAfter deferrals a single fetch will honor
+/// before giving up with kRetriesExhausted.
+constexpr int kMaxServerDeferrals = 256;
+
 OtaError check_image(const util::Bytes& image, const TargetInfo& info) {
   if (image.size() != info.length) return OtaError::kImageLengthMismatch;
   if (crypto::sha256_bytes(image) != info.sha256) {
@@ -471,7 +475,7 @@ void FullVerificationClient::retry_defer(const std::shared_ptr<RetryState>& st,
   // server's slot keeps a shed herd de-synchronized, so deferrals never
   // count against max_attempts.
   const SimTime now = st->sched->now();
-  if (++st->deferrals > st->policy.max_server_deferrals) {
+  if (++st->deferrals > kMaxServerDeferrals) {
     ASECK_TRACE(trace_, now, k_retries_exhausted_,
                 "deferrals=" + std::to_string(st->deferrals));
     retry_finish(st, OtaError::kRetriesExhausted);

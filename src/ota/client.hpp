@@ -99,9 +99,6 @@ class FullVerificationClient {
     /// kUnavailable falls back to the transport-error backoff path. The
     /// client always requests in ServeClass::kCampaign.
     RepositoryServer* server = nullptr;
-    /// Safety valve: total kRetryAfter deferrals a single fetch will honor
-    /// before giving up with kRetriesExhausted.
-    int max_server_deferrals = 256;
   };
   struct RetryOutcome {
     Outcome outcome;

@@ -23,6 +23,11 @@ const char* server_tier_name(ServerTier t) {
 }
 
 namespace {
+constexpr double kBackgroundQueueShare = 0.25;  // of max_queue_delay
+constexpr double kShedEnterRatio = 0.10;  // window shed ratio that escalates
+constexpr double kShedExitRatio = 0.02;   // ceiling for a de-escalating window
+constexpr std::size_t kChunkCacheEntries = 512;
+
 int tier_rank(ServerTier t) { return static_cast<int>(t); }
 ServerTier tier_from_rank(int r) { return static_cast<ServerTier>(r); }
 }  // namespace
@@ -34,7 +39,7 @@ RepositoryServer::RepositoryServer(const Repository& director,
     : director_(director),
       image_repo_(image_repo),
       cfg_(cfg),
-      cache_(cfg.chunk_cache_entries),
+      cache_(kChunkCacheEntries),
       trace_("ota.repo", "ota.repo.", telemetry) {
   tokens_campaign_ = cfg_.bucket_burst;
   tokens_background_ = cfg_.bucket_burst;
@@ -81,11 +86,11 @@ void RepositoryServer::roll_windows(util::SimTime now) {
             ? 0.0
             : static_cast<double>(win_shed_) / static_cast<double>(win_arrivals_);
     last_shed_ratio_ = ratio;
-    if (win_arrivals_ > 0 && ratio > cfg_.shed_enter_ratio) {
+    if (win_arrivals_ > 0 && ratio > kShedEnterRatio) {
       if (tier_ != ServerTier::kShedAdmission) {
         set_tier(tier_from_rank(tier_rank(tier_) + 1), edge);
       }
-    } else if (ratio <= cfg_.shed_exit_ratio &&
+    } else if (ratio <= kShedExitRatio &&
                tier_ != ServerTier::kNormal) {
       set_tier(tier_from_rank(tier_rank(tier_) - 1), edge);
     }
@@ -195,7 +200,7 @@ RepositoryServer::Admission RepositoryServer::admit(ServeClass cls,
   util::SimTime bound = cfg_.max_queue_delay;
   if (cls == ServeClass::kBackground) {
     bound = util::SimTime::from_ns(static_cast<std::uint64_t>(
-        static_cast<double>(bound.ns) * cfg_.background_queue_share));
+        static_cast<double>(bound.ns) * kBackgroundQueueShare));
   }
   if (tier_ >= ServerTier::kShedAdmission) {
     bound = util::SimTime::from_ns(bound.ns / 4);  // drain the queue

@@ -93,10 +93,9 @@ struct ServerConfig {
   util::SimTime chunk_service = util::SimTime::from_us(200);     // store read
   util::SimTime cache_hit_service = util::SimTime::from_us(25);  // RAM serve
   double delta_cpu_factor = 3.0;  // delta encode costs x chunk_service extra
-  /// Admission bound on queueing delay (campaign class). Background uses
-  /// background_queue_share of it; kShedAdmission tightens both by 4x.
+  /// Admission bound on queueing delay (campaign class). Background uses a
+  /// quarter of it; kShedAdmission tightens both by 4x.
   util::SimTime max_queue_delay = util::SimTime::from_ms(100);
-  double background_queue_share = 0.25;
 
   // --- retry-after slot cursor (herd de-synchronization) ---------------------
   util::SimTime retry_slot = util::SimTime::from_ms(20);  // per-shed spacing
@@ -104,11 +103,6 @@ struct ServerConfig {
 
   // --- degradation ladder ----------------------------------------------------
   util::SimTime tier_window = util::SimTime::from_ms(500);  // observation
-  double shed_enter_ratio = 0.10;  // window shed ratio that escalates
-  double shed_exit_ratio = 0.02;   // ceiling for a de-escalating window
-
-  // --- chunk cache -----------------------------------------------------------
-  std::size_t chunk_cache_entries = 512;
 };
 
 struct MetadataResponse {

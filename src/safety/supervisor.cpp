@@ -5,6 +5,10 @@
 
 namespace aseck::safety {
 
+namespace {
+constexpr double kBackoffMultiplier = 2.0;  // per failed reset attempt
+}  // namespace
+
 const char* escalation_level_name(EscalationLevel l) {
   switch (l) {
     case EscalationLevel::kNone: return "none";
@@ -240,7 +244,7 @@ void HealthSupervisor::attempt_reset(const std::string& name) {
   double backoff_s = e.esc.reset_backoff.seconds();
   for (std::uint32_t i = 0; i < exp && backoff_s < e.esc.max_backoff.seconds();
        ++i) {
-    backoff_s *= e.esc.backoff_multiplier;
+    backoff_s *= kBackoffMultiplier;
   }
   backoff_s = std::min(backoff_s, e.esc.max_backoff.seconds());
   const SimTime backoff = SimTime::from_seconds_f(backoff_s);

@@ -76,8 +76,7 @@ struct EscalationPolicy {
   std::uint32_t failed_tolerance = 1;
   /// Reset attempts before escalating one ladder rung (restart-storm bound).
   std::uint32_t max_resets = 3;
-  SimTime reset_backoff = SimTime::from_ms(10);  // delay before first retry
-  double backoff_multiplier = 2.0;
+  SimTime reset_backoff = SimTime::from_ms(10);  // first retry; doubles after
   SimTime max_backoff = SimTime::from_s(1);
   /// Domain handed to the degrade handler at kDomainDegrade/kLimpHome
   /// (empty = skip those rungs; the ladder stays at kLocalReset).

@@ -6,15 +6,18 @@
 
 namespace aseck::sim {
 
+namespace {
+constexpr std::size_t kTraceCapacity = 256;  // per-shard TraceBus ring
+}  // namespace
+
 Shard::Shard(ShardedWorld& world, std::uint32_t index, std::uint32_t col,
-             std::uint32_t row, std::uint64_t master_seed,
-             std::size_t trace_capacity)
+             std::uint32_t row, std::uint64_t master_seed)
     : world_(world),
       index_(index),
       col_(col),
       row_(row),
       rng_(util::Rng::for_stream(master_seed, index)) {
-  telemetry_.bus->set_capacity(trace_capacity);
+  telemetry_.bus->set_capacity(kTraceCapacity);
 }
 
 void Shard::post(std::uint32_t to, SimTime deliver_at, Handler fn) {
@@ -49,8 +52,7 @@ ShardedWorld::ShardedWorld(ShardedWorldConfig cfg)
   shards_.reserve(static_cast<std::size_t>(cols_) * rows_);
   for (std::uint32_t r = 0; r < rows_; ++r) {
     for (std::uint32_t c = 0; c < cols_; ++c) {
-      shards_.emplace_back(new Shard(*this, r * cols_ + c, c, r, cfg_.seed,
-                                     cfg_.trace_capacity));
+      shards_.emplace_back(new Shard(*this, r * cols_ + c, c, r, cfg_.seed));
     }
   }
 }

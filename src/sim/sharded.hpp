@@ -64,8 +64,6 @@ struct ShardedWorldConfig {
   /// Worker threads including the caller; 1 = strictly single-threaded.
   unsigned threads = 1;
   std::uint64_t seed = 1;
-  /// Per-shard TraceBus ring capacity (0 = unbounded).
-  std::size_t trace_capacity = 256;
 };
 
 class ShardedWorld;
@@ -101,8 +99,7 @@ class Shard {
  private:
   friend class ShardedWorld;
   Shard(ShardedWorld& world, std::uint32_t index, std::uint32_t col,
-        std::uint32_t row, std::uint64_t master_seed,
-        std::size_t trace_capacity);
+        std::uint32_t row, std::uint64_t master_seed);
 
   struct Msg {
     SimTime at;

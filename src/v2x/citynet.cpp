@@ -14,6 +14,17 @@ namespace aseck::v2x {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586476925286766559;
+/// Per-delivery channel loss probability (receiving shard's RNG).
+constexpr double kLossProb = 0.02;
+constexpr util::SimTime kBsmPeriod = util::SimTime::from_ms(100);
+/// Transmit phases within a BSM period (spreads events in sim time).
+constexpr unsigned kSlots = 5;
+static_assert(kBsmPeriod.ns % kSlots == 0, "slots must divide bsm_period");
+constexpr double kMinSpeedMps = 3.0;
+constexpr double kMaxSpeedMps = 25.0;
+/// Modeled wire size of a signed BSM (payload + 1609.2 header + implicit
+/// cert + ECDSA signature) for bytes-per-vehicle accounting.
+constexpr std::size_t kBsmWireBytes = 246;
 
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -69,9 +80,6 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
         "MetroWorld: cell_m must be >= range_m (spill covers only the 8 "
         "adjacent cells)");
   }
-  if (cfg_.slots == 0 || cfg_.bsm_period.ns % cfg_.slots != 0) {
-    throw std::invalid_argument("MetroWorld: slots must divide bsm_period");
-  }
   sim::ShardedWorldConfig wc;
   wc.width_m = cfg_.width_m;
   wc.height_m = cfg_.height_m;
@@ -79,7 +87,6 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
   wc.epoch = cfg_.epoch;
   wc.threads = cfg_.threads;
   wc.seed = cfg_.seed;
-  wc.trace_capacity = 256;
   world_ = std::make_unique<sim::ShardedWorld>(wc);
 
   locals_.resize(world_->shard_count());
@@ -94,7 +101,7 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
     l.rotations = &m.counter("city.rotations");
     l.bytes_tx = &m.counter("city.bytes_tx");
     if (cfg_.real_crypto) {
-      l.crypto = std::make_unique<ShardCrypto>(m, cfg_.crypto_cache_capacity);
+      l.crypto = std::make_unique<ShardCrypto>(m);
       ShardCrypto& sc = *l.crypto;
       sc.engine.set_batch_kernel(true);
       sc.signs = &m.counter("city.crypto.signs");
@@ -113,8 +120,7 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
     v.id = i;
     v.x = place.uniform_real(0.0, cfg_.width_m);
     v.y = place.uniform_real(0.0, cfg_.height_m);
-    const double speed = place.uniform_real(cfg_.min_speed_mps,
-                                            cfg_.max_speed_mps);
+    const double speed = place.uniform_real(kMinSpeedMps, kMaxSpeedMps);
     const double heading = place.uniform_real(0.0, kTwoPi);
     v.vx = speed * std::cos(heading);
     v.vy = speed * std::sin(heading);
@@ -127,7 +133,7 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
   }
 
   const util::SimTime slot_period =
-      util::SimTime::from_ns(cfg_.bsm_period.ns / cfg_.slots);
+      util::SimTime::from_ns(kBsmPeriod.ns / kSlots);
   tick_tasks_.reserve(world_->shard_count());
   for (std::uint32_t i = 0; i < world_->shard_count(); ++i) {
     tick_tasks_.push_back(std::make_unique<sim::PeriodicTask>(
@@ -178,7 +184,7 @@ void MetroWorld::receive_scan(sim::Shard& shard, ShardLocal& local, double sx,
     if (u.id == sender_id) continue;
     const double dx = u.x - sx, dy = u.y - sy;
     if (dx * dx + dy * dy > r2) continue;
-    if (cfg_.loss_prob > 0 && shard.rng().chance(cfg_.loss_prob)) {
+    if (shard.rng().chance(kLossProb)) {
       ++lost;
       continue;
     }
@@ -215,7 +221,7 @@ void MetroWorld::receive_scan(sim::Shard& shard, ShardLocal& local, double sx,
 void MetroWorld::send_bsm(sim::Shard& shard, ShardLocal& local,
                           const CityVehicle& v, util::SimTime now) {
   local.bsm_tx->inc();
-  local.bytes_tx->inc(cfg_.bsm_wire_bytes);
+  local.bytes_tx->inc(kBsmWireBytes);
   receive_scan(shard, local, v.x, v.y, v.id, /*cross=*/false, v.rotations,
                v.temp_id, v.beacon_sig);
 
@@ -256,15 +262,14 @@ void MetroWorld::tick(std::uint32_t shard_index) {
   sim::Shard& shard = world_->shard(shard_index);
   ShardLocal& local = locals_[shard_index];
   const util::SimTime now = shard.sched().now();
-  const unsigned slot =
-      static_cast<unsigned>(local.tick % cfg_.slots);
+  const unsigned slot = static_cast<unsigned>(local.tick % kSlots);
   ++local.tick;
 
   auto& vs = local.vehicles;
   std::vector<char> dead;  // lazily sized on first migration
   for (std::size_t vi = 0; vi < vs.size(); ++vi) {
     CityVehicle& v = vs[vi];
-    if (v.id % cfg_.slots != slot) continue;
+    if (v.id % kSlots != slot) continue;
 
     // Advance the straight segment; bounce off the world box.
     const double dt = (now - v.t0).seconds();
@@ -395,9 +400,9 @@ std::string MetroWorld::digest_json() const {
   add_d("height_m", cfg_.height_m);
   add_d("cell_m", cfg_.cell_m);
   add_d("range_m", cfg_.range_m);
-  add_d("loss_prob", cfg_.loss_prob);
-  out += ",\"bsm_period_ns\":" + std::to_string(cfg_.bsm_period.ns);
-  out += ",\"slots\":" + std::to_string(cfg_.slots);
+  add_d("loss_prob", kLossProb);
+  out += ",\"bsm_period_ns\":" + std::to_string(kBsmPeriod.ns);
+  out += ",\"slots\":" + std::to_string(kSlots);
   out += ",\"epoch_ns\":" + std::to_string(cfg_.epoch.ns);
   out += ",\"pseudonym_period_ns\":" + std::to_string(cfg_.pseudonym_period.ns);
   out += ",\"seed\":" + std::to_string(cfg_.seed);

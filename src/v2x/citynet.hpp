@@ -59,20 +59,10 @@ struct MetroConfig {
   /// adjacent cells.
   double cell_m = 500.0;
   double range_m = 300.0;
-  /// Per-delivery channel loss probability (receiving shard's RNG).
-  double loss_prob = 0.02;
-  util::SimTime bsm_period = util::SimTime::from_ms(100);
-  /// Transmit phases within a BSM period (spreads events in sim time).
-  unsigned slots = 5;
   util::SimTime epoch = util::SimTime::from_ms(100);
   util::SimTime pseudonym_period = util::SimTime::from_s(5);
-  double min_speed_mps = 3.0;
-  double max_speed_mps = 25.0;
   unsigned threads = 1;
   std::uint64_t seed = 42;
-  /// Modeled wire size of a signed BSM (payload + 1609.2 header + implicit
-  /// cert + ECDSA signature) for bytes-per-vehicle accounting.
-  std::size_t bsm_wire_bytes = 246;
   /// Run genuine ECDSA-P256 on the receive path: per-(vehicle, rotation)
   /// beacon signatures, shard-local admitted-cache dedup, and the E22 RLC
   /// batch kernel for the misses.
@@ -80,9 +70,6 @@ struct MetroConfig {
   /// Target RLC batch per shard; pending checks flush when this many
   /// accumulate (and at every tick / end of run).
   std::size_t crypto_batch = 64;
-  /// Per-shard capacity of the admitted (sender id, rotation) cache and the
-  /// derived-public-key cache.
-  std::size_t crypto_cache_capacity = 4096;
 };
 
 /// One simulated vehicle. POD by design: it migrates between shards inside
@@ -156,16 +143,17 @@ class MetroWorld {
                                       std::uint32_t temp_id);
 
  private:
+  /// Per-shard capacity of the admitted (sender id, rotation) cache and the
+  /// derived-public-key cache.
+  static constexpr std::size_t kCryptoCacheCapacity = 4096;
+
   struct ShardCrypto {
-    ShardCrypto(sim::MetricsRegistry& m, std::size_t cache_capacity)
-        : engine(m, cache_capacity),
-          pubs(cache_capacity),
-          admitted(cache_capacity) {}
+    explicit ShardCrypto(sim::MetricsRegistry& m) : engine(m, kCryptoCacheCapacity) {}
     crypto::VerifyEngine engine;
     /// Derived public keys, keyed (id << 32) | rotation.
-    util::LruCache<std::uint64_t, crypto::EcdsaPublicKey> pubs;
+    util::LruCache<std::uint64_t, crypto::EcdsaPublicKey> pubs{kCryptoCacheCapacity};
     /// (sender, rotation) beacons already verified by this shard.
-    util::LruCache<std::uint64_t, char> admitted;
+    util::LruCache<std::uint64_t, char> admitted{kCryptoCacheCapacity};
     struct PendingItem {
       std::uint64_t key;  // (id << 32) | rotation
       crypto::EcdsaPublicKey pub;

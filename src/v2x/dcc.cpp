@@ -12,12 +12,21 @@ const char* dcc_state_name(DccState s) {
   return "?";
 }
 
-DccState DccController::target_for(double cbr) const {
-  if (cbr < th_.relaxed_below) return DccState::kRelaxed;
-  if (cbr < th_.active1_below) return DccState::kActive1;
-  if (cbr < th_.active2_below) return DccState::kActive2;
+namespace {
+/// CBR thresholds separating the DCC states.
+constexpr double kRelaxedBelow = 0.30;  // CBR below this -> relaxed
+constexpr double kActive1Below = 0.40;
+constexpr double kActive2Below = 0.50;  // above -> restrictive
+constexpr util::SimTime kDownDwell = util::SimTime::from_s(1);  // ramp-down
+constexpr util::SimTime kCbrWindow = util::SimTime::from_ms(100);  // ETSI
+
+DccState target_for(double cbr) {
+  if (cbr < kRelaxedBelow) return DccState::kRelaxed;
+  if (cbr < kActive1Below) return DccState::kActive1;
+  if (cbr < kActive2Below) return DccState::kActive2;
   return DccState::kRestrictive;
 }
+}  // namespace
 
 DccState DccController::update(double cbr, util::SimTime now) {
   const DccState target = target_for(cbr);
@@ -29,7 +38,7 @@ DccState DccController::update(double cbr, util::SimTime now) {
     if (!tracking_down_) {
       tracking_down_ = true;
       below_since_ = now;
-    } else if (now - below_since_ >= down_dwell) {
+    } else if (now - below_since_ >= kDownDwell) {
       // Step down one state at a time (ETSI ramp-down behavior).
       state_ = static_cast<DccState>(rank(state_) - 1);
       below_since_ = now;
@@ -51,25 +60,22 @@ util::SimTime DccController::beacon_interval() const {
   return util::SimTime::from_ms(100);
 }
 
+void CbrEstimator::roll(util::SimTime now) {
+  if (now - window_start_ < kCbrWindow) return;
+  last_cbr_ = static_cast<double>(busy_in_window_.ns) /
+              static_cast<double>(kCbrWindow.ns);
+  if (last_cbr_ > 1.0) last_cbr_ = 1.0;
+  window_start_ = now;
+  busy_in_window_ = util::SimTime::zero();
+}
+
 void CbrEstimator::on_air(util::SimTime now, util::SimTime airtime) {
-  if (now - window_start_ >= window_) {
-    last_cbr_ = static_cast<double>(busy_in_window_.ns) /
-                static_cast<double>(window_.ns);
-    if (last_cbr_ > 1.0) last_cbr_ = 1.0;
-    window_start_ = now;
-    busy_in_window_ = util::SimTime::zero();
-  }
+  roll(now);
   busy_in_window_ += airtime;
 }
 
 double CbrEstimator::cbr(util::SimTime now) {
-  if (now - window_start_ >= window_) {
-    last_cbr_ = static_cast<double>(busy_in_window_.ns) /
-                static_cast<double>(window_.ns);
-    if (last_cbr_ > 1.0) last_cbr_ = 1.0;
-    window_start_ = now;
-    busy_in_window_ = util::SimTime::zero();
-  }
+  roll(now);
   return last_cbr_;
 }
 

@@ -18,54 +18,39 @@ namespace aseck::v2x {
 enum class DccState { kRelaxed, kActive1, kActive2, kRestrictive };
 const char* dcc_state_name(DccState s);
 
-/// CBR thresholds separating the DCC states.
-struct DccThresholds {
-  double relaxed_below = 0.30;  // CBR below this -> relaxed
-  double active1_below = 0.40;
-  double active2_below = 0.50;  // above -> restrictive
-};
-
 /// Channel-busy-ratio (CBR) driven controller.
 class DccController {
  public:
-  using Thresholds = DccThresholds;
-  explicit DccController(Thresholds th = {}) : th_(th) {}
-
   /// Feeds a CBR measurement (0..1); returns the new state. Transitions up
   /// (more restrictive) are immediate; transitions down require the lower
-  /// CBR to persist for `down_dwell` (ramp-down hysteresis).
+  /// CBR to persist for 1 s (ramp-down hysteresis).
   DccState update(double cbr, util::SimTime now);
 
   DccState state() const { return state_; }
   /// Beacon interval mandated by the current state.
   util::SimTime beacon_interval() const;
 
-  util::SimTime down_dwell = util::SimTime::from_s(1);
-
  private:
   static int rank(DccState s) { return static_cast<int>(s); }
-  DccState target_for(double cbr) const;
 
-  Thresholds th_;
   DccState state_ = DccState::kRelaxed;
   util::SimTime below_since_ = util::SimTime::zero();
   bool tracking_down_ = false;
 };
 
-/// Sliding-window CBR estimator fed with per-message airtime.
+/// Sliding-window CBR estimator fed with per-message airtime over a 100 ms
+/// measurement period (ETSI's).
 class CbrEstimator {
  public:
-  /// `window`: measurement period (ETSI uses 100 ms).
-  explicit CbrEstimator(util::SimTime window = util::SimTime::from_ms(100))
-      : window_(window) {}
-
   /// Records a transmission overheard on-channel at `now` lasting `airtime`.
   void on_air(util::SimTime now, util::SimTime airtime);
   /// CBR for the window ending at `now`.
   double cbr(util::SimTime now);
 
  private:
-  util::SimTime window_;
+  /// Closes the window if `now` is past it.
+  void roll(util::SimTime now);
+
   util::SimTime window_start_ = util::SimTime::zero();
   util::SimTime busy_in_window_ = util::SimTime::zero();
   double last_cbr_ = 0.0;

@@ -2,6 +2,12 @@
 
 namespace aseck::v2x {
 
+namespace {
+/// Distinct reporters required before revocation. Each reporter counts once
+/// per accused (anti-spam): a repeat report is kDuplicateReporter.
+constexpr std::size_t kRevocationThreshold = 3;
+}  // namespace
+
 util::Bytes MisbehaviorReport::serialize() const {
   util::Bytes out(accused.begin(), accused.end());
   util::append_be(out, reporter_temp_id, 4);
@@ -17,10 +23,6 @@ std::optional<MisbehaviorReport> MisbehaviorReport::parse(util::BytesView b) {
   r.reason.assign(b.begin() + 12, b.end());
   return r;
 }
-
-MisbehaviorAuthority::MisbehaviorAuthority(Crl& crl, const TrustStore& trust,
-                                           Config cfg)
-    : crl_(crl), trust_(trust), cfg_(cfg) {}
 
 MisbehaviorAuthority::Outcome MisbehaviorAuthority::submit(const Spdu& envelope,
                                                            SimTime now) {
@@ -55,7 +57,7 @@ MisbehaviorAuthority::Outcome MisbehaviorAuthority::submit(const Spdu& envelope,
   if (!set.insert(report->reporter_temp_id).second) {
     return Outcome::kDuplicateReporter;
   }
-  if (set.size() >= cfg_.revocation_threshold) {
+  if (set.size() >= kRevocationThreshold) {
     crl_.revoke(report->accused);
     ++revocations_;
     return Outcome::kAcceptedAndRevoked;

@@ -27,18 +27,10 @@ struct MisbehaviorReport {
   static std::optional<MisbehaviorReport> parse(util::BytesView b);
 };
 
-/// Authority thresholds.
-struct MisbehaviorAuthorityConfig {
-  /// Distinct reporters required before revocation. Each reporter counts
-  /// once per accused (anti-spam; fixed, not configurable): a repeat report
-  /// is kDuplicateReporter.
-  std::size_t revocation_threshold = 3;
-};
-
 class MisbehaviorAuthority {
  public:
-  using Config = MisbehaviorAuthorityConfig;
-  MisbehaviorAuthority(Crl& crl, const TrustStore& trust, Config cfg = {});
+  MisbehaviorAuthority(Crl& crl, const TrustStore& trust)
+      : crl_(crl), trust_(trust) {}
 
   enum class Outcome {
     kAccepted,
@@ -56,7 +48,6 @@ class MisbehaviorAuthority {
  private:
   Crl& crl_;
   const TrustStore& trust_;
-  Config cfg_;
   struct Less {
     bool operator()(const CertId& a, const CertId& b) const { return a < b; }
   };

@@ -104,16 +104,22 @@ void V2xMedium::broadcast(V2xRadio* from, Spdu msg) {
   }
 }
 
+namespace {
+/// Plausibility thresholds for misbehavior detection.
+constexpr double kMaxSpeedMps = 70.0;          // ~250 km/h
+constexpr double kPositionJumpMarginM = 15.0;  // tolerance over speed * dt
+}  // namespace
+
 std::string MisbehaviorDetector::check(const Bsm& bsm, SimTime now) {
   std::string reason;
-  if (bsm.speed_mps > cfg_.max_speed_mps) {
+  if (bsm.speed_mps > kMaxSpeedMps) {
     reason = "implausible_speed";
   } else {
     const auto it = last_.find(bsm.temp_id);
     if (it != last_.end() && now > it->second.at) {
       const double dt = (now - it->second.at).seconds();
       const double moved = bsm.pos.distance_to(it->second.pos);
-      const double max_move = cfg_.max_speed_mps * dt + cfg_.position_jump_margin_m;
+      const double max_move = kMaxSpeedMps * dt + kPositionJumpMarginM;
       if (moved > max_move) reason = "position_jump";
     }
   }

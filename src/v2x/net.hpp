@@ -108,18 +108,9 @@ class V2xMedium : public sim::FaultHook {
   std::uint64_t receivers_checked_ = 0;
 };
 
-/// Plausibility thresholds for misbehavior detection.
-struct MisbehaviorConfig {
-  double max_speed_mps = 70.0;           // ~250 km/h
-  double position_jump_margin_m = 15.0;  // tolerance over speed * dt
-};
-
 /// Plausibility-based misbehavior detection on received BSMs.
 class MisbehaviorDetector {
  public:
-  using Config = MisbehaviorConfig;
-  explicit MisbehaviorDetector(Config cfg = {}) : cfg_(cfg) {}
-
   /// Returns a non-empty reason string if the BSM is implausible.
   std::string check(const Bsm& bsm, SimTime now);
 
@@ -130,7 +121,6 @@ class MisbehaviorDetector {
     Position pos;
     SimTime at;
   };
-  Config cfg_;
   std::map<std::uint32_t, LastSeen> last_;
   std::uint64_t flagged_ = 0;
 };

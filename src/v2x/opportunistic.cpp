@@ -4,14 +4,10 @@
 
 namespace aseck::v2x {
 
-DeferredSpduVerifier::DeferredSpduVerifier(sim::Scheduler& sched, Config cfg)
-    : sched_(sched), cfg_(cfg), pool_([&cfg] {
-        // Jobs are pushed into the pool at flush time, already in canonical
-        // (producer, FIFO) order; the pool-side queue needs only one lane.
-        crypto::VerifyPoolConfig pc = cfg.pool;
-        pc.producers = 1;
-        return pc;
-      }()) {}
+namespace {
+/// How often pending checks are flushed; this bounds the safety window.
+constexpr SimTime kFlushPeriod = SimTime::from_ms(10);
+}  // namespace
 
 std::size_t DeferredSpduVerifier::add_producer() {
   pending_.emplace_back();
@@ -29,7 +25,7 @@ void DeferredSpduVerifier::submit(std::size_t producer, const Spdu& msg,
 
 void DeferredSpduVerifier::start() {
   flush_task_ = std::make_unique<sim::PeriodicTask>(
-      sched_, cfg_.flush_period, [this] { flush(); }, cfg_.flush_period);
+      sched_, kFlushPeriod, [this] { flush(); }, kFlushPeriod);
 }
 
 void DeferredSpduVerifier::stop() {

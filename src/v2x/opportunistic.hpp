@@ -26,17 +26,7 @@ namespace aseck::v2x {
 
 class DeferredSpduVerifier {
  public:
-  struct Config {
-    crypto::VerifyPoolConfig pool{};
-    /// How often pending checks are flushed; this bounds the safety window.
-    SimTime flush_period = SimTime::from_ms(10);
-  };
-
-  explicit DeferredSpduVerifier(sim::Scheduler& sched, Config cfg);
-  // Not a default argument: GCC rejects `Config cfg = {}` here because the
-  // nested aggregate's member initializers are not complete at that point.
-  explicit DeferredSpduVerifier(sim::Scheduler& sched)
-      : DeferredSpduVerifier(sched, Config()) {}
+  explicit DeferredSpduVerifier(sim::Scheduler& sched) : sched_(sched) {}
 
   /// Registers one receiver; returns its producer id (setup phase only).
   std::size_t add_producer();
@@ -72,8 +62,7 @@ class DeferredSpduVerifier {
   };
 
   sim::Scheduler& sched_;
-  Config cfg_;
-  crypto::VerifyPool pool_;
+  crypto::VerifyPool pool_;  // one producer: flush() pushes in canonical order
   std::vector<std::deque<Pending>> pending_;  // one FIFO per producer
   std::unique_ptr<sim::PeriodicTask> flush_task_;
   std::uint64_t submitted_ = 0;

@@ -71,7 +71,7 @@ crypto::Block pkes_key() {
 }
 
 TEST(Pkes, NormalUnlockInRange) {
-  PkesCar car(pkes_key(), PkesConfig{}, 1);
+  PkesCar car(pkes_key(), 1);
   KeyFob fob(pkes_key());
   const auto a = car.try_unlock(fob, 1.0);
   EXPECT_TRUE(a.unlocked);
@@ -82,7 +82,7 @@ TEST(Pkes, NormalUnlockInRange) {
 }
 
 TEST(Pkes, OutOfRangeWithoutRelay) {
-  PkesCar car(pkes_key(), PkesConfig{}, 1);
+  PkesCar car(pkes_key(), 1);
   KeyFob fob(pkes_key());
   const auto a = car.try_unlock(fob, 30.0);
   EXPECT_FALSE(a.unlocked);
@@ -90,7 +90,7 @@ TEST(Pkes, OutOfRangeWithoutRelay) {
 }
 
 TEST(Pkes, WrongKeyFobRejected) {
-  PkesCar car(pkes_key(), PkesConfig{}, 1);
+  PkesCar car(pkes_key(), 1);
   crypto::Block other;
   other.fill(0x78);
   KeyFob wrong(other);
@@ -101,7 +101,7 @@ TEST(Pkes, WrongKeyFobRejected) {
 
 TEST(Pkes, RelayAttackSucceedsWithoutDistanceBounding) {
   // Fob is 30 m away (owner in a cafe); relay stations bridge the gap.
-  PkesCar car(pkes_key(), PkesConfig{}, 1);
+  PkesCar car(pkes_key(), 1);
   KeyFob fob(pkes_key());
   RelayAttacker relay;
   relay.active = true;
@@ -111,7 +111,7 @@ TEST(Pkes, RelayAttackSucceedsWithoutDistanceBounding) {
 }
 
 TEST(Pkes, DistanceBoundingBlocksRelay) {
-  PkesCar car(pkes_key(), PkesConfig{}, 1);
+  PkesCar car(pkes_key(), 1);
   // Budget: fob processing + small margin. Relay adds >= 50 us.
   car.set_rtt_limit(310.0);
   KeyFob fob(pkes_key());
@@ -126,7 +126,7 @@ TEST(Pkes, DistanceBoundingBlocksRelay) {
 }
 
 TEST(Pkes, RelayStationsMustBeNearCarAndFob) {
-  PkesCar car(pkes_key(), PkesConfig{}, 1);
+  PkesCar car(pkes_key(), 1);
   KeyFob fob(pkes_key());
   RelayAttacker relay;
   relay.active = true;

@@ -188,8 +188,7 @@ TEST(BusOff, OnlyTargetsVictimId) {
 }
 
 TEST(GpsSpoof, DriftDetectedByOdometryCrossCheck) {
-  GpsSpoofScenario::Config cfg;
-  GpsSpoofScenario scenario(cfg, 5);
+  GpsSpoofScenario scenario(5);
   const auto steps = scenario.run(120.0, 30.0);
   ASSERT_EQ(steps.size(), 120u);
   // Before the spoof: no detection, small error.
@@ -205,8 +204,7 @@ TEST(GpsSpoof, DriftDetectedByOdometryCrossCheck) {
 }
 
 TEST(GpsSpoof, NoSpoofNoDetection) {
-  GpsSpoofScenario::Config cfg;
-  GpsSpoofScenario scenario(cfg, 6);
+  GpsSpoofScenario scenario(6);
   const auto steps = scenario.run(100.0, 1e9);  // never spoof
   int false_alarms = 0;
   for (const auto& s : steps) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "core/layers.hpp"
 #include "core/modes.hpp"
 #include "core/policy.hpp"
@@ -95,6 +98,64 @@ TEST(PolicyStore, SignedUpdateLifecycle) {
 
   EXPECT_EQ(store.updates_accepted(), 1u);
   EXPECT_EQ(store.updates_rejected(), 4u);
+}
+
+// Offers a signed version-2 update of base_policy() with `key` set to
+// `value` to a store holding version 1.
+struct OfferedUpdate {
+  PolicyStore::UpdateResult result;
+  std::uint32_t active_version;
+};
+OfferedUpdate offer_update(const char* key, PolicyValue value) {
+  crypto::Drbg rng(2u);
+  const auto authority = crypto::EcdsaPrivateKey::generate(rng);
+  PolicyStore store(authority.public_key(), base_policy(1));
+  SecurityPolicy p = base_policy(2);
+  p.values[key] = std::move(value);
+  const auto result = store.apply_update(SignedPolicy::sign(p, authority));
+  return {result, store.active().version};
+}
+
+TEST(PolicyStore, RejectsInvalidValues) {
+  const struct {
+    const char* key;
+    PolicyValue value;
+  } cases[] = {
+      // Cast to uint64_t, -1 ms would wrap SimTime: every V2X age check rejects.
+      {keys::kV2xMaxAgeMs, PolicyValue(std::int64_t{-1})},
+      // NaN fails `rtt > limit`, which would switch relay bounding off silently.
+      {keys::kPkesRttLimitUs, PolicyValue(std::nan(""))},
+      {keys::kPkesRttLimitUs, PolicyValue(-5.0)},
+      // Accepted, it would make the next make_secoc_channel throw.
+      {keys::kSecocMacBytes, PolicyValue(std::int64_t{0})},
+      // get_int ignores a double and would fall back to the default.
+      {keys::kSecocMacBytes, PolicyValue(8.0)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.key);
+    const OfferedUpdate u = offer_update(c.key, c.value);
+    EXPECT_EQ(u.result, PolicyStore::UpdateResult::kInvalidValue);
+    EXPECT_EQ(u.active_version, 1u);
+  }
+}
+
+TEST(PolicyStore, AcceptsValuesAtRangeEnds) {
+  for (const keys::Range& r : keys::kRanges) {
+    for (const double v : {r.min, r.max}) {
+      const PolicyValue value =
+          r.integral ? PolicyValue(static_cast<std::int64_t>(v)) : PolicyValue(v);
+      const OfferedUpdate u = offer_update(r.key, value);
+      EXPECT_EQ(u.result, PolicyStore::UpdateResult::kAccepted) << r.key << "=" << v;
+    }
+  }
+}
+
+TEST(PolicyStore, ThrowsOnInvalidInitialPolicy) {
+  crypto::Drbg rng(3u);
+  const auto authority = crypto::EcdsaPrivateKey::generate(rng);
+  SecurityPolicy p = base_policy(1);
+  p.values[keys::kV2xMaxAgeMs] = PolicyValue(std::int64_t{-1});
+  EXPECT_THROW(PolicyStore(authority.public_key(), p), std::invalid_argument);
 }
 
 TEST(Registry, BuiltinsAndRoundTrip) {
@@ -213,7 +274,7 @@ TEST(Layers, AppliesToBoundComponents) {
 
   crypto::Block k{};
   k.fill(0x70);
-  access::PkesCar pkes(k, access::PkesConfig{}, 1);
+  access::PkesCar pkes(k, 1);
 
   LayerManager mgr;
   mgr.bind_gateway(&gw, {"telematics"});
@@ -229,7 +290,7 @@ TEST(Layers, AppliesToBoundComponents) {
   mgr.apply(p);
 
   EXPECT_EQ(mgr.applications(), 1u);
-  EXPECT_DOUBLE_EQ(pkes.config().rtt_limit_us, 320.0);
+  EXPECT_DOUBLE_EQ(pkes.rtt_limit_us(), 320.0);
 
   // SecOC channels honor the policy's MAC length.
   const auto ch = mgr.make_secoc_channel(Bytes(16, 0x11));

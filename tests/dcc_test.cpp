@@ -71,7 +71,7 @@ TEST(Dcc, FloodingAttackForcesFleetBackoff) {
 }
 
 TEST(Cbr, WindowedMeasurement) {
-  CbrEstimator est(SimTime::from_ms(100));
+  CbrEstimator est;
   // 30 ms of airtime in the first 100 ms window.
   est.on_air(SimTime::from_ms(10), SimTime::from_ms(10));
   est.on_air(SimTime::from_ms(50), SimTime::from_ms(20));

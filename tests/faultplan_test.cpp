@@ -545,7 +545,6 @@ TEST(GatewayDegraded, ModeEscalatesAndStepsDown) {
   cfg.window = SimTime::from_ms(10);
   cfg.degrade_threshold = 5;
   cfg.limp_threshold = 15;
-  cfg.healthy_windows = 2;
   rig.gw.enable_degraded_mode(cfg);
 
   rig.sched.schedule_at(SimTime::from_ms(1),

@@ -131,7 +131,7 @@ FuzzTarget toy_target() {
 }
 
 TEST(Fuzzer, FindsPlantedBugAndMinimizes) {
-  Fuzzer fuzzer({/*seed=*/42, /*iterations=*/2000, {}});
+  Fuzzer fuzzer({/*seed=*/42, /*iterations=*/2000});
   const FuzzTarget t = toy_target();
   const CampaignResult r = fuzzer.run(t);
   ASSERT_EQ(r.findings.size(), 1u);
@@ -211,7 +211,7 @@ TEST(FrozenRepro, SomeIpUnknownTypeRejected) {
 class UdsFixture {
  public:
   UdsFixture()
-      : server_({ivn::cmac_algorithm(Bytes(16, 0x42)), 3, 600.0, 4}, 99) {
+      : server_({ivn::cmac_algorithm(Bytes(16, 0x42)), 3, 600.0}, 99) {
     server_.define_did(0xF190, {0x01}, false);
   }
   Bytes req(std::initializer_list<std::uint8_t> r, double now_s = 0.0) {

@@ -266,7 +266,6 @@ TEST(Gateway, LimpHomeRecoveryRestoresShedRoutes) {
   cfg.window = sim::SimTime::from_ms(10);
   cfg.degrade_threshold = 5;
   cfg.limp_threshold = 15;
-  cfg.healthy_windows = 2;
   f.gw.enable_degraded_mode(cfg);
 
   int got = 0;

@@ -153,7 +153,7 @@ TEST(FlexRay, StaticSlotsDeterministicTiming) {
   // steering hears braking's slot-3 frame at slot offset 2*50us each cycle.
   ASSERT_FALSE(steering.rx.empty());
   EXPECT_EQ(steering.rx[0].slot_id, 3);
-  EXPECT_EQ(steering.rx_at[0], cfg.static_slot_len * 2);
+  EXPECT_EQ(steering.rx_at[0], FlexRayConfig::kStaticSlotLen * 2);
   ASSERT_FALSE(braking.rx.empty());
   EXPECT_EQ(braking.rx[0].slot_id, 1);
   EXPECT_EQ(braking.rx_at[0], SimTime::zero());

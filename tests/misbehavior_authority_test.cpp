@@ -18,7 +18,7 @@ struct Fixture {
       CertificateAuthority::make_sub(rng, "pca", root, SimTime::from_s(1 << 20));
   Crl crl;
   TrustStore trust;
-  MisbehaviorAuthority authority{crl, trust, {}};
+  MisbehaviorAuthority authority{crl, trust};
 
   struct Entity {
     crypto::EcdsaPrivateKey key;

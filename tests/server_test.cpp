@@ -149,7 +149,6 @@ TEST(RepositoryServer, BackgroundQueueBoundTighterThanCampaign) {
   ServerConfig cfg;
   cfg.metadata_service = SimTime::from_ms(10);
   cfg.max_queue_delay = SimTime::from_ms(40);
-  cfg.background_queue_share = 0.25;  // 10ms for background
   ServerRig rig(cfg);
   const SimTime t0 = SimTime::from_ms(10);
   EXPECT_EQ(rig.server->fetch_metadata(ServeClass::kCampaign, t0).status,

@@ -254,7 +254,6 @@ TEST(Supervisor, EscalationClimbsLadderThenRecovers) {
   esc.failed_tolerance = 0;
   esc.max_resets = 2;  // 2 failed attempts per rung
   esc.reset_backoff = SimTime::from_ms(5);
-  esc.backoff_multiplier = 2.0;
   esc.max_backoff = SimTime::from_ms(20);
   esc.domain = "body";
   sup.supervise_alive("ecu.body", cfg, esc);
@@ -548,7 +547,7 @@ adas::PerceptionSensor::Config quiet_sensor() {
 
 TEST(DualChannelVoter, CorroboratedDetectionsPass) {
   adas::PerceptionSensor a(quiet_sensor(), 1), b(quiet_sensor(), 2);
-  adas::DualChannelVoter voter({}, &a, &b);
+  adas::DualChannelVoter voter(&a, &b);
   const std::vector<adas::TruthObject> truth = {{40.0, 0.0, 5.0}};
   const auto out = voter.sample(truth);
   EXPECT_EQ(out.verdict, adas::VoteVerdict::kAgree);
@@ -560,9 +559,7 @@ TEST(DualChannelVoter, CorroboratedDetectionsPass) {
 
 TEST(DualChannelVoter, GhostInOneChannelSuppressedAndAlarms) {
   adas::PerceptionSensor a(quiet_sensor(), 1), b(quiet_sensor(), 2);
-  adas::DualChannelConfig cfg;
-  cfg.disagree_alarm_threshold = 3;
-  adas::DualChannelVoter voter(cfg, &a, &b);
+  adas::DualChannelVoter voter(&a, &b);
   // LIDAR spoofing on channel A only: a ghost at 8 m no real object backs.
   adas::Detection ghost;
   ghost.range_m = 8.0;
@@ -583,9 +580,7 @@ TEST(DualChannelVoter, GhostInOneChannelSuppressedAndAlarms) {
 
 TEST(DualChannelVoter, TransientDisagreementDoesNotAlarm) {
   adas::PerceptionSensor a(quiet_sensor(), 1), b(quiet_sensor(), 2);
-  adas::DualChannelConfig cfg;
-  cfg.disagree_alarm_threshold = 3;
-  adas::DualChannelVoter voter(cfg, &a, &b);
+  adas::DualChannelVoter voter(&a, &b);
   const std::vector<adas::TruthObject> truth = {{60.0, 0.0, 3.0}};
   adas::Detection ghost;
   ghost.range_m = 8.0;
@@ -608,9 +603,7 @@ TEST(DualChannelVoter, SupervisorDrivesDegradedSingleChannel) {
   // restores 2oo2.
   Scheduler sched;
   adas::PerceptionSensor a(quiet_sensor(), 1), b(quiet_sensor(), 2);
-  adas::DualChannelConfig cfg;
-  cfg.degraded_confidence = 0.5;
-  adas::DualChannelVoter voter(cfg, &a, &b);
+  adas::DualChannelVoter voter(&a, &b);
 
   HealthSupervisor sup(sched, "adas");
   AliveSupervision alive_cfg;
@@ -668,7 +661,7 @@ TEST(DualChannelVoter, SupervisorDrivesDegradedSingleChannel) {
 
 TEST(DualChannelVoter, BothChannelsFailedMeansNoData) {
   adas::PerceptionSensor a(quiet_sensor(), 1), b(quiet_sensor(), 2);
-  adas::DualChannelVoter voter({}, &a, &b);
+  adas::DualChannelVoter voter(&a, &b);
   voter.set_channel_failed(0, true);
   voter.set_channel_failed(1, true);
   const auto out = voter.sample({{30.0, 0.0, 2.0}});
